@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordRep
-from .fiber import FiberPoint, ModeSet, assemble, eigenvalues
+from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
+                    eigenvalues, g_factors)
 from .fields import PotentialSet
 from .lattice import Lattice
 from .util import check_unit, pmap
@@ -44,6 +45,7 @@ def band_sweep(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     k0 = np.asarray(k0, dtype=float)
     e = check_unit(np.asarray(e, dtype=float), "sweep direction", tol=1e-9)
     modes = ModeSet.from_cutoff(lattice, cutoff)
+    check_dense_dim(len(modes) * rep.M)
     xis = np.linspace(lo, hi, samples)
 
     def solve(xi: float) -> np.ndarray:
@@ -101,12 +103,8 @@ def free_band_values(lattice: Lattice, rep: CliffordRep, k: np.ndarray,
     dense eigensolver.
     """
     modes = ModeSet.from_cutoff(lattice, cutoff)
-    k = np.asarray(k, dtype=float)
-    half = rep.M // 2
-    vals = []
-    for row in modes.coords:
-        radius = float(np.linalg.norm(k + 2.0 * np.pi * lattice.dual_point(row)))
-        root = float(np.hypot(radius, mass))
-        vals.extend([-root] * half)
-        vals.extend([root] * half)
-    return np.sort(np.array(vals))
+    # unshifted, g_minus = g_plus = |k + 2 pi N| whatever the direction e
+    fiber = FiberPoint(k=k, e=np.eye(lattice.n)[0])
+    radii = np.array([g_factors(lattice, fiber, row)[0] for row in modes.coords])
+    roots = np.hypot(radii, mass)
+    return np.sort(np.repeat(np.concatenate([-roots, roots]), rep.M // 2))

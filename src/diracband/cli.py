@@ -13,7 +13,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 

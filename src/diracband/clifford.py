@@ -90,15 +90,7 @@ def classify_matrix(L: np.ndarray, rep: CliffordRep, tol: float = 1e-12) -> str:
     "s1" means it anticommutes with all of them.  The zero matrix satisfies
     both relations and is surfaced as "s0".
     """
-    L = np.asarray(L, dtype=complex)
-    if L.shape != (rep.M, rep.M):
-        raise ValueError(f"matrix must be {rep.M} x {rep.M}")
-    commutes = all(
-        np.max(np.abs(L @ a - a @ L)) <= tol for a in rep.alphas[: rep.n]
-    )
-    anticommutes = all(
-        np.max(np.abs(L @ a + a @ L)) <= tol for a in rep.alphas[: rep.n]
-    )
+    commutes, anticommutes = class_flags(L, rep, tol)
     if commutes:
         return "s0"
     if anticommutes:

@@ -85,13 +85,6 @@ class ModeSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def shifted(self, origin) -> "ModeSet":
-        """The window translated by -origin (matching modes of k + 2 pi origin)."""
-        origin = np.asarray(origin, dtype=np.int64)
-        out = ModeSet(self.lattice, self.coords - origin[None, :])
-        out.cutoff = self.cutoff
-        return out
-
 
 def symbol(rep: CliffordRep, lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
     """The per-mode matrix sum_j (k_j + 2 pi N_j + i kappa e_j) alpha_j."""
@@ -208,10 +201,15 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.matrix)
 
 
-def _check_dim(op: TruncatedDiracOperator, dense_limit: int) -> None:
-    if op.dim > dense_limit:
+def check_dense_dim(dim: int, dense_limit: int = DENSE_LIMIT) -> None:
+    """Refuse a dense fiber of dimension `dim` (modes times M) over the limit.
+
+    Callers that know the mode window check it before `assemble` allocates
+    the (dim, dim) matrix.
+    """
+    if dim > dense_limit:
         raise ValueError(
-            f"fiber dimension {op.dim} exceeds the dense limit {dense_limit}; "
+            f"fiber dimension {dim} exceeds the dense limit {dense_limit}; "
             "reduce the cutoff")
 
 
@@ -227,7 +225,7 @@ def sigma_min(op: TruncatedDiracOperator, method: str = "auto",
         raise ValueError("method must be 'auto' or 'dense'")
     if method == "auto" and op.potential_empty:
         return float(np.min(op.mode_g_factors()[:, 0]))
-    _check_dim(op, dense_limit)
+    check_dense_dim(op.dim, dense_limit)
     return float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
 
 
@@ -249,7 +247,7 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("method must be 'auto' or 'dense'")
     if method == "auto" and op.potential_empty:
         return float(np.min(op.mode_g_factors()[:, 0] / weights))
-    _check_dim(op, dense_limit)
+    check_dense_dim(op.dim, dense_limit)
     scale = np.repeat(1.0 / weights, op.rep.M)
     return float(np.linalg.svd(op.matrix * scale[None, :],
                                compute_uv=False)[-1])

@@ -231,20 +231,6 @@ def _bump_ramp(s):
     return out
 
 
-def _bump_ramp_derivative(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    if np.any(mid):
-        sm = s[mid]
-        a = np.exp(-1.0 / sm)
-        b = np.exp(-1.0 / (1.0 - sm))
-        da = a / sm ** 2
-        db = b / (1.0 - sm) ** 2
-        out[mid] = (da * b + a * db) / (a + b) ** 2
-    return out
-
-
 @dataclass(frozen=True)
 class MeasureSpec:
     """Even measure on the line described through its Fourier transform.
@@ -642,10 +628,3 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
                           best_et=tuple(float(c) for c in best_et),
                           f_lo=f_lo, f_hi=f_hi, samples=samples)
 
-
-def averaged_sup_bracket(A: FourierField, gamma_coeffs, measure: MeasureSpec,
-                         et: np.ndarray, grid_per_axis: int = 32
-                         ) -> tuple[float, float]:
-    """Bracket of sup |averaged field| (vector norm) for one fixed et."""
-    av = averaged_potential(A, gamma_coeffs, measure, et)
-    return sup_norm(av, grid_per_axis)

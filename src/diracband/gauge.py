@@ -26,7 +26,6 @@ import numpy as np
 from scipy import integrate, interpolate, optimize, special
 
 from .fields import FourierField, MeasureSpec, averaged_potential, sup_norm
-from .lattice import Lattice
 from .util import check_unit, complete_orthonormal, gauss_legendre_panels
 
 # ---------------------------------------------------------------------------
@@ -56,10 +55,6 @@ class Frame:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x in the frame."""
-        return self.vectors @ np.asarray(x, dtype=float)
 
 
 def build_frame(gamma_vec: np.ndarray, et: np.ndarray) -> Frame:
@@ -281,7 +276,6 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     while True:
         rs = np.arange(0.0, rmax + sample_step, sample_step)
         gs = radial_kernel(eta, rs)
-        spline = interpolate.CubicSpline(rs, gs)
         # locate sign changes, refine by brentq on the true profile
         zeros = []
         signs = np.sign(gs)
@@ -305,6 +299,7 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     norm_2d = None
     residual = None
     if cross_check:
+        spline = interpolate.CubicSpline(rs, gs)
         zero_arr = np.array(zeros)
 
         def abs_kernel(y: float, x: float) -> float:

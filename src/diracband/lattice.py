@@ -41,8 +41,6 @@ class Lattice:
         self.basis.flags.writeable = False
         self.reciprocal = reciprocal_basis(basis)
         self.reciprocal.flags.writeable = False
-        self.cell_volume = abs(float(np.linalg.det(self.basis)))
-        self.dual_cell_volume = abs(float(np.linalg.det(self.reciprocal)))
 
     @classmethod
     def cubic(cls, n: int) -> "Lattice":
@@ -271,6 +269,20 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     return best
 
 
+def annulus_mask(vectors: np.ndarray, k: np.ndarray, e: np.ndarray,
+                 kappa: float, beta: float) -> np.ndarray:
+    """Which reciprocal vectors N put k + 2 pi N in the critical annulus.
+
+    `vectors` holds the N as rows; a row is selected when the shifted
+    momentum has |axial part along e| < beta and
+    | kappa - |transverse part| | < beta.
+    """
+    xs = k[None, :] + 2.0 * math.pi * vectors
+    axial = xs @ e
+    perp = np.linalg.norm(xs - np.outer(axial, e), axis=1)
+    return (np.abs(axial) < beta) & (np.abs(kappa - perp) < beta)
+
+
 def k_beta_set(lattice: Lattice, k: np.ndarray, e: np.ndarray, kappa: float,
                beta: float, mode_cutoff: float) -> tuple:
     """Reciprocal modes whose shifted momenta sit in the critical annulus.
@@ -287,11 +299,6 @@ def k_beta_set(lattice: Lattice, k: np.ndarray, e: np.ndarray, kappa: float,
     if mode_cutoff > 0:
         coeffs, _ = lattice.points_in_ball(mode_cutoff / (2.0 * math.pi), dual=True)
         rows.extend(coeffs)
-    out = []
-    for row in rows:
-        x = k + 2.0 * math.pi * lattice.dual_point(row)
-        axial = float(np.dot(x, e))
-        perp = float(np.linalg.norm(x - axial * e))
-        if abs(axial) < beta and abs(kappa - perp) < beta:
-            out.append(tuple(int(c) for c in row))
-    return tuple(sorted(out))
+    rows = np.array(rows, dtype=np.int64)
+    mask = annulus_mask(rows @ lattice.reciprocal, k, e, kappa, beta)
+    return tuple(sorted(tuple(int(c) for c in row) for row in rows[mask]))

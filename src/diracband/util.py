@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,23 +85,41 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     return x2, f2
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """Order-preserving map, optionally on a thread pool.
 
-    Results are collected in input order regardless of completion order, so
-    reports stay deterministic for any thread count.
+    The pool gets at most one worker per item and per usable core, whatever
+    `threads` asks for.  Results are collected in input order regardless of
+    completion order, so reports stay deterministic for any thread count.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), _usable_cores())
+    if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of the given order on [-1, 1] (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 12
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

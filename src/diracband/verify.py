@@ -27,17 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
 from .clifford import CliffordRep
-from .fiber import (FiberPoint, ModeSet, assemble, sigma_min, sigma_min_probe,
-                    weighted_sigma_min)
+from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim, sigma_min,
+                    sigma_min_probe, weighted_sigma_min)
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
-from .lattice import Lattice, SphereMeasure, find_gamma
+from .lattice import Lattice, SphereMeasure, annulus_mask, find_gamma
 from .util import orthonormal_complement, pmap
 
 
@@ -85,13 +86,71 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     return base[None, :] + fracs @ np.array(spans)
 
 
-def _default_kappas(gnorm: float, count: int = 3) -> list[float]:
-    return [math.pi / gnorm * 2.0 ** j for j in range(count)]
+class _Face:
+    """The face (k, gamma) = pi that all three checks scan, and its fibers.
 
+    Holds gamma, |gamma|, e = gamma / |gamma| and the k grid; `scan` solves
+    every (k, kappa) node of the grid on one mode window.
+    """
 
-def _default_cutoff(kappas, wn: float, ks: np.ndarray) -> float:
-    kmax = float(np.max(np.linalg.norm(ks, axis=1)))
-    return 3.0 * (max(kappas) + wn) + kmax
+    def __init__(self, lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
+                 gamma_coeffs, k_points_per_axis: int) -> None:
+        self.lattice, self.rep, self.pot = lattice, rep, pot
+        self.gc = np.asarray(gamma_coeffs, dtype=np.int64)
+        self.ks = k_face_grid(lattice, self.gc, k_points_per_axis)
+        gvec = lattice.point(self.gc)
+        self.gnorm = float(np.linalg.norm(gvec))
+        self.e = gvec / self.gnorm
+
+    @cached_property
+    def w_bound(self) -> float:
+        return w_norm(self.pot)
+
+    def cutoff(self, cutoff: Optional[float], kappas) -> float:
+        """The given cutoff, or one that clears the largest shift and |W|."""
+        if cutoff is not None:
+            return float(cutoff)
+        kmax = float(np.max(np.linalg.norm(self.ks, axis=1)))
+        return 3.0 * (max(kappas) + self.w_bound) + kmax
+
+    def damping(self, measure: MeasureSpec, sphere_samples: int,
+                kernel_constant: Optional[float], what: str
+                ) -> tuple[ConditionValue, float, float]:
+        """(condition bracket, kernel constant, damping factor) of A on the face.
+
+        Raises when the bracket reaches 1, where `what` is unavailable.
+        """
+        A = self.pot.A
+        cond = condition_value(A, self.gc, measure, sphere_samples=sphere_samples)
+        if cond.theta_hi >= 1.0:
+            raise ValueError(f"averaged-field bracket reaches 1; {what} unavailable")
+        const = default_kernel_constant() if kernel_constant is None else kernel_constant
+        return cond, const, damping_factor(A, self.gc, measure.h, measure, const)
+
+    def scan(self, kappas, cutoff: float, threads: int,
+             weights: Optional[Callable] = None) -> tuple[ModeSet, np.ndarray]:
+        """Mode window and the (len k, len kappas) table of smallest singular values.
+
+        Without `weights` each node gives sigma_min(D); otherwise
+        weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
+        closed-form route; any other is dense, so its size is checked before
+        the first matrix is allocated.
+        """
+        modes = ModeSet.from_cutoff(self.lattice, cutoff)
+        if not self.pot.is_empty:
+            check_dense_dim(len(modes) * self.rep.M)
+        shape = (self.ks.shape[0], len(kappas))
+
+        def solve(node):
+            i, j = node
+            fiber = FiberPoint(k=self.ks[i], e=self.e, kappa=kappas[j])
+            op = assemble(self.lattice, self.rep, modes, fiber, self.pot)
+            if weights is None:
+                return sigma_min(op)
+            return weighted_sigma_min(op, weights(op))
+
+        values = pmap(solve, list(np.ndindex(shape)), threads)
+        return modes, np.array(values).reshape(shape)
 
 
 @dataclass
@@ -159,39 +218,6 @@ class ThomasBoundReport:
         return out
 
 
-def _sigma_table(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-                 ks: np.ndarray, e: np.ndarray, kappas, cutoff: float,
-                 threads: int) -> tuple[np.ndarray, int, int]:
-    modes = ModeSet.from_cutoff(lattice, cutoff)
-    nodes = [(i, j) for i in range(ks.shape[0]) for j in range(len(kappas))]
-
-    def solve(node):
-        i, j = node
-        fiber = FiberPoint(k=ks[i], e=e, kappa=float(kappas[j]))
-        return sigma_min(assemble(lattice, rep, modes, fiber, pot))
-
-    values = pmap(solve, nodes, threads)
-    table = np.zeros((ks.shape[0], len(kappas)))
-    for (i, j), v in zip(nodes, values):
-        table[i, j] = v
-    return table, len(modes), len(modes) * rep.M
-
-
-def _free_table(lattice: Lattice, ks: np.ndarray, e: np.ndarray, kappas,
-                cutoff: float) -> np.ndarray:
-    modes = ModeSet.from_cutoff(lattice, cutoff)
-    table = np.zeros((ks.shape[0], len(kappas)))
-    for i in range(ks.shape[0]):
-        for j, kap in enumerate(kappas):
-            fiber = FiberPoint(k=ks[i], e=e, kappa=float(kap))
-            gm = [math.hypot(float(np.dot(x, e)),
-                             kap - math.sqrt(max(float(np.dot(x, x))
-                                                 - float(np.dot(x, e)) ** 2, 0.0)))
-                  for x in ks[i] + 2.0 * math.pi * modes.vectors]
-            table[i, j] = min(gm)
-    return table
-
-
 def _kappa_star(sigma: np.ndarray, kappas, bound: float) -> Optional[float]:
     ok = np.min(sigma, axis=0) >= bound  # per kappa, worst k
     star = None
@@ -219,58 +245,48 @@ def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     (0, 1 - theta_hi).  kappa_star is the smallest scanned shift from which
     the bound holds at every grid node for all larger scanned shifts.
     """
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    e = gvec / gnorm
-    cond = condition_value(pot.A, gc, measure, sphere_samples=sphere_samples)
-    if cond.theta_hi >= 1.0:
-        raise ValueError("averaged-field bracket reaches 1; bound unavailable")
+    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
+    cond, const, damping = face.damping(measure, sphere_samples,
+                                        kernel_constant, "bound")
     if not 0.0 < theta < 1.0 - cond.theta_hi:
         raise ValueError("theta must lie in (0, 1 - theta_hi)")
-    const = default_kernel_constant() if kernel_constant is None else kernel_constant
-    damping = damping_factor(pot.A, gc, measure.h, measure, const)
-    bound = theta * math.pi / gnorm * damping
+    bound = theta * math.pi / face.gnorm * damping
 
-    ks = k_face_grid(lattice, gc, k_points_per_axis)
     if kappas is None:
-        kappas = _default_kappas(gnorm)
+        kappas = [math.pi / face.gnorm * 2.0 ** j for j in range(3)]
     kappas = [float(k) for k in kappas]
     if sorted(kappas) != kappas:
         raise ValueError("kappas must be increasing")
-    wn = w_norm(pot)
-    if cutoff is None:
-        cutoff = _default_cutoff(kappas, wn, ks)
+    cutoff = face.cutoff(cutoff, kappas)
 
-    sigma, mode_count, dim = _sigma_table(lattice, rep, pot, ks, e, kappas,
-                                          cutoff, threads)
+    modes, sigma = face.scan(kappas, cutoff, threads)
     report = ThomasBoundReport(
-        gamma_coeffs=tuple(int(c) for c in gc), gamma_norm=gnorm, theta=theta,
-        condition=cond, damping=damping, bound=bound, kappas=kappas,
-        k_points=[tuple(float(c) for c in k) for k in ks], sigma=sigma,
-        kappa_star=_kappa_star(sigma, kappas, bound), cutoff=float(cutoff),
-        mode_count=mode_count, dim=dim, w_bound=wn, kernel_constant=const)
+        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
+        theta=theta, condition=cond, damping=damping, bound=bound,
+        kappas=kappas, k_points=[tuple(float(c) for c in k) for k in face.ks],
+        sigma=sigma, kappa_star=_kappa_star(sigma, kappas, bound),
+        cutoff=cutoff, mode_count=len(modes), dim=len(modes) * rep.M,
+        w_bound=face.w_bound, kernel_constant=const)
     if pot.is_empty:
-        report.free_closed_form = _free_table(lattice, ks, e, kappas, cutoff)
+        # sigma_min took the per-mode closed form (min g_minus) at every node
+        report.free_closed_form = sigma.copy()
     if probe_count > 0:
         i, j = np.unravel_index(int(np.argmin(sigma)), sigma.shape)
-        modes = ModeSet.from_cutoff(lattice, cutoff)
         op = assemble(lattice, rep, modes,
-                      FiberPoint(k=ks[i], e=e, kappa=kappas[j]), pot)
+                      FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j]), pot)
         probe_val = sigma_min_probe(op, count=probe_count, seed=seed)
         report.probe = {"k_index": int(i), "kappa": float(kappas[j]),
                         "count": probe_count, "seed": seed,
                         "probe_min": probe_val,
                         "consistent": bool(probe_val >= sigma[i, j] - 1e-9)}
     if refine_factor is not None:
-        fine_cutoff = float(cutoff) * float(refine_factor)
-        fine_sigma, fine_modes, fine_dim = _sigma_table(
-            lattice, rep, pot, ks, e, kappas, fine_cutoff, threads)
+        fine_cutoff = cutoff * float(refine_factor)
+        fine_modes, fine_sigma = face.scan(kappas, fine_cutoff, threads)
         rel = np.abs(fine_sigma - sigma) / np.maximum(np.abs(fine_sigma), 1e-300)
         report.refinement = {
             "cutoff": fine_cutoff,
-            "mode_count": fine_modes,
-            "dim": fine_dim,
+            "mode_count": len(fine_modes),
+            "dim": len(fine_modes) * rep.M,
             "max_rel_change": float(np.max(rel)),
             "kappa_star": _kappa_star(fine_sigma, kappas, bound),
             "sigma_table": [[float(s) for s in row] for row in fine_sigma],
@@ -281,14 +297,6 @@ def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
 # ---------------------------------------------------------------------------
 # weighted bounds
 # ---------------------------------------------------------------------------
-
-def _annulus_mask(modes: ModeSet, k: np.ndarray, e: np.ndarray, kappa: float,
-                  beta: float) -> np.ndarray:
-    xs = k[None, :] + 2.0 * math.pi * modes.vectors
-    axial = xs @ e
-    perp = np.linalg.norm(xs - np.outer(axial, e), axis=1)
-    return (np.abs(axial) < beta) & (np.abs(kappa - perp) < beta)
-
 
 @dataclass
 class WeightedSplitReport:
@@ -347,43 +355,32 @@ def verify_weighted_split(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     kappas = [float(k) for k in kappas]
     if not all(k > beta for k in kappas):
         raise ValueError("every kappa must exceed beta")
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    e = gvec / gnorm
-    cond = condition_value(pot.A, gc, measure, sphere_samples=sphere_samples)
-    if cond.theta_hi >= 1.0:
-        raise ValueError("averaged-field bracket reaches 1; floor unavailable")
-    const = default_kernel_constant() if kernel_constant is None else kernel_constant
-    damping = damping_factor(pot.A, gc, measure.h, measure, const)
-    floor = damping * (1.0 - cond.theta_hi) * math.pi / gnorm
+    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
+    cond, const, damping = face.damping(measure, sphere_samples,
+                                        kernel_constant, "floor")
+    floor = damping * (1.0 - cond.theta_hi) * math.pi / face.gnorm
+    cutoff = face.cutoff(cutoff, kappas)
 
-    ks = k_face_grid(lattice, gc, k_points_per_axis)
-    if cutoff is None:
-        cutoff = _default_cutoff(kappas, w_norm(pot), ks)
-    modes = ModeSet.from_cutoff(lattice, cutoff)
+    def annulus(modes: ModeSet, k: np.ndarray, kappa: float) -> np.ndarray:
+        return annulus_mask(modes.vectors, k, face.e, kappa, beta)
 
+    def weights(op) -> np.ndarray:
+        w = op.mode_g_factors()[:, 0]  # same floats the auto path uses
+        w[annulus(op.modes, op.fiber.k, op.fiber.kappa)] = floor
+        return w
+
+    modes, ratio = face.scan(kappas, cutoff, threads, weights)
     report = WeightedSplitReport(
-        gamma_coeffs=tuple(int(c) for c in gc), gamma_norm=gnorm, delta=delta,
-        beta=beta, condition=cond, damping=damping, floor=floor,
-        cutoff=float(cutoff), mode_count=len(modes), kernel_constant=const)
-
-    nodes = [(i, j) for i in range(ks.shape[0]) for j in range(len(kappas))]
-
-    def solve(node):
-        i, j = node
-        kap = kappas[j]
-        fiber = FiberPoint(k=ks[i], e=e, kappa=kap)
-        mask = _annulus_mask(modes, ks[i], e, kap, beta)
-        op = assemble(lattice, rep, modes, fiber, pot)
-        weights = op.mode_g_factors()[:, 0]  # same floats the auto path uses
-        weights[mask] = floor
-        value = weighted_sigma_min(op, weights)
-        return {"k_index": i, "kappa": kap, "annulus_modes": int(np.sum(mask)),
-                "ratio_sq": value * value,
-                "passes": bool(value * value >= 1.0 - delta)}
-
-    report.rows = pmap(solve, nodes, threads)
+        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
+        delta=delta, beta=beta, condition=cond, damping=damping, floor=floor,
+        cutoff=cutoff, mode_count=len(modes), kernel_constant=const)
+    for i, j in np.ndindex(ratio.shape):
+        mask = annulus(modes, face.ks[i], kappas[j])
+        value = float(ratio[i, j])
+        report.rows.append({"k_index": i, "kappa": kappas[j],
+                            "annulus_modes": int(np.sum(mask)),
+                            "ratio_sq": value * value,
+                            "passes": bool(value * value >= 1.0 - delta)})
     report.one_minus_delta_star = min(r["ratio_sq"] for r in report.rows)
     return report
 
@@ -397,38 +394,23 @@ def weighted_floor(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     is exactly 1 at every node; for small potentials it obeys the
     perturbation floor 1 - W |gamma| / pi, which is reported alongside.
     """
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    e = gvec / gnorm
+    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
     kappas = [float(k) for k in kappas]
-    ks = k_face_grid(lattice, gc, k_points_per_axis)
-    wn = w_norm(pot)
-    if cutoff is None:
-        cutoff = _default_cutoff(kappas, wn, ks)
-    modes = ModeSet.from_cutoff(lattice, cutoff)
-    nodes = [(i, j) for i in range(ks.shape[0]) for j in range(len(kappas))]
-
-    def solve(node):
-        i, j = node
-        kap = kappas[j]
-        fiber = FiberPoint(k=ks[i], e=e, kappa=kap)
-        op = assemble(lattice, rep, modes, fiber, pot)
-        value = weighted_sigma_min(op, op.mode_g_factors()[:, 0])
-        return {"k_index": i, "kappa": kap, "ratio": value}
-
-    rows = pmap(solve, nodes, threads)
-    worst = min(r["ratio"] for r in rows)
+    cutoff = face.cutoff(cutoff, kappas)
+    modes, ratio = face.scan(kappas, cutoff, threads,
+                             lambda op: op.mode_g_factors()[:, 0])
+    rows = [{"k_index": i, "kappa": kappas[j], "ratio": float(ratio[i, j])}
+            for i, j in np.ndindex(ratio.shape)]
     return {
         "verdict": "EMPIRICAL",
-        "gamma_coeffs": [int(c) for c in gc],
-        "gamma_norm": gnorm,
+        "gamma_coeffs": [int(c) for c in face.gc],
+        "gamma_norm": face.gnorm,
         "kappas": kappas,
         "rows": rows,
-        "ratio_min": worst,
-        "perturbation_floor": 1.0 - wn * gnorm / math.pi,
-        "w_bound": wn,
-        "cutoff": float(cutoff),
+        "ratio_min": min(r["ratio"] for r in rows),
+        "perturbation_floor": 1.0 - face.w_bound * face.gnorm / math.pi,
+        "w_bound": face.w_bound,
+        "cutoff": cutoff,
         "mode_count": len(modes),
     }
 

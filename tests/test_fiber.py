@@ -64,10 +64,6 @@ def test_mode_window_enumeration(lat3):
     with pytest.raises(ValueError):
         ModeSet(lat3, np.zeros((1, 2), dtype=np.int64))
 
-    shifted = modes.shifted((1, 0, 0))
-    assert tuple(shifted.coords[0]) == (-1, 0, 0)
-    assert shifted.cutoff == modes.cutoff
-
 
 def test_symbol_square_identity(lat3, rep3, rng):
     fib = random_fiber(rng)

@@ -25,8 +25,6 @@ def test_frame_construction(lat3):
     assert np.allclose(frame.vectors @ frame.vectors.T, np.eye(3), atol=1e-14)
     assert np.array_equal(frame.et, ET)
     assert np.array_equal(frame.e, np.array([1.0, 0.0, 0.0]))
-    x = np.array([0.3, -0.7, 2.0])
-    assert np.allclose(frame.coords(x), frame.vectors @ x, atol=0)
 
     with pytest.raises(ValueError):
         build_frame(np.zeros(3), ET)

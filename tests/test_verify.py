@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from diracband import Lattice, bands, build_clifford, verify
+from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               zero_field, w_norm)
 from diracband.gauge import default_kernel_constant
@@ -55,9 +57,16 @@ def test_thomas_scan_free_matches_closed_form(lat3, rep3):
     assert report.kernel_constant == default_kernel_constant()
     assert abs(report.kernel_constant - KERNEL_C) < 1e-10
     assert report.dim == report.mode_count * rep3.M
-    # dense SVD route against the per-mode closed form
-    assert report.free_closed_form is not None
-    assert np.max(np.abs(report.sigma - report.free_closed_form)) < 1e-10
+    # the closed-form table against the dense SVD route at every grid node
+    assert np.array_equal(report.free_closed_form, report.sigma)
+    modes = ModeSet.from_cutoff(lat3, SMALL_CUTOFF)
+    e = lat3.point(GAMMA) / np.linalg.norm(lat3.point(GAMMA))
+    for i, k in enumerate(report.k_points):
+        for j, kappa in enumerate(report.kappas):
+            op = assemble(lat3, rep3, modes,
+                          FiberPoint(k=np.array(k), e=e, kappa=kappa), pot)
+            dense = sigma_min(op, method="dense")
+            assert abs(report.sigma[i, j] - dense) < 1e-10
     # the face keeps every axial component at pi or beyond
     assert float(np.min(report.sigma)) >= math.pi - 1e-12
     assert report.holds and report.kappa_star == 4.0
@@ -128,6 +137,30 @@ def test_thomas_scan_preconditions(lat3, rep3, rng):
         verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
                             theta=0.1, kappas=[4.0], k_points_per_axis=1,
                             cutoff=SMALL_CUTOFF, sphere_samples=128)
+
+
+def test_dense_limit_checked_before_assembly(monkeypatch):
+    # n = 4 at cutoff 20: 569 modes, dim 4,552, over the dense limit; a
+    # small constant mass keeps the fibers off the closed-form route
+    lat4 = Lattice.cubic(4)
+    rep4 = build_clifford(4)
+    mass = FourierField(lat4, "matrix", {(0, 0, 0, 0): 0.1 * rep4.alphas[4]},
+                        dim=rep4.M, hermitian=True)
+    pot = PotentialSet(zero_field(lat4, "vector"),
+                       zero_field(lat4, "matrix", dim=rep4.M), mass, rep4)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assemble ran before the size check")
+
+    monkeypatch.setattr(verify, "assemble", no_assembly)
+    monkeypatch.setattr(bands, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+        verify_thomas_bound(lat4, rep4, pot, (1, 0, 0, 0), MeasureSpec.dirac(),
+                            theta=0.5, kappas=[4.0], k_points_per_axis=1,
+                            cutoff=20.0, kernel_constant=KERNEL_C)
+    e = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+        bands.band_sweep(lat4, rep4, pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
 
 
 def test_weighted_split_free_is_exact(lat3, rep3):
