@@ -7,33 +7,48 @@ nonnegative imaginary shift kappa: the per-mode symbol is
 
 On a finite mode window the operator is the block matrix with D_N plus the
 potential mean on the diagonal and the potential coefficients V(N - N') off
-the diagonal (block Toeplitz in the potential part).  The singular values of
-a single symbol block are known in closed form: with p the axial component
-of k + 2 pi N and q the transverse radius,
+the diagonal (block Toeplitz in the potential part).  It is held as a sparse
+matrix: the potential stencil depends only on the window and the potential,
+so it is built once per pair, and per fiber only the diagonal symbol blocks
+change.  The dense matrix is a view built on demand, never over DENSE_LIMIT.
+
+The singular values of a single symbol block are known in closed form: with
+p the axial component of k + 2 pi N and q the transverse radius,
 
     g_minus = hypot(p, kappa - q),   g_plus = hypot(p, kappa + q),
 
 each with multiplicity M/2.  These factors also drive the weighted
-lower-bound checks; for a potential-free fiber the block-diagonal structure
-makes the extreme singular values available exactly, and the dense LAPACK
-path is kept alongside for cross-validation.
+lower-bound checks.  The smallest singular value has two routes:
+method="auto" takes the closed form when the potential is empty (the fiber
+is block diagonal) and otherwise sparse LU plus Lanczos (ARPACK) on the
+inverse Gram operator; method="dense" is the LAPACK SVD of the dense view,
+the reference the other routes are checked against.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .clifford import CliffordRep, clifford_contraction, projector
 from .fields import PotentialSet
 from .lattice import Lattice
-from .util import check_unit
+from .util import check_unit, scipy_blas_single_threaded
 
 DENSE_LIMIT = 4096
+# Lanczos basis size of the sparse route: ARPACK's default of 20 stalls on
+# the near-degenerate clusters of sigma_min that shifted fibers have
+LANCZOS_NCV = 40
 
 
 @dataclass(frozen=True)
@@ -68,6 +83,9 @@ class ModeSet:
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
         self.cutoff: Optional[float] = None
+        # potential stencils on this window, one per PotentialSet (`_stencil`)
+        self._stencils: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._stencil_lock = threading.Lock()
 
     @classmethod
     def from_cutoff(cls, lattice: Lattice, cutoff: float) -> "ModeSet":
@@ -93,10 +111,14 @@ def symbol(rep: CliffordRep, lattice: Lattice, fiber: FiberPoint, N) -> np.ndarr
 
 
 def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
-    """Closed-form extreme singular values (g_minus, g_plus) of one symbol."""
+    """Closed-form extreme singular values (g_minus, g_plus) of one symbol.
+
+    p = (x, e) and |x|^2 are correctly rounded sums (`math.fsum`), so the
+    bits do not depend on the BLAS kernel.
+    """
     x = fiber.k + 2.0 * math.pi * lattice.dual_point(np.asarray(N, dtype=float))
-    p = float(np.dot(x, fiber.e))
-    q2 = float(np.dot(x, x)) - p * p
+    p = math.fsum((x * fiber.e).tolist())
+    q2 = math.fsum((x * x).tolist()) - p * p
     q = math.sqrt(q2) if q2 > 0.0 else 0.0
     return math.hypot(p, fiber.kappa - q), math.hypot(p, fiber.kappa + q)
 
@@ -133,17 +155,28 @@ def global_projection(rep: CliffordRep, lattice: Lattice, k: np.ndarray,
 
 @dataclass
 class TruncatedDiracOperator:
+    """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix."""
+
     lattice: Lattice
     rep: CliffordRep
     modes: ModeSet
     fiber: FiberPoint
     pot: PotentialSet
-    matrix: np.ndarray
+    sparse: sp.csc_array
     potential_empty: bool
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.sparse.shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense view of the fiber, built on first use.
+
+        Refused over DENSE_LIMIT before anything is allocated.
+        """
+        check_dense_dim(self.dim)
+        return self.sparse.toarray()
 
     def mode_g_factors(self) -> np.ndarray:
         """(m, 2) array of closed-form (g_minus, g_plus) per window mode."""
@@ -151,37 +184,62 @@ class TruncatedDiracOperator:
                          for row in self.modes.coords])
 
 
+def _potential_stencil(modes: ModeSet, pot: PotentialSet) -> sp.csc_array:
+    """The potential part of every fiber on the window, built once per potential.
+
+    Block (i, j) is the composite coefficient V(N_i - N_j).  Each required
+    coefficient is materialised once and copied into every block it serves,
+    so equal offsets give bit-identical blocks.
+    """
+    with modes._stencil_lock:
+        stencil = modes._stencils.get(pot)
+        if stencil is None:
+            M, dim = pot.rep.M, pot.rep.M * len(modes)
+            bi, bj, blocks = [], [], []
+            for key, block in pot.composite().coeffs.items():
+                targets = modes.coords + np.asarray(key, dtype=np.int64)
+                for j, target in enumerate(targets.tolist()):
+                    i = modes.index.get(tuple(target))
+                    if i is not None:
+                        bi.append(i)
+                        bj.append(j)
+                        blocks.append(block)
+            r, c = np.divmod(np.arange(M * M), M)  # block entries, row-major
+            rows = (np.array(bi, dtype=np.int64)[:, None] * M + r).reshape(-1)
+            cols = (np.array(bj, dtype=np.int64)[:, None] * M + c).reshape(-1)
+            stencil = sp.csc_array(
+                (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
+                shape=(dim, dim))
+            stencil.eliminate_zeros()
+            modes._stencils[pot] = stencil
+        return stencil
+
+
 def assemble(lattice: Lattice, rep: CliffordRep, modes: ModeSet,
              fiber: FiberPoint, pot: PotentialSet) -> TruncatedDiracOperator:
-    """Dense fiber matrix on the mode window.
+    """Sparse fiber matrix on the mode window.
 
-    Each required potential coefficient is materialised once and copied into
-    every block it serves, so equal offsets give bit-identical blocks.  A
+    The block diagonal of symbols, the only part that changes from fiber to
+    fiber, plus the window's potential stencil.  A diagonal entry is the
+    symbol plus the potential mean and every other entry a single
+    coefficient, so the dense view has the bits of a dense assembly.  A
     warning is raised when the potential support radius exceeds twice the
     window cutoff: such coefficients never connect two window modes.
     """
     if pot.rep is not rep and pot.rep.M != rep.M:
         raise ValueError("potential and fiber use different generator sets")
-    M = rep.M
-    m = len(modes)
     if modes.cutoff is not None and pot.support_radius() > 2.0 * modes.cutoff:
         warnings.warn("potential has modes beyond the convolution reach of "
                       "the window; they are clipped", RuntimeWarning,
                       stacklevel=2)
-    vhat = pot.composite()
-    matrix = np.zeros((M * m, M * m), dtype=complex)
-    for i in range(m):
-        matrix[i * M:(i + 1) * M, i * M:(i + 1) * M] = symbol(
-            rep, lattice, fiber, modes.coords[i])
-    for key, block in vhat.coeffs.items():
-        offset = np.asarray(key, dtype=np.int64)
-        for j in range(m):
-            target = tuple(int(c) for c in (modes.coords[j] + offset))
-            i = modes.index.get(target)
-            if i is not None:
-                matrix[i * M:(i + 1) * M, j * M:(j + 1) * M] += block
+    m = len(modes)
+    symbols = sp.bsr_array(
+        (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
+         np.arange(m), np.arange(m + 1)), shape=(rep.M * m, rep.M * m))
+    # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
+    matrix = (_potential_stencil(modes, pot) + symbols).tocsc()
     return TruncatedDiracOperator(lattice=lattice, rep=rep, modes=modes,
-                                  fiber=fiber, pot=pot, matrix=matrix,
+                                  fiber=fiber, pot=pot, sparse=matrix,
                                   potential_empty=pot.is_empty)
 
 
@@ -189,7 +247,8 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian fiber (kappa = 0 only).
 
     Raises for shifted or non-Hermitian fibers; those carry spectral
-    information through sigma_min instead.
+    information through sigma_min instead.  Works on the dense view, so
+    fibers over DENSE_LIMIT are refused.
     """
     if op.fiber.kappa != 0.0:
         raise ValueError("shifted fibers are not Hermitian; use sigma_min")
@@ -204,8 +263,8 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
 def check_dense_dim(dim: int, dense_limit: int = DENSE_LIMIT) -> None:
     """Refuse a dense fiber of dimension `dim` (modes times M) over the limit.
 
-    Callers that know the mode window check it before `assemble` allocates
-    the (dim, dim) matrix.
+    The dense view of a fiber checks it before it allocates; callers that
+    know the mode window check it before the first fiber.
     """
     if dim > dense_limit:
         raise ValueError(
@@ -213,20 +272,53 @@ def check_dense_dim(dim: int, dense_limit: int = DENSE_LIMIT) -> None:
             "reduce the cutoff")
 
 
+def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
+    """sigma_min(D) = lambda_max((D^H D)^{-1})^(-1/2) by sparse LU and ARPACK.
+
+    ARPACK runs on x -> D^{-1} D^{-H} x with k = 1 (sigma_min is
+    degenerate, multiplicity M/2 in the free case), tol = 0, LANCZOS_NCV
+    basis vectors, a fixed start vector, a fixed seed for the vectors
+    ARPACK draws when its Krylov space turns invariant and scipy's BLAS on
+    one thread, so reruns give the same bits.
+    Returns None when `splu` finds D singular, ARPACK does not converge, or
+    the singular triplet (u, sigma, v) with u = Dv / |Dv| misses the
+    residual check |D^H u - sigma v| <= 1e-10 max(sigma, 1).
+    """
+    scipy_blas_single_threaded()
+    try:
+        lu = splu(D)
+    except RuntimeError:  # exactly singular
+        return None
+    dim = D.shape[0]
+    inverse_gram = LinearOperator(
+        (dim, dim), dtype=complex,
+        matvec=lambda x: lu.solve(lu.solve(x, trans="H")))
+    try:
+        lam, vecs = eigsh(inverse_gram, k=1, which="LM", tol=0,
+                          v0=np.ones(dim, dtype=complex),
+                          ncv=min(dim, LANCZOS_NCV), rng=0)
+    except ArpackNoConvergence:
+        return None
+    sigma = float(lam[0]) ** -0.5
+    v = vecs[:, 0]
+    Dv = D @ v
+    u = Dv / np.linalg.norm(Dv)
+    residual = float(np.linalg.norm(D.conj().T @ u - sigma * v))
+    if not residual <= 1e-10 * max(sigma, 1.0):
+        return None
+    return sigma
+
+
 def sigma_min(op: TruncatedDiracOperator, method: str = "auto",
               dense_limit: int = DENSE_LIMIT) -> float:
     """Smallest singular value of the truncated fiber.
 
-    method="auto" uses the exact per-block factors when the potential is
-    empty (the matrix is block diagonal) and dense SVD otherwise;
-    method="dense" forces the LAPACK path.
+    `weighted_sigma_min` with unit weights, which leave every route's bits
+    unchanged: the closed form when the potential is empty, sparse LU plus
+    Lanczos otherwise (method="auto"), or the dense LAPACK reference
+    (method="dense").
     """
-    if method not in ("auto", "dense"):
-        raise ValueError("method must be 'auto' or 'dense'")
-    if method == "auto" and op.potential_empty:
-        return float(np.min(op.mode_g_factors()[:, 0]))
-    check_dense_dim(op.dim, dense_limit)
-    return float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
+    return weighted_sigma_min(op, np.ones(len(op.modes)), method, dense_limit)
 
 
 def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
@@ -236,7 +328,13 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
 
     Equivalently the smallest singular value of D W^{-1} (W is the diagonal
     weight, one positive entry per mode, repeated across the M spin
-    components).  The potential-free case reduces to min g_minus / weight.
+    components).  method="auto" uses the exact per-block factors,
+    min g_minus / weight, when the potential is empty (the matrix is block
+    diagonal) and sparse LU plus Lanczos on the column-scaled D W^{-1}
+    otherwise, falling back to the dense SVD when that route cannot vouch
+    for its value (see `_lanczos_sigma_min`).  method="dense" forces the
+    LAPACK SVD of the dense view, the reference route.  Dense work is
+    refused over `dense_limit` (never above DENSE_LIMIT).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -245,10 +343,14 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("weights must be positive")
     if method not in ("auto", "dense"):
         raise ValueError("method must be 'auto' or 'dense'")
-    if method == "auto" and op.potential_empty:
-        return float(np.min(op.mode_g_factors()[:, 0] / weights))
-    check_dense_dim(op.dim, dense_limit)
     scale = np.repeat(1.0 / weights, op.rep.M)
+    if method == "auto":
+        if op.potential_empty:
+            return float(np.min(op.mode_g_factors()[:, 0] / weights))
+        sigma = _lanczos_sigma_min((op.sparse @ sp.diags_array(scale)).tocsc())
+        if sigma is not None:
+            return sigma
+    check_dense_dim(op.dim, dense_limit)
     return float(np.linalg.svd(op.matrix * scale[None, :],
                                compute_uv=False)[-1])
 

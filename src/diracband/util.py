@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import glob
 import math
 import os
 from functools import lru_cache
@@ -105,6 +107,29 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
         return [fn(x) for x in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+@lru_cache(maxsize=None)
+def scipy_blas_single_threaded() -> None:
+    """Run the OpenBLAS bundled with scipy on one thread from now on.
+
+    ARPACK (`scipy.sparse.linalg.eigsh`) calls that library, and with more
+    than one thread its iterates, and so the last bits of the eigenvalues it
+    returns, vary from run to run.  numpy's dense routines use a library of
+    their own and keep their threads.  Runs once per process; changes
+    nothing when scipy bundles no OpenBLAS (builds against a system BLAS).
+    """
+    import scipy
+
+    base = os.path.dirname(scipy.__file__)
+    for path in sorted(glob.glob(os.path.join(base + ".libs", "*openblas*")) +
+                       glob.glob(os.path.join(base, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)  # the copy scipy has loaded already
+        for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                return
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,13 @@
 """Empirical verification harnesses for the spectral lower bounds.
 
 Everything in this module produces EMPIRICAL certificates: statements about
-dense truncations of the fiber operators on explicit mode windows and
-quasimomentum grids, never proofs.  Reports carry the truncation metadata
-(cutoff, mode count, grids) and, where available, closed-form cross-checks
-and randomized lower-bound probes.
+truncations of the fiber operators on explicit mode windows and
+quasimomentum grids, never proofs.  Smallest singular values take the
+"auto" route of `fiber.sigma_min`: the closed form for potential-free
+fibers, sparse LU plus Lanczos otherwise; dense LAPACK is the reference it
+is tested against.  Reports carry the truncation metadata (cutoff, mode
+count, grids) and, where available, closed-form cross-checks and randomized
+lower-bound probes.
 
 The three checks:
 
@@ -133,8 +136,9 @@ class _Face:
 
         Without `weights` each node gives sigma_min(D); otherwise
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
-        closed-form route; any other is dense, so its size is checked before
-        the first matrix is allocated.
+        closed-form route; any other the sparse route, whose fallback is
+        dense, so its size is checked against the dense limit before the
+        first fiber is assembled.
         """
         modes = ModeSet.from_cutoff(self.lattice, cutoff)
         if not self.pot.is_empty:

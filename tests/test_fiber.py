@@ -1,16 +1,23 @@
 """Truncated fiber assembly, closed-form factors, and singular-value routes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from diracband import config, fiber
 from diracband.clifford import build_clifford
 from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
                              g_factors, global_projection, sigma_min,
                              sigma_min_probe, symbol, transverse_direction,
                              weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
+from diracband.verify import k_face_grid
 from helpers import fft_apply_oracle, random_real_vector_field
 
 
@@ -182,9 +189,9 @@ def test_sigma_min_routes_agree(lat3, rep3, rng):
     assert abs(auto - sigma_min(free, method="dense")) < 1e-10 * max(1.0, auto)
 
     op = assemble(lat3, rep3, modes, fib, small_potential(lat3, rep3, rng))
-    s_auto = sigma_min(op)
+    s_auto = sigma_min(op)  # sparse LU plus Lanczos
     s_dense = sigma_min(op, method="dense")
-    assert s_auto == s_dense  # auto falls through to the dense path
+    assert abs(s_auto - s_dense) <= 1e-12 * s_dense
 
     with pytest.raises(ValueError):
         sigma_min(op, method="qr")
@@ -209,12 +216,103 @@ def test_weighted_sigma_min(lat3, rep3, rng):
     got = weighted_sigma_min(op, w)
     scale = np.repeat(1.0 / w, rep3.M)
     want = float(np.linalg.svd(op.matrix * scale[None, :], compute_uv=False)[-1])
-    assert got == want
+    assert weighted_sigma_min(op, w, method="dense") == want
+    assert abs(got - want) <= 1e-12 * want
 
     with pytest.raises(ValueError):
         weighted_sigma_min(op, w[:-1])
     with pytest.raises(ValueError):
         weighted_sigma_min(op, 0.0 * w)
+
+
+def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
+    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
+    op = assemble(lat3, rep3, modes, random_fiber(rng, kappa=3.0),
+                  small_potential(lat3, rep3, rng))
+    w = rng.uniform(0.5, 2.0, size=len(modes))
+    dense = sigma_min(op, method="dense")
+    dense_w = weighted_sigma_min(op, w, method="dense")
+    real_eigsh = fiber.eigsh
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append("splu")
+        raise RuntimeError("Factor is exactly singular")
+
+    def no_convergence(*args, **kwargs):
+        calls.append("eigsh")
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((0, 0)))
+
+    def wrong_vector(*args, **kwargs):
+        # the right eigenvalue with a vector that is no singular vector
+        calls.append("residual")
+        lam, vecs = real_eigsh(*args, **kwargs)
+        return lam, np.ones_like(vecs) / math.sqrt(vecs.shape[0])
+
+    for name, fake in (("splu", singular), ("eigsh", no_convergence),
+                       ("eigsh", wrong_vector)):
+        with monkeypatch.context() as m:
+            m.setattr(fiber, name, fake)
+            del calls[:]
+            assert sigma_min(op) == dense
+            assert weighted_sigma_min(op, w) == dense_w
+            assert len(calls) == 2
+            # the fallback is dense, so it keeps the dense limit
+            with pytest.raises(ValueError, match="exceeds the dense limit"):
+                sigma_min(op, dense_limit=4)
+
+
+def test_sparse_route_repeats_its_bits():
+    # a weighted-floor node of the shipped config whose ARPACK iterates
+    # depended on the thread count of scipy's BLAS: reruns give one value
+    root = Path(__file__).resolve().parents[1]
+    p = config.parse_verify_weighted(
+        config.load_file(str(root / "configs" / "weighted_floor.json")))
+    lat, gc = p["lattice"], p["gamma"]
+    g = lat.point(gc)
+    modes = ModeSet.from_cutoff(lat, p["cutoff"])
+    k = k_face_grid(lat, gc, p["k_points_per_axis"])[1]
+    op = assemble(lat, p["rep"], modes,
+                  FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][1]),
+                  p["pot"])
+    w = op.mode_g_factors()[:, 0]
+    assert len({repr(weighted_sigma_min(op, w)) for _ in range(4)}) == 1
+
+
+def test_g_factors_independent_of_blas_kernel():
+    # every (g_minus, g_plus) of the shipped weighted-split face scan, under
+    # the default OpenBLAS kernel and under OPENBLAS_CORETYPE=Prescott
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import numpy as np",
+        "from diracband import config",
+        "from diracband.fiber import FiberPoint, ModeSet, g_factors",
+        "from diracband.verify import k_face_grid",
+        "p = config.parse_verify_weighted(config.load_file(%r))"
+        % str(root / "configs" / "weighted_split.json"),
+        "lat, gc = p['lattice'], p['gamma']",
+        "g = lat.point(gc)",
+        "e = g / np.linalg.norm(g)",
+        "modes = ModeSet.from_cutoff(lat, p['cutoff'])",
+        "for k in k_face_grid(lat, gc, p['k_points_per_axis']):",
+        "    for kappa in p['kappas']:",
+        "        f = FiberPoint(k=k, e=e, kappa=kappa)",
+        "        for row in modes.coords:",
+        "            print(repr(g_factors(lat, f, row)))",
+    ])
+    outs = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(extra)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] +
+            ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout.splitlines())
+    assert len(outs[0]) == 9 * 2 * 81
+    assert outs[0] == outs[1]
 
 
 def test_probe_stays_above_sigma_min(lat3, rep3, rng):

@@ -1,11 +1,13 @@
 """Verification harnesses: face grids, shift scans, weighted floors, chain."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracband import Lattice, bands, build_clifford, verify
+from diracband import Lattice, bands, build_clifford, cli, fiber, verify
 from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               zero_field, w_norm)
@@ -149,6 +151,21 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     pot = PotentialSet(zero_field(lat4, "vector"),
                        zero_field(lat4, "matrix", dim=rep4.M), mass, rep4)
 
+    # the sparse fiber assembles in little memory; its dense view refuses
+    fib = FiberPoint(k=np.full(4, 0.1), e=np.array([1.0, 0.0, 0.0, 0.0]))
+    tracemalloc.start()
+    try:
+        op = assemble(lat4, rep4, ModeSet.from_cutoff(lat4, 20.0), fib, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.dim == 4552
+    assert peak < 50e6
+    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+        op.matrix
+    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+        fiber.eigenvalues(op)
+
     def no_assembly(*args, **kwargs):
         raise AssertionError("assemble ran before the size check")
 
@@ -161,6 +178,51 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     e = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
         bands.band_sweep(lat4, rep4, pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
+
+
+def test_free_scan_allocates_no_dense_fiber():
+    # n = 4 at cutoff 20 (dim 4,552, 16 nodes): the closed form reads no
+    # fiber matrix, so none is allocated, whatever the dense limit
+    lat4 = Lattice.cubic(4)
+    rep4 = build_clifford(4)
+    tracemalloc.start()
+    try:
+        out = weighted_floor(lat4, rep4, PotentialSet.zero(lat4, rep4),
+                             (1, 0, 0, 0), kappas=[math.pi, 2.0 * math.pi],
+                             k_points_per_axis=2, cutoff=20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["mode_count"] == 569
+    assert peak < 50e6
+    assert len(out["rows"]) == 16
+    assert all(r["ratio"] == 1.0 for r in out["rows"])
+
+
+def test_auto_matches_dense_on_shipped_scans(tmp_path, monkeypatch):
+    # every node of the shipped shifted-fiber configs: the sparse route
+    # against the dense LAPACK reference, with the scans' own weights
+    rel = []
+
+    def against_dense(route):
+        def solve(op, *args):
+            got = route(op, *args)
+            want = route(op, *args, method="dense")
+            rel.append(abs(got - want) / want)
+            return got
+        return solve
+
+    monkeypatch.setattr(verify, "sigma_min", against_dense(fiber.sigma_min))
+    monkeypatch.setattr(verify, "weighted_sigma_min",
+                        against_dense(fiber.weighted_sigma_min))
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for command, name in (("verify-thomas", "thomas_documented"),
+                          ("verify-weighted", "weighted_split"),
+                          ("verify-weighted", "weighted_floor")):
+        cli.main([command, "--config", str(configs / f"{name}.json"),
+                  "--out", str(tmp_path / name)])
+    assert len(rel) == 75 + 18 + 18
+    assert max(rel) <= 1e-12
 
 
 def test_weighted_split_free_is_exact(lat3, rep3):
