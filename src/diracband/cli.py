@@ -13,6 +13,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -24,11 +25,9 @@ from .fields import averaged_potential, condition_value
 from .gauge import EtaSpec, bessel_kernel_constant, build_frame, \
     default_kernel_constant, gauge_bound_check
 from .lattice import find_gamma
-from .util import orthonormal_complement, unit
+from .util import orthonormal_complement
 from .verify import condition_chain_pipeline, verify_thomas_bound, \
     verify_weighted_split, weighted_floor
-
-import json
 
 
 def _jsonable(x):
@@ -47,9 +46,8 @@ def _jsonable(x):
     return x
 
 
-def _dumps(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2,
-                      ensure_ascii=True, allow_nan=False) + "\n"
+def _dumps(report) -> str:
+    return cfg.canonical_dumps(_jsonable(report))
 
 
 def _fmt(v) -> str:
@@ -91,14 +89,14 @@ class _Artifacts:
 
 
 # ---------------------------------------------------------------------------
-# command runners: parsed config + flags -> (exit code, artifacts)
+# command runners: parsed config (with --seed and --cutoff applied) and
+# --threads -> (exit code, artifacts)
 # ---------------------------------------------------------------------------
 
 def _run_bands(parsed, args, art: _Artifacts) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else parsed["cutoff"]
     sheet = band_sweep(parsed["lattice"], parsed["rep"], parsed["pot"],
                        parsed["k0"], parsed["e"], parsed["xi_range"],
-                       parsed["samples"], cutoff, threads=args.threads)
+                       parsed["samples"], parsed["cutoff"], threads=args.threads)
     window = parsed["energy_window"]
     if window is None:
         half = sheet.free_band_max() / 2.0
@@ -114,16 +112,15 @@ def _run_bands(parsed, args, art: _Artifacts) -> int:
 
 
 def _run_check_condition(parsed, args, art: _Artifacts) -> int:
-    seed = args.seed if args.seed is not None else parsed["seed"]
     cv = condition_value(parsed["A"], parsed["gamma"], parsed["measure"],
                          sphere_samples=parsed["sphere_samples"],
                          scan_grid=parsed["scan_grid"],
                          refine_grid=parsed["refine_grid"],
-                         rng=np.random.default_rng(seed))
+                         rng=np.random.default_rng(parsed["seed"]))
     report = {"command": "check-condition",
               "gamma": list(parsed["gamma"]),
               "measure": parsed["measure"].to_dict(),
-              "passes": cv.holds, **cv.to_dict()}
+              "passes": cv.holds, **dataclasses.asdict(cv)}
     art.add("check-condition.json", _dumps(report))
     return 0 if cv.holds else 2
 
@@ -135,26 +132,23 @@ def _run_find_gamma(parsed, args, art: _Artifacts) -> int:
         report = {"command": "find-gamma", "mode": "search", **cert.to_dict()}
         art.add("find-gamma.json", _dumps(report))
         return 0
-    seed = args.seed if args.seed is not None else parsed["seed"]
     result = condition_chain_pipeline(
         parsed["A"], parsed["q"], parsed["h"], parsed["h1"],
         parsed["R0_list"], et_samples=parsed["et_samples"],
         grid_per_axis=parsed["grid_per_axis"],
-        search_window=parsed["window"], seed=seed)
+        search_window=parsed["window"], seed=parsed["seed"])
     report = {"command": "find-gamma", "mode": "pipeline", **result}
     art.add("find-gamma.json", _dumps(report))
     return 0 if result["chain_ok"] else 2
 
 
 def _run_verify_thomas(parsed, args, art: _Artifacts) -> int:
-    seed = args.seed if args.seed is not None else parsed["seed"]
-    cutoff = args.cutoff if args.cutoff is not None else parsed["cutoff"]
     report = verify_thomas_bound(
         parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
         parsed["measure"], parsed["theta"], kappas=parsed["kappas"],
-        k_points_per_axis=parsed["k_points_per_axis"], cutoff=cutoff,
+        k_points_per_axis=parsed["k_points_per_axis"], cutoff=parsed["cutoff"],
         refine_factor=parsed["refine_factor"],
-        probe_count=parsed["probe_count"], seed=seed,
+        probe_count=parsed["probe_count"], seed=parsed["seed"],
         sphere_samples=parsed["sphere_samples"], threads=args.threads)
     art.add("verify-thomas.json",
             _dumps({"command": "verify-thomas", **report.to_dict()}))
@@ -166,13 +160,12 @@ def _run_verify_thomas(parsed, args, art: _Artifacts) -> int:
 
 
 def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
-    cutoff = args.cutoff if args.cutoff is not None else parsed["cutoff"]
     if parsed["mode"] == "split":
         report = verify_weighted_split(
             parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
             parsed["measure"], parsed["delta"], parsed["beta"],
             parsed["kappas"], k_points_per_axis=parsed["k_points_per_axis"],
-            cutoff=cutoff, sphere_samples=parsed["sphere_samples"],
+            cutoff=parsed["cutoff"], sphere_samples=parsed["sphere_samples"],
             threads=args.threads)
         art.add("verify-weighted.json",
                 _dumps({"command": "verify-weighted", "mode": "split",
@@ -181,7 +174,7 @@ def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
     result = weighted_floor(
         parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
         parsed["kappas"], k_points_per_axis=parsed["k_points_per_axis"],
-        cutoff=cutoff, threads=args.threads)
+        cutoff=parsed["cutoff"], threads=args.threads)
     passes = result["ratio_min"] >= result["perturbation_floor"] - 1e-12
     result["passes"] = bool(passes)
     art.add("verify-weighted.json",
@@ -190,9 +183,7 @@ def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
 
 
 def _run_gauge_bound(parsed, args, art: _Artifacts) -> int:
-    lattice = parsed["lattice"]
-    gvec = lattice.point(np.asarray(parsed["gamma"], dtype=np.int64))
-    e = unit(gvec)
+    _, gvec, _, e = parsed["lattice"].direction(parsed["gamma"])
     et = parsed["et"]
     if et is None:
         et = orthonormal_complement(e)[0]
@@ -200,9 +191,9 @@ def _run_gauge_bound(parsed, args, art: _Artifacts) -> int:
     At = averaged_potential(parsed["A"], parsed["gamma"], parsed["measure"],
                             frame.et)
     result = gauge_bound_check(parsed["A"], At, frame, parsed["measure"],
-                          parsed["gamma"], parsed["measure"].h,
-                          default_kernel_constant(),
-                          grid_per_axis=parsed["grid_per_axis"])
+                               parsed["gamma"], parsed["measure"].h,
+                               default_kernel_constant(),
+                               grid_per_axis=parsed["grid_per_axis"])
     report = {"command": "gauge-bound", "gamma": list(parsed["gamma"]),
               "et": [float(c) for c in et],
               "measure": parsed["measure"].to_dict(), **result}
@@ -215,12 +206,10 @@ def _run_kernel_constant(parsed, args, art: _Artifacts) -> int:
     result = bessel_kernel_constant(eta, sample_step=parsed["sample_step"],
                                     radial_tol=parsed["radial_tol"],
                                     cross_check=parsed["cross_check"])
-    report = result.to_dict()
-    passes = True
-    if parsed["cross_check"]:
-        passes = report["cross_residual"] <= 1e-4
-    report = {"command": "kernel-constant", "passes": bool(passes), **report}
-    art.add("kernel-constant.json", _dumps(report))
+    passes = not parsed["cross_check"] or result.cross_residual <= 1e-4
+    art.add("kernel-constant.json",
+            _dumps({"command": "kernel-constant", "passes": passes,
+                    **dataclasses.asdict(result)}))
     return 0 if passes else 2
 
 
@@ -296,6 +285,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
+    for key in ("seed", "cutoff"):  # the flags override the config
+        if getattr(args, key) is not None:
+            parsed[key] = getattr(args, key)
 
     art = _Artifacts(args.out)
     try:

@@ -219,28 +219,38 @@ def build_measure(node, path) -> MeasureSpec:
     return MeasureSpec.plateau(h, h1)
 
 
-def _vector_field(node, path, lattice: Lattice) -> FourierField:
-    node = _object(node, path, required=("modes",), optional=("real",))
-    real = _boolean(node.get("real", False), _join(path, "real"))
+def _field(node, path, lattice: Lattice, kind: str, flag: str, entry_keys: dict,
+           value, **kwargs) -> FourierField:
+    """A field block: its flag, then each mode's coefficients and `value`."""
+    node = _object(node, path, required=("modes",), optional=(flag,))
+    flags = {flag: _boolean(node.get(flag, False), _join(path, flag))}
     entries = _list(node["modes"], _join(path, "modes"))
     coeffs: dict = {}
     for i, entry in enumerate(entries):
         epath = _join(_join(path, "modes"), i)
-        entry = _object(entry, epath, required=("coeffs", "value"))
+        entry = _object(entry, epath, **entry_keys)
         key = _int_tuple(entry["coeffs"], _join(epath, "coeffs"), lattice.n)
         if key in coeffs:
             raise ConfigError(_join(epath, "coeffs"), "duplicate mode")
-        vpath = _join(epath, "value")
-        _list(entry["value"], vpath, length=lattice.n)
-        coeffs[key] = [_complex_entry(v, _join(vpath, j))
-                       for j, v in enumerate(entry["value"])]
+        coeffs[key] = value(entry, epath)
     try:
-        return FourierField(lattice, "vector", coeffs, real=real)
+        return FourierField(lattice, kind, coeffs, **flags, **kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _matrix_value(node, path, entry, epath, rep: CliffordRep, scalar_base):
+def _vector_field(node, path, lattice: Lattice) -> FourierField:
+    def value(entry, epath):
+        vpath = _join(epath, "value")
+        _list(entry["value"], vpath, length=lattice.n)
+        return [_complex_entry(v, _join(vpath, j))
+                for j, v in enumerate(entry["value"])]
+
+    return _field(node, path, lattice, "vector", "real",
+                  {"required": ("coeffs", "value")}, value)
+
+
+def _matrix_value(entry, epath, rep: CliffordRep, scalar_base):
     """One matrix coefficient: explicit M x M rows, or scalar * base matrix."""
     has_value = "value" in entry
     has_scalar = "scalar" in entry
@@ -262,23 +272,11 @@ def _matrix_value(node, path, entry, epath, rep: CliffordRep, scalar_base):
 
 def _matrix_field(node, path, lattice: Lattice, rep: CliffordRep,
                   scalar_base: np.ndarray) -> FourierField:
-    node = _object(node, path, required=("modes",), optional=("hermitian",))
-    hermitian = _boolean(node.get("hermitian", False), _join(path, "hermitian"))
-    entries = _list(node["modes"], _join(path, "modes"))
-    coeffs: dict = {}
-    for i, entry in enumerate(entries):
-        epath = _join(_join(path, "modes"), i)
-        entry = _object(entry, epath, required=("coeffs",),
-                        optional=("value", "scalar"))
-        key = _int_tuple(entry["coeffs"], _join(epath, "coeffs"), lattice.n)
-        if key in coeffs:
-            raise ConfigError(_join(epath, "coeffs"), "duplicate mode")
-        coeffs[key] = _matrix_value(node, path, entry, epath, rep, scalar_base)
-    try:
-        return FourierField(lattice, "matrix", coeffs, hermitian=hermitian,
-                            dim=rep.M)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _field(node, path, lattice, "matrix", "hermitian",
+                  {"required": ("coeffs",), "optional": ("value", "scalar")},
+                  lambda entry, epath: _matrix_value(entry, epath, rep,
+                                                     scalar_base),
+                  dim=rep.M)
 
 
 def build_potential(node, path, lattice: Lattice, rep: CliffordRep
@@ -334,19 +332,29 @@ def build_sphere_measure(node, path, lattice: Lattice) -> SphereMeasure:
 # per-command validators
 # ---------------------------------------------------------------------------
 
-def _common(raw, extra_required, extra_optional=()):
-    required = ("lattice",) + tuple(extra_required)
-    optional = ("seed",) + tuple(extra_optional)
-    _object(raw, "", required=required, optional=optional)
+def _preamble(raw, required, optional=(), potential=True) -> dict:
+    """Shared head of a command config, checked in this order: the top-level
+    keys, the lattice, the seed, then (with `potential`) the generators and
+    the potential block."""
+    _object(raw, "", required=("lattice",) + required,
+            optional=("seed", "potential") + optional)
     lattice = build_lattice(raw["lattice"], "/lattice")
-    seed = _integer(raw.get("seed", 0), "/seed", ge=0)
-    return lattice, seed
+    out = {"lattice": lattice, "seed": _integer(raw.get("seed", 0), "/seed", ge=0)}
+    if potential:
+        out["rep"] = build_clifford(lattice.n)
+        out["pot"] = build_potential(raw.get("potential"), "/potential",
+                                     lattice, out["rep"])
+    return out
+
+
+def _optional(parse, node, path, key, **bounds):
+    """`parse` of node[key] at path/key, or None when the key is absent."""
+    return parse(node[key], _join(path, key), **bounds) if key in node else None
 
 
 def parse_bands(raw) -> dict:
-    lattice, seed = _common(raw, ("bands",), ("potential",))
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    out = _preamble(raw, ("bands",))
+    lattice = out["lattice"]
     node = _object(raw["bands"], "/bands",
                    required=("k0", "direction", "xi_range", "samples", "cutoff"),
                    optional=("energy_window", "threshold"))
@@ -365,8 +373,7 @@ def parse_bands(raw) -> dict:
         hi = _number(win[1], "/bands/energy_window/1", gt=lo)
         window = (lo, hi)
     return {
-        "lattice": lattice, "rep": rep, "pot": pot, "seed": seed,
-        "k0": k0, "e": e / norm, "xi_range": (a, b),
+        **out, "k0": k0, "e": e / norm, "xi_range": (a, b),
         "samples": _integer(node["samples"], "/bands/samples", ge=2, le=100000),
         "cutoff": _number(node["cutoff"], "/bands/cutoff", gt=0.0),
         "energy_window": window,
@@ -376,15 +383,13 @@ def parse_bands(raw) -> dict:
 
 
 def parse_check_condition(raw) -> dict:
-    lattice, seed = _common(raw, ("measure", "condition"), ("potential",))
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    out = _preamble(raw, ("measure", "condition"))
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["condition"], "/condition", required=("gamma",),
                    optional=("sphere_samples", "scan_grid", "refine_grid"))
     return {
-        "lattice": lattice, "seed": seed, "A": pot.A, "measure": measure,
-        "gamma": _gamma(node["gamma"], "/condition/gamma", lattice),
+        **out, "A": out["pot"].A, "measure": measure,
+        "gamma": _gamma(node["gamma"], "/condition/gamma", out["lattice"]),
         "sphere_samples": _integer(node.get("sphere_samples", 4096),
                                    "/condition/sphere_samples", ge=8, le=10 ** 7),
         "scan_grid": _integer(node.get("scan_grid", 16),
@@ -395,10 +400,8 @@ def parse_check_condition(raw) -> dict:
 
 
 def parse_find_gamma(raw) -> dict:
-    _object(raw, "", required=("lattice",),
-            optional=("seed", "search", "pipeline", "potential"))
-    lattice = build_lattice(raw["lattice"], "/lattice")
-    seed = _integer(raw.get("seed", 0), "/seed", ge=0)
+    out = _preamble(raw, (), ("search", "pipeline"), potential=False)
+    lattice = out["lattice"]
     if ("search" in raw) == ("pipeline" in raw):
         raise ConfigError("", "give exactly one of 'search' or 'pipeline'")
 
@@ -407,28 +410,24 @@ def parse_find_gamma(raw) -> dict:
             raise ConfigError("/potential", "unused in atom-search mode")
         node = _object(raw["search"], "/search", required=("atoms", "h", "R0"),
                        optional=("window",))
-        window = (_number(node["window"], "/search/window", gt=0.0)
-                  if "window" in node else None)
         return {
-            "mode": "search", "lattice": lattice, "seed": seed,
+            **out, "mode": "search",
             "measure": build_sphere_measure(node["atoms"], "/search/atoms",
                                             lattice),
             "h": _number(node["h"], "/search/h", gt=0.0),
             "R0": _number(node["R0"], "/search/R0", gt=0.0),
-            "window": window,
+            "window": _optional(_number, node, "/search", "window", gt=0.0),
         }
 
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    pot = build_potential(raw.get("potential"), "/potential", lattice,
+                          build_clifford(lattice.n))
     node = _object(raw["pipeline"], "/pipeline",
                    required=("q", "h", "h1", "R0_list"),
                    optional=("et_samples", "grid_per_axis", "window"))
     h = _number(node["h"], "/pipeline/h", gt=0.0)
     r0s = _list(node["R0_list"], "/pipeline/R0_list", min_length=1)
-    window = (_number(node["window"], "/pipeline/window", gt=0.0)
-              if "window" in node else None)
     return {
-        "mode": "pipeline", "lattice": lattice, "seed": seed, "A": pot.A,
+        **out, "mode": "pipeline", "A": pot.A,
         "q": _number(node["q"], "/pipeline/q", gt=0.0),
         "h": h,
         "h1": _number(node["h1"], "/pipeline/h1", gt=h),
@@ -438,14 +437,12 @@ def parse_find_gamma(raw) -> dict:
                                "/pipeline/et_samples", ge=1, le=4096),
         "grid_per_axis": _integer(node.get("grid_per_axis", 32),
                                   "/pipeline/grid_per_axis", ge=3, le=257),
-        "window": window,
+        "window": _optional(_number, node, "/pipeline", "window", gt=0.0),
     }
 
 
 def parse_verify_thomas(raw) -> dict:
-    lattice, seed = _common(raw, ("measure", "thomas"), ("potential",))
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    out = _preamble(raw, ("measure", "thomas"))
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["thomas"], "/thomas", required=("gamma", "theta"),
                    optional=("kappas", "k_points_per_axis", "cutoff",
@@ -458,17 +455,15 @@ def parse_verify_thomas(raw) -> dict:
         if sorted(kappas) != kappas:
             raise ConfigError("/thomas/kappas", "must be increasing")
     return {
-        "lattice": lattice, "rep": rep, "pot": pot, "measure": measure,
-        "seed": seed,
-        "gamma": _gamma(node["gamma"], "/thomas/gamma", lattice),
+        **out, "measure": measure,
+        "gamma": _gamma(node["gamma"], "/thomas/gamma", out["lattice"]),
         "theta": _number(node["theta"], "/thomas/theta", gt=0.0, lt=1.0),
         "kappas": kappas,
         "k_points_per_axis": _integer(node.get("k_points_per_axis", 5),
                                       "/thomas/k_points_per_axis", ge=1, le=64),
-        "cutoff": (_number(node["cutoff"], "/thomas/cutoff", gt=0.0)
-                   if "cutoff" in node else None),
-        "refine_factor": (_number(node["refine_factor"], "/thomas/refine_factor",
-                                  gt=1.0) if "refine_factor" in node else None),
+        "cutoff": _optional(_number, node, "/thomas", "cutoff", gt=0.0),
+        "refine_factor": _optional(_number, node, "/thomas", "refine_factor",
+                                   gt=1.0),
         "probe_count": _integer(node.get("probe_count", 0),
                                 "/thomas/probe_count", ge=0, le=10 ** 6),
         "sphere_samples": _integer(node.get("sphere_samples", 4096),
@@ -477,12 +472,7 @@ def parse_verify_thomas(raw) -> dict:
 
 
 def parse_verify_weighted(raw) -> dict:
-    _object(raw, "", required=("lattice", "weighted"),
-            optional=("seed", "measure", "potential"))
-    lattice = build_lattice(raw["lattice"], "/lattice")
-    seed = _integer(raw.get("seed", 0), "/seed", ge=0)
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    out = _preamble(raw, ("weighted",), ("measure",))
     node = _object(raw["weighted"], "/weighted",
                    required=("mode", "gamma", "kappas"),
                    optional=("delta", "beta", "k_points_per_axis", "cutoff",
@@ -491,15 +481,14 @@ def parse_verify_weighted(raw) -> dict:
     vals = _list(node["kappas"], "/weighted/kappas", min_length=1)
     kappas = [_number(v, _join("/weighted/kappas", i), gt=0.0)
               for i, v in enumerate(vals)]
-    out = {
-        "mode": mode, "lattice": lattice, "rep": rep, "pot": pot, "seed": seed,
-        "gamma": _gamma(node["gamma"], "/weighted/gamma", lattice),
+    out.update({
+        "mode": mode,
+        "gamma": _gamma(node["gamma"], "/weighted/gamma", out["lattice"]),
         "kappas": kappas,
         "k_points_per_axis": _integer(node.get("k_points_per_axis", 3),
                                       "/weighted/k_points_per_axis", ge=1, le=64),
-        "cutoff": (_number(node["cutoff"], "/weighted/cutoff", gt=0.0)
-                   if "cutoff" in node else None),
-    }
+        "cutoff": _optional(_number, node, "/weighted", "cutoff", gt=0.0),
+    })
     if mode == "floor":
         for key in ("delta", "beta"):
             if key in node:
@@ -524,9 +513,8 @@ def parse_verify_weighted(raw) -> dict:
 
 
 def parse_gauge_bound(raw) -> dict:
-    lattice, seed = _common(raw, ("measure", "gauge"), ("potential",))
-    rep = build_clifford(lattice.n)
-    pot = build_potential(raw.get("potential"), "/potential", lattice, rep)
+    out = _preamble(raw, ("measure", "gauge"))
+    lattice = out["lattice"]
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["gauge"], "/gauge", required=("gamma",),
                    optional=("et", "grid_per_axis"))
@@ -538,12 +526,11 @@ def parse_gauge_bound(raw) -> dict:
             raise ConfigError("/gauge/et", "direction must be nonzero")
         et = v / norm
     return {
-        "lattice": lattice, "seed": seed, "A": pot.A, "measure": measure,
+        **out, "A": out["pot"].A, "measure": measure,
         "gamma": _gamma(node["gamma"], "/gauge/gamma", lattice),
         "et": et,
-        "grid_per_axis": (_integer(node["grid_per_axis"],
-                                   "/gauge/grid_per_axis", ge=3, le=257)
-                          if "grid_per_axis" in node else None),
+        "grid_per_axis": _optional(_integer, node, "/gauge", "grid_per_axis",
+                                   ge=3, le=257),
     }
 
 

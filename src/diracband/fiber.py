@@ -49,6 +49,10 @@ DENSE_LIMIT = 4096
 # Lanczos basis size of the sparse route: ARPACK's default of 20 stalls on
 # the near-degenerate clusters of sigma_min that shifted fibers have
 LANCZOS_NCV = 40
+# ARPACK restarts before the sparse route gives up and falls back to dense
+# (ARPACK's default, 10 times the dimension, lets a stalled node run for
+# thousands of matvecs); no node of the shipped scans needs more than 10
+LANCZOS_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,7 @@ def global_projection(rep: CliffordRep, lattice: Lattice, k: np.ndarray,
     k = np.asarray(k, dtype=float)
     e = check_unit(np.asarray(e, dtype=float), "direction e", tol=1e-12)
     M = rep.M
+    check_dense_dim(M * len(modes))
     out = np.zeros((M * len(modes), M * len(modes)), dtype=complex)
     for i in range(len(modes)):
         x = k + 2.0 * math.pi * modes.vectors[i]
@@ -163,7 +168,6 @@ class TruncatedDiracOperator:
     fiber: FiberPoint
     pot: PotentialSet
     sparse: sp.csc_array
-    potential_empty: bool
 
     @property
     def dim(self) -> int:
@@ -239,8 +243,7 @@ def assemble(lattice: Lattice, rep: CliffordRep, modes: ModeSet,
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
     matrix = (_potential_stencil(modes, pot) + symbols).tocsc()
     return TruncatedDiracOperator(lattice=lattice, rep=rep, modes=modes,
-                                  fiber=fiber, pot=pot, sparse=matrix,
-                                  potential_empty=pot.is_empty)
+                                  fiber=fiber, pot=pot, sparse=matrix)
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
@@ -260,15 +263,15 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.matrix)
 
 
-def check_dense_dim(dim: int, dense_limit: int = DENSE_LIMIT) -> None:
-    """Refuse a dense fiber of dimension `dim` (modes times M) over the limit.
+def check_dense_dim(dim: int) -> None:
+    """Refuse a dense fiber of dimension `dim` (modes times M) over DENSE_LIMIT.
 
     The dense view of a fiber checks it before it allocates; callers that
     know the mode window check it before the first fiber.
     """
-    if dim > dense_limit:
+    if dim > DENSE_LIMIT:
         raise ValueError(
-            f"fiber dimension {dim} exceeds the dense limit {dense_limit}; "
+            f"fiber dimension {dim} exceeds the dense limit {DENSE_LIMIT}; "
             "reduce the cutoff")
 
 
@@ -277,9 +280,9 @@ def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
 
     ARPACK runs on x -> D^{-1} D^{-H} x with k = 1 (sigma_min is
     degenerate, multiplicity M/2 in the free case), tol = 0, LANCZOS_NCV
-    basis vectors, a fixed start vector, a fixed seed for the vectors
-    ARPACK draws when its Krylov space turns invariant and scipy's BLAS on
-    one thread, so reruns give the same bits.
+    basis vectors, at most LANCZOS_MAXITER restarts, a fixed start vector,
+    a fixed seed for the vectors ARPACK draws when its Krylov space turns
+    invariant and scipy's BLAS on one thread, so reruns give the same bits.
     Returns None when `splu` finds D singular, ARPACK does not converge, or
     the singular triplet (u, sigma, v) with u = Dv / |Dv| misses the
     residual check |D^H u - sigma v| <= 1e-10 max(sigma, 1).
@@ -296,7 +299,8 @@ def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
     try:
         lam, vecs = eigsh(inverse_gram, k=1, which="LM", tol=0,
                           v0=np.ones(dim, dtype=complex),
-                          ncv=min(dim, LANCZOS_NCV), rng=0)
+                          ncv=min(dim, LANCZOS_NCV), maxiter=LANCZOS_MAXITER,
+                          rng=0)
     except ArpackNoConvergence:
         return None
     sigma = float(lam[0]) ** -0.5
@@ -309,8 +313,7 @@ def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
     return sigma
 
 
-def sigma_min(op: TruncatedDiracOperator, method: str = "auto",
-              dense_limit: int = DENSE_LIMIT) -> float:
+def sigma_min(op: TruncatedDiracOperator, method: str = "auto") -> float:
     """Smallest singular value of the truncated fiber.
 
     `weighted_sigma_min` with unit weights, which leave every route's bits
@@ -318,12 +321,11 @@ def sigma_min(op: TruncatedDiracOperator, method: str = "auto",
     Lanczos otherwise (method="auto"), or the dense LAPACK reference
     (method="dense").
     """
-    return weighted_sigma_min(op, np.ones(len(op.modes)), method, dense_limit)
+    return weighted_sigma_min(op, np.ones(len(op.modes)), method)
 
 
 def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
-                       method: str = "auto",
-                       dense_limit: int = DENSE_LIMIT) -> float:
+                       method: str = "auto") -> float:
     """min over nonzero phi of |D phi| / |W phi| with per-mode weights.
 
     Equivalently the smallest singular value of D W^{-1} (W is the diagonal
@@ -334,7 +336,7 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
     otherwise, falling back to the dense SVD when that route cannot vouch
     for its value (see `_lanczos_sigma_min`).  method="dense" forces the
     LAPACK SVD of the dense view, the reference route.  Dense work is
-    refused over `dense_limit` (never above DENSE_LIMIT).
+    refused over DENSE_LIMIT.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -345,12 +347,12 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("method must be 'auto' or 'dense'")
     scale = np.repeat(1.0 / weights, op.rep.M)
     if method == "auto":
-        if op.potential_empty:
+        if op.pot.is_empty:
             return float(np.min(op.mode_g_factors()[:, 0] / weights))
         sigma = _lanczos_sigma_min((op.sparse @ sp.diags_array(scale)).tocsc())
         if sigma is not None:
             return sigma
-    check_dense_dim(op.dim, dense_limit)
+    check_dense_dim(op.dim)
     return float(np.linalg.svd(op.matrix * scale[None, :],
                                compute_uv=False)[-1])
 

@@ -207,10 +207,10 @@ class FourierField:
         return self._binary(other, -1.0)
 
 
-def zero_field(lattice: Lattice, kind: str, dim: Optional[int] = None,
-               real: bool = True) -> FourierField:
-    hermitian = kind == "matrix"
-    return FourierField(lattice, kind, {}, real=real, hermitian=hermitian, dim=dim)
+def zero_field(lattice: Lattice, kind: str, dim: Optional[int] = None
+               ) -> FourierField:
+    return FourierField(lattice, kind, {}, real=True, hermitian=kind == "matrix",
+                        dim=dim)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,6 @@ class MeasureSpec:
     h: float
     h1: Optional[float]
     norm_bound: float
-    abs_sup: float = 1.0
 
     @staticmethod
     def dirac(h: float = math.inf) -> "MeasureSpec":
@@ -459,11 +458,7 @@ def averaged_potential(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     if A.kind != "vector":
         raise ValueError("averaging applies to vector fields")
     lattice = A.lattice
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
+    gc, gvec, gnorm, _ = lattice.direction(gamma_coeffs)
     et = check_unit(np.asarray(et, dtype=float), "et")
     if abs(float(np.dot(et, gvec))) > 1e-10 * gnorm:
         raise ValueError("et must be orthogonal to gamma")
@@ -497,11 +492,6 @@ class ConditionValue:
     @property
     def excluded(self) -> bool:
         return self.theta_lo >= 1.0
-
-    def to_dict(self) -> dict:
-        return {"theta_lo": self.theta_lo, "theta_hi": self.theta_hi,
-                "best_et": [float(c) for c in self.best_et],
-                "f_lo": self.f_lo, "f_hi": self.f_hi, "samples": self.samples}
 
 
 def _mean_size(A: FourierField) -> float:
@@ -545,12 +535,7 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         raise ValueError("the field must have zero mean")
     lattice = A.lattice
     n = lattice.n
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
-    e = gvec / gnorm
+    gc, _, gnorm, e = lattice.direction(gamma_coeffs)
 
     # certified upper bound
     hi_sum = 0.0
@@ -564,7 +549,7 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         else:
             axial = complex(np.dot(v, e))
             bound = float(np.linalg.norm(v - axial * e)) + abs(axial)
-        hi_sum += measure.abs_sup * bound
+        hi_sum += bound
     f_hi = hi_sum
     theta_hi = gnorm * f_hi / math.pi
 

@@ -237,40 +237,25 @@ class KernelConstantReport:
     tau_hi: float
     sample_step: float
 
-    def to_dict(self) -> dict:
-        return {
-            "constant": self.constant,
-            "norm_l1": self.norm_l1,
-            "norm_l1_2d": self.norm_l1_2d,
-            "cross_residual": self.cross_residual,
-            "rmax": self.rmax,
-            "tail_estimate": self.tail_estimate,
-            "zero_count": self.zero_count,
-            "tau_lo": self.tau_lo,
-            "tau_hi": self.tau_hi,
-            "sample_step": self.sample_step,
-        }
-
 
 def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
                            sample_step: float = 0.01,
                            radial_tol: float = 1e-7,
-                           block: float = 5.0,
-                           cross_check: bool = True,
-                           quad_tol: float = 1e-9) -> KernelConstantReport:
+                           cross_check: bool = True) -> KernelConstantReport:
     """Kernel constant (2/pi) * L1(G) for the gauge-pair bound.
 
     Polar route: with G(x, y) = cos(phi) * g(r) / r in polar coordinates and
     area element r dr dphi, the angular factor integrates to 4, so
     L1(G) = 4 * integral of |g(r)| dr.  The radial integral is split at the
     zeros of g (located by bracketing and bisection on a fine sample) and
-    extended block by block until the tail falls below radial_tol relative.
+    extended in blocks of 5 until the tail falls below radial_tol relative.
 
     Cross route: direct nested adaptive quadrature of |G| over a quadrant of
-    the same square, with the circle crossings passed as breakpoints; it uses
-    a cubic-spline surrogate of g whose residual is checked separately.  The
-    relative difference of the two routes is reported.
+    the same square, with the circle crossings passed as breakpoints, to
+    1e-9; it uses a cubic-spline surrogate of g whose residual is checked
+    separately.  The relative difference of the two routes is reported.
     """
+    block, quad_tol = 5.0, 1e-9
     # radial profile, extended until the tail is negligible
     rmax = 4.0 * block
     while True:
@@ -354,31 +339,27 @@ def default_kernel_constant() -> float:
 # ---------------------------------------------------------------------------
 
 def damping_factor(A: FourierField, gamma_coeffs, h: float,
-                   measure: MeasureSpec, kernel_constant: float,
-                   a_sup_hi: Optional[float] = None) -> float:
+                   measure: MeasureSpec, kernel_constant: float) -> float:
     """exp(-4 k |mu| max(|gamma|, 1/h) sup|A|) with kernel constant k; 1 iff A = 0."""
     if kernel_constant <= 0.0 or h <= 0.0:
         raise ValueError("kernel_constant and h must be positive")
-    gnorm = float(np.linalg.norm(A.lattice.point(np.asarray(gamma_coeffs, float))))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
-    if a_sup_hi is None:
-        a_sup_hi = sup_norm(A)[1]
+    gnorm = A.lattice.direction(gamma_coeffs)[2]
     t = max(gnorm, 0.0 if math.isinf(h) else 1.0 / h)
-    return math.exp(-4.0 * kernel_constant * measure.norm_bound * t * a_sup_hi)
+    return math.exp(-4.0 * kernel_constant * measure.norm_bound * t
+                    * sup_norm(A)[1])
 
 
 def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
-                 measure: MeasureSpec, gamma_coeffs, h: float,
-                 kernel_constant: float, eta: EtaSpec = EtaSpec(),
-                 grid_per_axis: Optional[int] = None) -> dict:
+                      measure: MeasureSpec, gamma_coeffs, h: float,
+                      kernel_constant: float,
+                      grid_per_axis: Optional[int] = None) -> dict:
     """Empirical check of the gauge-pair sup bound at one frame.
 
     Verifies that At is the declared average, builds (Phi1, Phi2), compares
     grid lower bounds of their sup-norms against
     kernel_constant * |mu| * max(|gamma|, 1/h) * sup|A| (certified upper), and
     asserts the exact multiplier identity: every mode carrying defect has
-    eta(2 pi t |in-plane frequency|) == 1.
+    eta(2 pi t |in-plane frequency|) == 1 for the default cutoff eta.
     """
     expected = averaged_potential(A, gamma_coeffs, measure, frame.et)
     for key in set(At.coeffs) | set(expected.coeffs):
@@ -387,7 +368,7 @@ def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
             raise ValueError("At is not the average of A for this frame")
 
     lattice = A.lattice
-    gnorm = float(np.linalg.norm(lattice.point(np.asarray(gamma_coeffs, float))))
+    gnorm = lattice.direction(gamma_coeffs)[2]
     t = max(gnorm, 0.0 if math.isinf(h) else 1.0 / h)
     phi1, phi2 = build_phi(A, At, frame)
     a_lo, a_hi = sup_norm(A, grid_per_axis)
@@ -397,8 +378,7 @@ def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
 
     # multiplier identity on active modes
     diff = A - At
-    eta_ok = True
-    active = 0
+    eta, eta_ok, active = EtaSpec(), True, 0
     for key, val in diff.coeffs.items():
         a = complex(np.dot(val, frame.et))
         b = complex(np.dot(val, frame.e))

@@ -14,7 +14,7 @@ gamma, which is the quantity controlling the averaged-potential bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -57,6 +57,16 @@ class Lattice:
     def dual_point(self, coeffs) -> np.ndarray:
         """Reciprocal-lattice vector with integer coefficients `coeffs`."""
         return np.asarray(coeffs, dtype=float) @ self.reciprocal
+
+    def direction(self, gamma_coeffs
+                  ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """(integer coefficients, vector, |gamma|, gamma / |gamma|) of gamma."""
+        gc = np.asarray(gamma_coeffs, dtype=np.int64)
+        gvec = self.point(gc)
+        gnorm = float(np.linalg.norm(gvec))
+        if gnorm == 0.0:
+            raise ValueError("gamma must be nonzero")
+        return gc, gvec, gnorm, gvec / gnorm
 
     def shortest_length(self, dual: bool = False) -> float:
         basis = self.reciprocal if dual else self.basis
@@ -156,20 +166,7 @@ class GammaCertificate:
     window: float
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_coeffs": [int(c) for c in self.gamma_coeffs],
-            "gamma": [float(g) for g in self.gamma],
-            "gamma_norm": self.gamma_norm,
-            "R0": self.R0,
-            "h": self.h,
-            "slab_mass": self.slab_mass,
-            "total_mass": self.total_mass,
-            "slab_ratio": self.slab_ratio,
-            "min_orth_raw": self.min_orth_raw,
-            "min_orth": self.min_orth,
-            "orthogonal_found": self.min_orth_raw is not None,
-            "window": self.window,
-        }
+        return {**asdict(self), "orthogonal_found": self.min_orth_raw is not None}
 
 
 def _default_window(lattice: Lattice, R0: float, n: int, scale: float) -> float:
@@ -180,11 +177,7 @@ def _default_window(lattice: Lattice, R0: float, n: int, scale: float) -> float:
 def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
                  h: float, R0: float, window: float) -> GammaCertificate:
     n = lattice.n
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
+    gc, gvec, gnorm, _ = lattice.direction(gamma_coeffs)
 
     dual_coeffs, dual_vecs = lattice.points_in_ball(window, dual=True)
     if dual_coeffs.shape[0]:

@@ -15,15 +15,6 @@ import numpy as np
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalise a vector, rejecting zero input."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / norm
-
-
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = 1e-9) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if abs(np.linalg.norm(v) - 1.0) > tol:
@@ -67,13 +58,13 @@ def orthonormal_complement(e: np.ndarray) -> np.ndarray:
     return full[1:]
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               iters: int = 60) -> tuple[float, float]:
-    """Golden-section maximisation of a unimodal-ish scalar function."""
+def golden_max(f: Callable[[float], float], a: float, b: float
+               ) -> tuple[float, float]:
+    """Golden-section maximisation (60 steps) of a unimodal-ish scalar function."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)

@@ -29,7 +29,7 @@ Cauchy-Schwarz split) at every sampled transverse direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -55,12 +55,7 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be positive")
-    gc = np.asarray(gamma_coeffs, dtype=np.int64)
-    gvec = lattice.point(gc)
-    gnorm = float(np.linalg.norm(gvec))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
-    e = gvec / gnorm
+    _, gvec, gnorm, e = lattice.direction(gamma_coeffs)
     base = math.pi * gvec / gnorm ** 2
     n = lattice.n
 
@@ -99,11 +94,8 @@ class _Face:
     def __init__(self, lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
                  gamma_coeffs, k_points_per_axis: int) -> None:
         self.lattice, self.rep, self.pot = lattice, rep, pot
-        self.gc = np.asarray(gamma_coeffs, dtype=np.int64)
+        self.gc, _, self.gnorm, self.e = lattice.direction(gamma_coeffs)
         self.ks = k_face_grid(lattice, self.gc, k_points_per_axis)
-        gvec = lattice.point(self.gc)
-        self.gnorm = float(np.linalg.norm(gvec))
-        self.e = gvec / self.gnorm
 
     @cached_property
     def w_bound(self) -> float:
@@ -193,33 +185,14 @@ class ThomasBoundReport:
         return rows
 
     def to_dict(self) -> dict:
-        out = {
-            "verdict": "EMPIRICAL",
-            "gamma_coeffs": [int(c) for c in self.gamma_coeffs],
-            "gamma_norm": self.gamma_norm,
-            "theta": self.theta,
-            "condition": self.condition.to_dict(),
-            "damping": self.damping,
-            "bound": self.bound,
-            "kappas": [float(k) for k in self.kappas],
-            "k_points": [[float(c) for c in k] for k in self.k_points],
-            "sigma_table": [[float(s) for s in row] for row in self.sigma],
-            "kappa_star": self.kappa_star,
-            "holds": self.holds,
-            "cutoff": self.cutoff,
-            "mode_count": self.mode_count,
-            "dim": self.dim,
-            "w_bound": self.w_bound,
-            "kernel_constant": self.kernel_constant,
-        }
-        if self.free_closed_form is not None:
-            out["free_closed_form"] = [[float(s) for s in row]
-                                       for row in self.free_closed_form]
-        if self.probe is not None:
-            out["probe"] = self.probe
-        if self.refinement is not None:
-            out["refinement"] = self.refinement
-        return out
+        """`asdict` with `sigma` as sigma_table, verdict and holds added and
+        the absent optional blocks left out."""
+        out = asdict(self)
+        out["sigma_table"] = out.pop("sigma")
+        for key in ("free_closed_form", "probe", "refinement"):
+            if out[key] is None:
+                del out[key]
+        return {**out, "verdict": "EMPIRICAL", "holds": self.holds}
 
 
 def _kappa_star(sigma: np.ndarray, kappas, bound: float) -> Optional[float]:
@@ -322,22 +295,7 @@ class WeightedSplitReport:
         return bool(self.rows) and all(r["passes"] for r in self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "EMPIRICAL",
-            "gamma_coeffs": [int(c) for c in self.gamma_coeffs],
-            "gamma_norm": self.gamma_norm,
-            "delta": self.delta,
-            "beta": self.beta,
-            "condition": self.condition.to_dict(),
-            "damping": self.damping,
-            "floor": self.floor,
-            "rows": self.rows,
-            "one_minus_delta_star": self.one_minus_delta_star,
-            "holds": self.holds,
-            "cutoff": self.cutoff,
-            "mode_count": self.mode_count,
-            "kernel_constant": self.kernel_constant,
-        }
+        return {**asdict(self), "verdict": "EMPIRICAL", "holds": self.holds}
 
 
 def verify_weighted_split(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,

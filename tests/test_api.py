@@ -10,3 +10,24 @@ def test_all_names_resolve():
     namespace: dict = {}
     exec("from diracband import *", namespace)
     assert set(diracband.__all__) <= set(namespace)
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these by name, so a rename would break
+    # `--trace 1` runs at install time
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module("diracband." + mod),
+                                attr)), (mod, attr)
+    from diracband import cli, config, fields
+    assert set(config.PARSERS) == set(cli._RUNNERS)
+    for name, parse in config.PARSERS.items():
+        assert getattr(config, parse.__name__) is parse, name
+    assert callable(fields.MeasureSpec.__dict__["plateau"].__func__)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
                              sigma_min_probe, symbol, transverse_direction,
                              weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
+from diracband.lattice import Lattice
 from diracband.verify import k_face_grid
 from helpers import fft_apply_oracle, random_real_vector_field
 
@@ -180,7 +182,7 @@ def test_eigenvalues_rejects_non_hermitian(lat3, rep3, rng):
         eigenvalues(op)
 
 
-def test_sigma_min_routes_agree(lat3, rep3, rng):
+def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
     fib = random_fiber(rng, kappa=3.0)
     free = assemble(lat3, rep3, modes, fib, PotentialSet.zero(lat3, rep3))
@@ -195,8 +197,9 @@ def test_sigma_min_routes_agree(lat3, rep3, rng):
 
     with pytest.raises(ValueError):
         sigma_min(op, method="qr")
+    monkeypatch.setattr(fiber, "DENSE_LIMIT", 4)
     with pytest.raises(ValueError):
-        sigma_min(op, method="dense", dense_limit=4)
+        sigma_min(op, method="dense")
 
 
 def test_weighted_sigma_min(lat3, rep3, rng):
@@ -259,8 +262,9 @@ def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
             assert weighted_sigma_min(op, w) == dense_w
             assert len(calls) == 2
             # the fallback is dense, so it keeps the dense limit
+            m.setattr(fiber, "DENSE_LIMIT", 4)
             with pytest.raises(ValueError, match="exceeds the dense limit"):
-                sigma_min(op, dense_limit=4)
+                sigma_min(op)
 
 
 def test_sparse_route_repeats_its_bits():
@@ -278,6 +282,55 @@ def test_sparse_route_repeats_its_bits():
                   p["pot"])
     w = op.mode_g_factors()[:, 0]
     assert len({repr(weighted_sigma_min(op, w)) for _ in range(4)}) == 1
+
+
+def test_sparse_route_caps_arpack_restarts(monkeypatch):
+    # a thomas_documented.json node whose Lanczos run does not settle with
+    # ARPACK's default basis of 20: after LANCZOS_MAXITER restarts the route
+    # gives up and returns the dense value
+    root = Path(__file__).resolve().parents[1]
+    p = config.parse_verify_thomas(
+        config.load_file(str(root / "configs" / "thomas_documented.json")))
+    lat, gc = p["lattice"], p["gamma"]
+    g = lat.point(gc)
+    k = k_face_grid(lat, gc, p["k_points_per_axis"])[6]
+    op = assemble(lat, p["rep"], ModeSet.from_cutoff(lat, p["cutoff"]),
+                  FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][2]),
+                  p["pot"])
+    real_splu = fiber.splu
+    solves = []
+
+    class CountingLU:
+        def __init__(self, D):
+            self.lu = real_splu(D)
+
+        def solve(self, x, trans="N"):
+            solves.append(trans)
+            return self.lu.solve(x, trans=trans)
+
+    monkeypatch.setattr(fiber, "LANCZOS_NCV", 20)
+    monkeypatch.setattr(fiber, "splu", CountingLU)
+    assert sigma_min(op) == sigma_min(op, method="dense")
+    # two solves per matvec, at most 20 matvecs for the start and for each
+    # of the 100 restarts; without the cap this node took 16,426 solves
+    assert 0 < len(solves) <= 2 * 20 * 101
+
+
+def test_global_projection_checks_size_first():
+    # n = 4 at cutoff 20: dim 4,552, a 330 MB dense projection
+    lat4 = Lattice.cubic(4)
+    modes = ModeSet.from_cutoff(lat4, 20.0)
+    e = np.array([1.0, 0.0, 0.0, 0.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match="dimension 4552 exceeds the dense limit"):
+            global_projection(build_clifford(4), lat4, np.full(4, 0.1), e,
+                              modes, +1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_g_factors_independent_of_blas_kernel():

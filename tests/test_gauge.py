@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_kernel_constant_frozen():
     assert report.norm_l1_2d is None and report.cross_residual is None
     assert report.tail_estimate < 1e-7 * report.norm_l1 / 4.0 * 10
     assert abs(default_kernel_constant() - report.constant) < 1e-14
-    d = report.to_dict()
+    d = asdict(report)
     assert d["zero_count"] == report.zero_count >= 50
     assert d["rmax"] == report.rmax
 
