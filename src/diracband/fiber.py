@@ -96,11 +96,7 @@ class ModeSet:
         """All modes with |2 pi N| <= cutoff, origin first, then by (norm, lex)."""
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        rows = [np.zeros(lattice.n, dtype=np.int64)]
-        if cutoff > 0:
-            coeffs, _ = lattice.points_in_ball(cutoff / (2.0 * math.pi), dual=True)
-            rows.extend(coeffs)
-        out = cls(lattice, np.array(rows, dtype=np.int64))
+        out = cls(lattice, lattice.mode_window(cutoff))
         out.cutoff = float(cutoff)
         return out
 

@@ -29,9 +29,14 @@ from scipy.optimize import brentq
 
 from .clifford import CliffordRep, class_flags
 from .lattice import Lattice
-from .util import check_unit, gauss_legendre_panels, golden_max, orthonormal_complement
+from .util import (check_unit, gauss_legendre_panels, golden_max,
+                   orthonormal_complement, transverse_directions, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
+
+# Largest phase table (rows x grid points) a cell grid may build: 2^27
+# complex entries, 2 GiB.
+GRID_LIMIT = 2 ** 27
 
 
 def _coeff_norm(kind: str, value) -> float:
@@ -136,6 +141,16 @@ class FourierField:
         vals = np.array([self.coeffs[tuple(k)] for k in keys], dtype=complex)
         return keys, vals
 
+    def _synthesise(self, phase_table: Callable, count: int) -> np.ndarray:
+        """Series values at `count` points, given the (S, count) phase table
+        that `phase_table` builds from the stored keys."""
+        if self.is_empty():
+            return np.zeros((count,) + np.shape(self._zero_value()),
+                            dtype=float if self.real else complex)
+        keys, vals = self._stacked()
+        out = np.tensordot(phase_table(keys).T, vals, axes=(1, 0))
+        return out.real if self.real else out
+
     def evaluate(self, points: np.ndarray):
         """Synthesise the series at one point (n,) or a batch (P, n).
 
@@ -145,18 +160,10 @@ class FourierField:
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = points[None, :] if single else points
-        if self.is_empty():
-            shape = (pts.shape[0],) if self.kind == "scalar" else (
-                (pts.shape[0], self.dim) if self.kind == "vector"
-                else (pts.shape[0], self.dim, self.dim))
-            out = np.zeros(shape, dtype=float if self.real else complex)
-            return out[0] if single else out
-        keys, vals = self._stacked()
-        nvecs = keys @ self.lattice.reciprocal
-        phases = np.exp(2.0j * math.pi * (nvecs @ pts.T))  # (S, P)
-        out = np.tensordot(phases.T, vals, axes=(1, 0))
-        if self.real:
-            out = out.real
+        reciprocal = self.lattice.reciprocal
+        out = self._synthesise(
+            lambda keys: np.exp(2.0j * math.pi * ((keys @ reciprocal) @ pts.T)),
+            pts.shape[0])
         return out[0] if single else out
 
     def evaluate_cell_grid(self, grid_per_axis: int):
@@ -169,20 +176,7 @@ class FourierField:
         m = int(grid_per_axis)
         if m < 1:
             raise ValueError("grid_per_axis must be positive")
-        if self.is_empty():
-            shape = (m ** n,) if self.kind == "scalar" else (
-                (m ** n, self.dim) if self.kind == "vector"
-                else (m ** n, self.dim, self.dim))
-            return np.zeros(shape, dtype=float if self.real else complex)
-        keys, vals = self._stacked()
-        axes = [np.arange(m) / m] * n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xi = np.stack([g.ravel() for g in mesh], axis=1)  # (G, n)
-        phases = np.exp(2.0j * math.pi * (keys @ xi.T))  # (S, G)
-        out = np.tensordot(phases.T, vals, axes=(1, 0))
-        if self.real:
-            out = out.real
-        return out
+        return self._synthesise(lambda keys: _grid_phases(keys, n, m), m ** n)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -407,6 +401,14 @@ class PotentialSet:
                    self.V1.support_radius())
 
 
+def coefficient_sum(field: FourierField) -> float:
+    """Sum of the coefficient norms: a certified upper bound on the field's sup."""
+    total = 0.0
+    for val in field.coeffs.values():
+        total += _coeff_norm(field.kind, val)
+    return total
+
+
 def sup_norm(field: FourierField, grid_per_axis: Optional[int] = None
              ) -> tuple[float, float]:
     """Bracket (lo, hi) for the sup of the pointwise norm of the field.
@@ -417,9 +419,7 @@ def sup_norm(field: FourierField, grid_per_axis: Optional[int] = None
     """
     if field.is_empty():
         return 0.0, 0.0
-    hi = 0.0
-    for val in field.coeffs.values():
-        hi += _coeff_norm(field.kind, val)
+    hi = coefficient_sum(field)
     if grid_per_axis is None:
         keys = np.array(list(field.coeffs), dtype=np.int64)
         span = int(np.max(np.max(keys, axis=0) - np.min(keys, axis=0)))
@@ -434,12 +434,10 @@ def sup_norm(field: FourierField, grid_per_axis: Optional[int] = None
     return lo, hi
 
 
-def w_norm(pot: PotentialSet, grid_per_axis: Optional[int] = None) -> float:
+def w_norm(pot: PotentialSet) -> float:
     """Certified upper bound n * sup|A| + sup|V0| + sup|V1| on the potential size."""
-    n = pot.rep.n
-    return (n * sup_norm(pot.A, grid_per_axis)[1]
-            + sup_norm(pot.V0, grid_per_axis)[1]
-            + sup_norm(pot.V1, grid_per_axis)[1])
+    return (pot.rep.n * coefficient_sum(pot.A) + coefficient_sum(pot.V0)
+            + coefficient_sum(pot.V1))
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +496,26 @@ def _mean_size(A: FourierField) -> float:
     return _coeff_norm(A.kind, A.mean())
 
 
-def _orthogonal_support(A: FourierField, gc: np.ndarray):
-    """Nonzero support modes orthogonal to gamma, in stored (sorted) order."""
-    keys = [k for k in A.coeffs
+def orthogonal_modes(A: FourierField, gc: np.ndarray) -> list:
+    """Nonzero keys N with (N, gamma) = 0, in stored (sorted) order.
+
+    `gc` holds gamma's integer coefficients, so the test is exact.
+    """
+    return [k for k in A.coeffs
             if int(np.dot(np.asarray(k, dtype=np.int64), gc)) == 0 and any(k)]
-    if not keys:
-        return None, None, None
-    karr = np.array(keys, dtype=np.int64)
-    vals = np.array([np.asarray(A.coeffs[k]) for k in keys])  # (S, n)
-    nvecs = karr @ A.lattice.reciprocal  # (S, n)
-    return karr, vals, nvecs
 
 
 def _grid_phases(karr: np.ndarray, n: int, grid: int) -> np.ndarray:
-    mesh = np.meshgrid(*([np.arange(grid) / grid] * n), indexing="ij")
-    xi = np.stack([g.ravel() for g in mesh], axis=1)
+    """The (rows, grid^n) table exp(2 pi i (N, xi)) over the cell grid xi.
+
+    Refuses a table of more than GRID_LIMIT entries before building it.
+    """
+    if karr.shape[0] * grid ** n > GRID_LIMIT:
+        raise ValueError(
+            f"a cell grid of {grid}^{n} points for {karr.shape[0]} modes needs "
+            f"{karr.shape[0] * grid ** n} phase entries, over the limit "
+            f"{GRID_LIMIT}; use a smaller grid")
+    xi = unit_grid(grid, n)
     return np.exp(2.0j * math.pi * (karr @ xi.T))  # (S, G)
 
 
@@ -524,10 +527,12 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     hi comes from the coefficient sum |gamma| / pi * sum over modes
     orthogonal to gamma of sup|transform| * b_N, with b_N = |A_N| for
     real-valued fields and the slightly larger certified combination bound
-    for complex-valued ones.  lo scans unit vectors et orthogonal to gamma
-    (a uniform circle scan plus golden-section refinement when n = 3,
+    for complex-valued ones.  lo scans the unit vectors et orthogonal to
+    gamma that `transverse_directions` samples (a uniform circle when n = 3,
     seeded random directions otherwise) and takes grid maxima of
-    |(avg A, et) + i (avg A, e)|.
+    |(avg A, et) + i (avg A, e)|; the best one is evaluated again on the
+    finer refine grid, after a golden-section refinement of its angle when
+    n = 3.
     """
     if A.kind != "vector":
         raise ValueError("condition_value applies to vector fields")
@@ -536,14 +541,12 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     lattice = A.lattice
     n = lattice.n
     gc, _, gnorm, e = lattice.direction(gamma_coeffs)
+    keys = orthogonal_modes(A, gc)
 
     # certified upper bound
     hi_sum = 0.0
-    for key, val in sorted(A.coeffs.items()):
-        ik = np.asarray(key, dtype=np.int64)
-        if int(np.dot(ik, gc)) != 0 or not np.any(ik):
-            continue
-        v = np.asarray(val)
+    for key in keys:
+        v = np.asarray(A.coeffs[key])
         if A.real:
             bound = float(np.linalg.norm(v))
         else:
@@ -554,11 +557,13 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     theta_hi = gnorm * f_hi / math.pi
 
     # sampled lower bound
-    karr, vals, nvecs = _orthogonal_support(A, gc)
-    if karr is None:
+    if not keys:
         zero_et = orthonormal_complement(e)[0]
         return ConditionValue(0.0, 0.0, tuple(float(c) for c in zero_et),
                               0.0, 0.0, 0)
+    karr = np.array(keys, dtype=np.int64)
+    vals = np.array([np.asarray(A.coeffs[k]) for k in keys])  # (S, n)
+    nvecs = karr @ lattice.reciprocal  # (S, n)
     phases = _grid_phases(karr, n, scan_grid)
 
     def sup_for_et(et_batch: np.ndarray, use_phases) -> np.ndarray:
@@ -569,47 +574,39 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         g = rows @ use_phases  # (B, G)
         return np.max(np.abs(g), axis=1)
 
-    perp = orthonormal_complement(e)
-    if n == 3:
-        u, v = perp[0], perp[1]
-        phis = np.arange(sphere_samples) * (2.0 * math.pi / sphere_samples)
-        best_val, best_phi = -1.0, 0.0
-        chunk = 256
-        for i in range(0, sphere_samples, chunk):
-            batch_phi = phis[i:i + chunk]
-            ets = np.outer(np.cos(batch_phi), u) + np.outer(np.sin(batch_phi), v)
-            sups = sup_for_et(ets, phases)
-            j = int(np.argmax(sups))
-            if sups[j] > best_val:
-                best_val, best_phi = float(sups[j]), float(batch_phi[j])
-        # refine around the best angle on a finer cell grid
-        fphases = _grid_phases(karr, n, refine_grid)
+    ets = transverse_directions(e, sphere_samples,
+                                np.random.default_rng(0 if rng is None else rng))
+    best_val, best = -1.0, 0
+    chunk = 256
+    for i in range(0, sphere_samples, chunk):
+        sups = sup_for_et(ets[i:i + chunk], phases)
+        j = int(np.argmax(sups))
+        if sups[j] > best_val:
+            best_val, best = float(sups[j]), i + j
+    fphases = _grid_phases(karr, n, refine_grid)
 
-        def objective(phi: float) -> float:
-            et = math.cos(phi) * u + math.sin(phi) * v
-            return float(sup_for_et(et[None, :], fphases)[0])
+    def objective(et: np.ndarray) -> float:
+        return float(sup_for_et(et[None, :], fphases)[0])
+
+    if n == 3:
+        # golden-section search for the best angle around the best sample
+        u, v = orthonormal_complement(e)
+
+        def on_circle(phi: float) -> np.ndarray:
+            return math.cos(phi) * u + math.sin(phi) * v
 
         width = 2.0 * math.pi / sphere_samples
-        phi_star, f_best = golden_max(objective, best_phi - width, best_phi + width)
+        best_phi = best * width
+        phi_star, f_best = golden_max(lambda phi: objective(on_circle(phi)),
+                                      best_phi - width, best_phi + width)
         if f_best < best_val:
-            phi_star, f_best = best_phi, objective(best_phi)
-        best_et = math.cos(phi_star) * u + math.sin(phi_star) * v
-        f_lo = max(f_best, best_val)
-        samples = sphere_samples
+            phi_star, f_best = best_phi, objective(on_circle(best_phi))
+        best_et = on_circle(phi_star)
     else:
-        rng = np.random.default_rng(0 if rng is None else rng)
-        raw = rng.standard_normal((sphere_samples, n - 1))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        ets = raw @ perp
-        sups = sup_for_et(ets, phases)
-        j = int(np.argmax(sups))
-        fphases = _grid_phases(karr, n, refine_grid)
-        f_lo = float(sup_for_et(ets[j][None, :], fphases)[0])
-        f_lo = max(f_lo, float(sups[j]))
-        best_et = ets[j]
-        samples = sphere_samples
+        best_et = ets[best]
+        f_best = objective(best_et)
+    f_lo = max(f_best, best_val)
     theta_lo = gnorm * f_lo / math.pi
     return ConditionValue(theta_lo=theta_lo, theta_hi=theta_hi,
                           best_et=tuple(float(c) for c in best_et),
-                          f_lo=f_lo, f_hi=f_hi, samples=samples)
-
+                          f_lo=f_lo, f_hi=f_hi, samples=sphere_samples)

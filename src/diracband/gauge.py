@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, interpolate, optimize, special
 
-from .fields import FourierField, MeasureSpec, averaged_potential, sup_norm
+from .fields import (FourierField, MeasureSpec, averaged_potential,
+                     coefficient_sum, sup_norm)
 from .util import check_unit, complete_orthonormal, gauss_legendre_panels
 
 # ---------------------------------------------------------------------------
@@ -52,10 +53,6 @@ class Frame:
     def e(self) -> np.ndarray:
         return self.vectors[1]
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
 
 def build_frame(gamma_vec: np.ndarray, et: np.ndarray) -> Frame:
     gamma_vec = np.asarray(gamma_vec, dtype=float)
@@ -78,6 +75,15 @@ def build_frame(gamma_vec: np.ndarray, et: np.ndarray) -> Frame:
 # gauge pair
 # ---------------------------------------------------------------------------
 
+def _defect_modes(A: FourierField, At: FourierField, frame: Frame):
+    """(key, N, (N, et), (N, e), (d_N, et), (d_N, e)) per mode of the defect
+    d = A - At, in stored order."""
+    for key, val in (A - At).coeffs.items():
+        nvec = A.lattice.dual_point(key)
+        yield (key, nvec, float(np.dot(nvec, frame.et)), float(np.dot(nvec, frame.e)),
+               complex(np.dot(val, frame.et)), complex(np.dot(val, frame.e)))
+
+
 def build_phi(A: FourierField, At: FourierField, frame: Frame
               ) -> tuple[FourierField, FourierField]:
     """Coefficient-wise solution of the in-plane div/curl system.
@@ -92,17 +98,9 @@ def build_phi(A: FourierField, At: FourierField, frame: Frame
     """
     if A.kind != "vector" or At.kind != "vector":
         raise ValueError("build_phi needs vector fields")
-    lattice = A.lattice
-    diff = A - At
-    et, e = frame.et, frame.e
     coeffs1, coeffs2 = {}, {}
-    for key, val in diff.coeffs.items():
-        nvec = lattice.dual_point(key)
-        nu1 = float(np.dot(nvec, et))
-        nu2 = float(np.dot(nvec, e))
+    for key, nvec, nu1, nu2, a, b in _defect_modes(A, At, frame):
         plane = math.hypot(nu1, nu2)
-        a = complex(np.dot(val, et))
-        b = complex(np.dot(val, e))
         if plane <= 1e-12 * float(np.linalg.norm(nvec)):
             # the defect vanishes identically on such modes
             if max(abs(a), abs(b)) > 1e-10:
@@ -116,8 +114,8 @@ def build_phi(A: FourierField, At: FourierField, frame: Frame
         if p2 != 0.0:
             coeffs2[key] = p2
     real = A.real and At.real
-    return (FourierField(lattice, "scalar", coeffs1, real=real),
-            FourierField(lattice, "scalar", coeffs2, real=real))
+    return (FourierField(A.lattice, "scalar", coeffs1, real=real),
+            FourierField(A.lattice, "scalar", coeffs2, real=real))
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +336,20 @@ def default_kernel_constant() -> float:
 # damping factor and the bound check
 # ---------------------------------------------------------------------------
 
+def _gauge_scale(A: FourierField, gamma_coeffs, h: float) -> float:
+    """t = max(|gamma|, 1/h), where 1/h is 0 for h = inf (the point mass)."""
+    gnorm = A.lattice.direction(gamma_coeffs)[2]
+    return max(gnorm, 0.0 if math.isinf(h) else 1.0 / h)
+
+
 def damping_factor(A: FourierField, gamma_coeffs, h: float,
                    measure: MeasureSpec, kernel_constant: float) -> float:
     """exp(-4 k |mu| max(|gamma|, 1/h) sup|A|) with kernel constant k; 1 iff A = 0."""
     if kernel_constant <= 0.0 or h <= 0.0:
         raise ValueError("kernel_constant and h must be positive")
-    gnorm = A.lattice.direction(gamma_coeffs)[2]
-    t = max(gnorm, 0.0 if math.isinf(h) else 1.0 / h)
+    t = _gauge_scale(A, gamma_coeffs, h)
     return math.exp(-4.0 * kernel_constant * measure.norm_bound * t
-                    * sup_norm(A)[1])
+                    * coefficient_sum(A))
 
 
 def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
@@ -367,9 +370,7 @@ def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
                          np.asarray(expected.coeff(key)))) > 1e-12:
             raise ValueError("At is not the average of A for this frame")
 
-    lattice = A.lattice
-    gnorm = lattice.direction(gamma_coeffs)[2]
-    t = max(gnorm, 0.0 if math.isinf(h) else 1.0 / h)
+    t = _gauge_scale(A, gamma_coeffs, h)
     phi1, phi2 = build_phi(A, At, frame)
     a_lo, a_hi = sup_norm(A, grid_per_axis)
     bound = kernel_constant * measure.norm_bound * t * a_hi
@@ -377,18 +378,12 @@ def gauge_bound_check(A: FourierField, At: FourierField, frame: Frame,
     lo2 = sup_norm(phi2, grid_per_axis)[0]
 
     # multiplier identity on active modes
-    diff = A - At
     eta, eta_ok, active = EtaSpec(), True, 0
-    for key, val in diff.coeffs.items():
-        a = complex(np.dot(val, frame.et))
-        b = complex(np.dot(val, frame.e))
+    for _, _, nu1, nu2, a, b in _defect_modes(A, At, frame):
         if max(abs(a), abs(b)) == 0.0:
             continue
-        nvec = lattice.dual_point(key)
-        plane = math.hypot(float(np.dot(nvec, frame.et)),
-                           float(np.dot(nvec, frame.e)))
         active += 1
-        if float(eta.eta(2.0 * math.pi * t * plane)) != 1.0:
+        if float(eta.eta(2.0 * math.pi * t * math.hypot(nu1, nu2))) != 1.0:
             eta_ok = False
     ok1 = lo1 <= bound * (1.0 + 1e-12) + 1e-15
     ok2 = lo2 <= bound * (1.0 + 1e-12) + 1e-15

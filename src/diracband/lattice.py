@@ -81,6 +81,13 @@ class Lattice:
         basis = self.reciprocal if dual else self.basis
         return enumerate_points(basis, radius)
 
+    def mode_window(self, cutoff: float) -> np.ndarray:
+        """Integer rows N with |2 pi N| <= cutoff: the origin, then by (norm, lex)."""
+        rows = [np.zeros(self.n, dtype=np.int64)]
+        if cutoff > 0:
+            rows.extend(self.points_in_ball(cutoff / (2.0 * math.pi), dual=True)[0])
+        return np.array(rows, dtype=np.int64)
+
 
 def enumerate_points(basis: np.ndarray, radius: float
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,10 +295,6 @@ def k_beta_set(lattice: Lattice, k: np.ndarray, e: np.ndarray, kappa: float,
         raise ValueError("need kappa > beta > 0")
     e = check_unit(e, "direction e")
     k = np.asarray(k, dtype=float)
-    rows = [np.zeros(lattice.n, dtype=np.int64)]
-    if mode_cutoff > 0:
-        coeffs, _ = lattice.points_in_ball(mode_cutoff / (2.0 * math.pi), dual=True)
-        rows.extend(coeffs)
-    rows = np.array(rows, dtype=np.int64)
+    rows = lattice.mode_window(mode_cutoff)
     mask = annulus_mask(rows @ lattice.reciprocal, k, e, kappa, beta)
     return tuple(sorted(tuple(int(c) for c in row) for row in rows[mask]))

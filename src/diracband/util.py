@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic frames, 1-d maximisation, parallel map."""
+"""Small shared helpers: deterministic frames and grids, 1-d search, pmap."""
 
 from __future__ import annotations
 
@@ -56,6 +56,29 @@ def orthonormal_complement(e: np.ndarray) -> np.ndarray:
     e = check_unit(e, "direction")
     full = complete_orthonormal([e], e.shape[0])
     return full[1:]
+
+
+def transverse_directions(e: np.ndarray, count: int, rng) -> np.ndarray:
+    """`count` unit vectors orthogonal to the unit vector `e`, as rows.
+
+    In R^3 these are the angles 2 pi j / count, j = 0, 1, ..., on the circle
+    spanned by `orthonormal_complement(e)`; in higher dimensions they are
+    normalised standard Gaussian draws from the generator `rng`, mapped into
+    that complement.
+    """
+    perp = orthonormal_complement(e)
+    if perp.shape[0] == 2:
+        phis = np.arange(count) * (2.0 * math.pi / count)
+        return np.outer(np.cos(phis), perp[0]) + np.outer(np.sin(phis), perp[1])
+    raw = rng.standard_normal((count, perp.shape[0]))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw @ perp
+
+
+def unit_grid(m: int, d: int) -> np.ndarray:
+    """The m^d points of the uniform grid j / m on [0, 1)^d, as rows in C order."""
+    mesh = np.meshgrid(*([np.arange(m) / m] * d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
 
 
 def golden_max(f: Callable[[float], float], a: float, b: float

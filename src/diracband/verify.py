@@ -39,10 +39,11 @@ from .clifford import CliffordRep
 from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim, sigma_min,
                     sigma_min_probe, weighted_sigma_min)
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
-                     averaged_potential, condition_value, sup_norm, w_norm)
+                     averaged_potential, condition_value, orthogonal_modes,
+                     sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
 from .lattice import Lattice, SphereMeasure, annulus_mask, find_gamma
-from .util import orthonormal_complement, pmap
+from .util import pmap, transverse_directions, unit_grid
 
 
 def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
@@ -77,10 +78,7 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     if len(spans) != n - 1:
         raise ValueError("could not span the transverse section")
 
-    m = points_per_axis
-    steps = [np.arange(m) / m] * (n - 1)
-    mesh = np.meshgrid(*steps, indexing="ij")
-    fracs = np.stack([g.ravel() for g in mesh], axis=1)  # (m^(n-1), n-1)
+    fracs = unit_grid(points_per_axis, n - 1)  # (m^(n-1), n-1)
     return base[None, :] + fracs @ np.array(spans)
 
 
@@ -442,30 +440,15 @@ def condition_chain_pipeline(A: FourierField, q: float, h: float, h1: float,
     rows = []
     for R0 in R0_list:
         cert = find_gamma(lattice, mu1, h, float(R0), search_window)
-        gc = np.asarray(cert.gamma_coeffs, dtype=np.int64)
-        gnorm = cert.gamma_norm
-        e = np.asarray(cert.gamma, dtype=float) / gnorm
+        gc, _, gnorm, e = lattice.direction(cert.gamma_coeffs)
 
         orth = []
-        for key, val in A.coeffs.items():
-            ik = np.asarray(key, dtype=np.int64)
-            if not np.any(ik) or int(np.dot(ik, gc)) != 0:
-                continue
+        for key in orthogonal_modes(A, gc):
             nvec = lattice.dual_point(key)
             orth.append((key, float(np.linalg.norm(nvec)), nvec,
-                         float(np.linalg.norm(np.asarray(val)))))
+                         float(np.linalg.norm(np.asarray(A.coeffs[key])))))
         right_sq = sum(r ** (2.0 * q) * a * a for _, r, _, a in orth)
-
-        if n == 3:
-            perp = orthonormal_complement(e)
-            angles = np.arange(et_samples) * (2.0 * math.pi / et_samples)
-            ets = np.outer(np.cos(angles), perp[0]) + \
-                np.outer(np.sin(angles), perp[1])
-        else:
-            rng = np.random.default_rng(seed)
-            raw = rng.standard_normal((et_samples, n - 1))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            ets = raw @ orthonormal_complement(e)
+        ets = transverse_directions(e, et_samples, np.random.default_rng(seed))
 
         per_et = []
         chain_ok = True

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ def test_cli_runtime_errors_exit_one(tmp_path, capsys):
     })
     assert main(["verify-thomas", "--config", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
+    # refine_grid 512 is within the config bounds, but its phase table on
+    # this field would take about 8.6 GB
+    payload = json.loads(open(config_path("condition.json")).read())
+    payload["condition"]["refine_grid"] = 512
+    path = write_config(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        code = main(["check-condition", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "cell grid of 512^3 points" in capsys.readouterr().err
+    assert peak < 50e6
 
 
 def test_cli_usage_errors_exit_one(capsys):

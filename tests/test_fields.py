@@ -1,6 +1,7 @@
 """Fourier fields, smoothing measures, potentials and direction averaging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 from diracband.fields import (ConditionValue, FourierField, MeasureSpec,
                               PotentialSet, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
+from diracband.lattice import Lattice
 from helpers import (average_by_quadrature, random_complex_vector_field,
                      random_real_vector_field)
 
@@ -376,3 +378,44 @@ def test_condition_bracket_property(seed, real, plateau):
                          refine_grid=24)
     assert cv.theta_lo <= cv.theta_hi + 1e-12
     assert cv.f_lo >= 0.0
+
+
+def four_dim_field():
+    """A real field on the cubic lattice in R^4, three of its four pairs
+    orthogonal to gamma = E_1."""
+    half = {(0, 1, 0, 0): [0.05, 0.0, 0.02, 0.01],
+            (0, 0, 1, 1): [0.01, 0.02, 0.0, 0.03],
+            (0, 0, 0, 2): [0.02, 0.01, 0.0, 0.0],
+            (1, 1, 0, 0): [0.01, 0.01, 0.01, 0.01]}
+    coeffs = {}
+    for key, val in half.items():
+        coeffs[key] = np.array(val)
+        coeffs[tuple(-c for c in key)] = np.array(val)
+    return FourierField(Lattice.cubic(4), "vector", coeffs, real=True)
+
+
+def test_condition_four_dimensional_scan():
+    # the seeded direction scan for n >= 4, pinned to recorded values
+    cv = condition_value(four_dim_field(), (1, 0, 0, 0),
+                         MeasureSpec.plateau(0.5, 1.5), sphere_samples=256,
+                         scan_grid=8, refine_grid=16)
+    expect = {"theta_lo": 0.05463151683720352, "theta_hi": 0.07292448259475144}
+    for name, want in expect.items():
+        assert abs(getattr(cv, name) - want) <= 1e-12 * want
+    want_et = [0.0, 0.6807592104647162, 0.7295872644161706, 0.06534004108649821]
+    assert np.max(np.abs(np.array(cv.best_et) - want_et)) <= 1e-12
+    assert cv.samples == 256 and cv.theta_lo <= cv.theta_hi
+
+
+def test_condition_scan_memory_is_chunked():
+    # 4096 directions times 8^4 grid points scanned in one product would
+    # take about 400 MB; chunked, the scan stays small
+    A = four_dim_field()
+    tracemalloc.start()
+    try:
+        condition_value(A, (1, 0, 0, 0), MeasureSpec.plateau(0.5, 1.5),
+                        sphere_samples=4096, scan_grid=8, refine_grid=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
