@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from .clifford import CliffordRep, class_flags
 from .lattice import Lattice
 from .util import (check_unit, gauss_legendre_panels, golden_max,
-                   orthonormal_complement, transverse_directions, unit_grid)
+                   orthonormal_complement, transverse_blocks, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
 
@@ -515,8 +515,8 @@ def _grid_phases(karr: np.ndarray, n: int, grid: int) -> np.ndarray:
             f"a cell grid of {grid}^{n} points for {karr.shape[0]} modes needs "
             f"{karr.shape[0] * grid ** n} phase entries, over the limit "
             f"{GRID_LIMIT}; use a smaller grid")
-    xi = unit_grid(grid, n)
-    return np.exp(2.0j * math.pi * (karr @ xi.T))  # (S, G)
+    table = 2.0j * math.pi * (karr @ unit_grid(grid, n).T)  # (S, G)
+    return np.exp(table, out=table)  # in place: one complex table at a time
 
 
 def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
@@ -528,8 +528,8 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     orthogonal to gamma of sup|transform| * b_N, with b_N = |A_N| for
     real-valued fields and the slightly larger certified combination bound
     for complex-valued ones.  lo scans the unit vectors et orthogonal to
-    gamma that `transverse_directions` samples (a uniform circle when n = 3,
-    seeded random directions otherwise) and takes grid maxima of
+    gamma that `transverse_blocks` builds 256 at a time (a uniform circle when
+    n = 3, seeded random directions otherwise) and takes grid maxima of
     |(avg A, et) + i (avg A, e)|; the best one is evaluated again on the
     finer refine grid, after a golden-section refinement of its angle when
     n = 3.
@@ -574,15 +574,13 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         g = rows @ use_phases  # (B, G)
         return np.max(np.abs(g), axis=1)
 
-    ets = transverse_directions(e, sphere_samples,
-                                np.random.default_rng(0 if rng is None else rng))
-    best_val, best = -1.0, 0
-    chunk = 256
-    for i in range(0, sphere_samples, chunk):
-        sups = sup_for_et(ets[i:i + chunk], phases)
+    best_val, best, best_row = -1.0, 0, None
+    for i, ets in transverse_blocks(e, sphere_samples, np.random.default_rng(
+            0 if rng is None else rng), 256):
+        sups = sup_for_et(ets, phases)
         j = int(np.argmax(sups))
         if sups[j] > best_val:
-            best_val, best = float(sups[j]), i + j
+            best_val, best, best_row = float(sups[j]), i + j, ets[j]
     fphases = _grid_phases(karr, n, refine_grid)
 
     def objective(et: np.ndarray) -> float:
@@ -603,7 +601,7 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
             phi_star, f_best = best_phi, objective(on_circle(best_phi))
         best_et = on_circle(phi_star)
     else:
-        best_et = ets[best]
+        best_et = best_row
         f_best = objective(best_et)
     f_lo = max(f_best, best_val)
     theta_lo = gnorm * f_lo / math.pi

@@ -181,18 +181,22 @@ def _default_window(lattice: Lattice, R0: float, n: int, scale: float) -> float:
                10.0 * lattice.shortest_length(dual=True))
 
 
+def _dual_window(lattice: Lattice, window: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and norms of the nonzero reciprocal vectors within `window`."""
+    dual_coeffs, dual_vecs = lattice.points_in_ball(window, dual=True)
+    return dual_coeffs, np.linalg.norm(dual_vecs, axis=1)
+
+
 def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
-                 h: float, R0: float, window: float) -> GammaCertificate:
+                 h: float, R0: float, window: float,
+                 dual=None) -> GammaCertificate:
     n = lattice.n
     gc, gvec, gnorm, _ = lattice.direction(gamma_coeffs)
 
-    dual_coeffs, dual_vecs = lattice.points_in_ball(window, dual=True)
-    if dual_coeffs.shape[0]:
-        orth = (dual_coeffs @ gc) == 0  # exact: integer pairing of the lattices
-        min_orth_raw = (float(np.min(np.linalg.norm(dual_vecs[orth], axis=1)))
-                        if np.any(orth) else None)
-    else:
-        min_orth_raw = None
+    dual_coeffs, dual_norms = _dual_window(lattice, window) if dual is None else dual
+    orth = (dual_coeffs @ gc) == 0  # exact: integer pairing of the lattices
+    min_orth_raw = float(np.min(dual_norms[orth])) if np.any(orth) else None
     scale1 = R0 ** (1.0 / (n - 1))
     min_orth = None if min_orth_raw is None else min_orth_raw / scale1
 
@@ -248,7 +252,8 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     |gamma|, then lexicographic coefficients.  The winner's certificate
     reports the achieved constants: the orthogonality condition holds for any
     floor below min_orth and the slab condition for any cap at or above
-    slab_ratio.
+    slab_ratio.  The dual search window is enumerated once per call and
+    every candidate is scored against it; `check_gamma` enumerates afresh.
     """
     if h < 0 or R0 <= 0:
         raise ValueError("h must be >= 0 and R0 positive")
@@ -258,10 +263,11 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     coeffs, vecs = lattice.points_in_ball(R0)
     if coeffs.shape[0] == 0:
         raise ValueError("no lattice vectors inside |gamma| <= R0")
+    dual = _dual_window(lattice, search_window)
     best = None
     best_key = None
     for row in coeffs:
-        cert = _certificate(lattice, row, measure, h, R0, search_window)
+        cert = _certificate(lattice, row, measure, h, R0, search_window, dual)
         orth_key = -cert.min_orth if cert.min_orth is not None else -math.inf
         key = (cert.slab_ratio, orth_key, cert.gamma_norm, cert.gamma_coeffs)
         if best_key is None or key < best_key:

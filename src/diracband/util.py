@@ -59,20 +59,29 @@ def orthonormal_complement(e: np.ndarray) -> np.ndarray:
 
 
 def transverse_directions(e: np.ndarray, count: int, rng) -> np.ndarray:
-    """`count` unit vectors orthogonal to the unit vector `e`, as rows.
+    """All `count` rows of `transverse_blocks(e, count, rng, chunk)` at once."""
+    return next(transverse_blocks(e, count, rng, count))[1]
+
+
+def transverse_blocks(e: np.ndarray, count: int, rng, chunk: int):
+    """`count` unit vectors orthogonal to the unit vector `e`, in blocks.
 
     In R^3 these are the angles 2 pi j / count, j = 0, 1, ..., on the circle
     spanned by `orthonormal_complement(e)`; in higher dimensions they are
     normalised standard Gaussian draws from the generator `rng`, mapped into
-    that complement.
+    that complement.  Yields (j, rows) for blocks of at most `chunk` rows and
+    builds each block only when it is reached.
     """
     perp = orthonormal_complement(e)
-    if perp.shape[0] == 2:
-        phis = np.arange(count) * (2.0 * math.pi / count)
-        return np.outer(np.cos(phis), perp[0]) + np.outer(np.sin(phis), perp[1])
-    raw = rng.standard_normal((count, perp.shape[0]))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw @ perp
+    for i in range(0, count, chunk):
+        m = min(chunk, count - i)
+        if perp.shape[0] == 2:
+            phis = np.arange(i, i + m) * (2.0 * math.pi / count)
+            yield i, np.outer(np.cos(phis), perp[0]) + np.outer(np.sin(phis), perp[1])
+        else:
+            raw = rng.standard_normal((m, perp.shape[0]))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            yield i, raw @ perp
 
 
 def unit_grid(m: int, d: int) -> np.ndarray:

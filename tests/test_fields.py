@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from diracband.fields import (ConditionValue, FourierField, MeasureSpec,
-                              PotentialSet, averaged_potential,
+                              PotentialSet, _grid_phases, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
 from diracband.lattice import Lattice
 from helpers import (average_by_quadrature, random_complex_vector_field,
@@ -419,3 +419,37 @@ def test_condition_scan_memory_is_chunked():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def test_grid_phases_built_in_place():
+    # the float argument and one complex table, not two tables at once
+    karr = np.array([[1, 0, 0, 0], [0, 1, -1, 0], [2, -1, 3, 1],
+                     [0, 0, 1, 1], [-1, -1, 0, 2], [1, 2, 3, -1]])
+    tracemalloc.start()
+    try:
+        table = _grid_phases(karr, 4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * table.nbytes
+    xi = np.stack([g.ravel() for g in np.meshgrid(*[np.arange(16) / 16] * 4,
+                                                  indexing="ij")], axis=1)
+    assert np.allclose(table, np.exp(2j * math.pi * (karr @ xi.T)),
+                       rtol=0, atol=1e-12)
+
+
+def test_condition_directions_built_per_block(lat3):
+    # 500,000 circle directions held at once take 12 MB, and building them
+    # peaked at 32 MB; a block of 256 is built only when the scan reaches it
+    A = FourierField(lat3, "vector", {(0, 1, 0): np.array([0.1, 0.0, 0.05]),
+                                      (0, -1, 0): np.array([0.1, 0.0, 0.05])},
+                     real=True)
+    tracemalloc.start()
+    try:
+        cv = condition_value(A, (1, 0, 0), MeasureSpec.plateau(0.5, 1.5),
+                             sphere_samples=500000, scan_grid=2, refine_grid=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert cv.samples == 500000 and cv.theta_lo <= cv.theta_hi

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracband import lattice as lattice_module
 from diracband import (Lattice, SphereMeasure, check_gamma, enumerate_points,
                        find_gamma, k_beta_set, reciprocal_basis)
 from helpers import brute_force_gamma
@@ -113,6 +114,46 @@ def test_find_gamma_matches_brute_force(lat3, rng):
             cert = find_gamma(lat3, mu, h=0.2, R0=R0)
             want, _ = brute_force_gamma(lat3, mu, 0.2, R0, cert.window)
             assert cert.gamma_coeffs == want
+
+
+SKEWED3 = [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.2]]
+
+
+@pytest.mark.parametrize("basis, R0, window", [
+    (SKEWED3, 2.0, None),
+    (SKEWED3, 3.0, None),
+    # a narrower window keeps the oracle's plain loops short in four dimensions
+    (np.eye(4), 2.0, 4.0),
+])
+def test_find_gamma_noncubic_matches_brute_force(basis, R0, window, rng):
+    lat = Lattice(basis)
+    pts = rng.standard_normal((5, lat.n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    mu = SphereMeasure(points=pts, weights=rng.uniform(0.1, 2.0, size=5))
+    cert = find_gamma(lat, mu, h=0.2, R0=R0, search_window=window)
+    want, _ = brute_force_gamma(lat, mu, 0.2, R0, cert.window)
+    assert cert.gamma_coeffs == want
+    # check_gamma enumerates its own window: an independent cross-check
+    _, again = check_gamma(lat, cert.gamma_coeffs, mu, 0.2, R0, orth_floor=1.0,
+                           slab_cap=1.0, window=cert.window)
+    assert again.min_orth_raw == cert.min_orth_raw
+    assert again.slab_ratio == cert.slab_ratio
+
+
+def test_find_gamma_enumerates_the_window_once(lat3, monkeypatch):
+    # hundreds of candidates at R0 = 6 share one dual-window enumeration:
+    # the shortest-length probe, the candidate ball and the window itself
+    calls = []
+
+    def counting(basis, radius):
+        calls.append(radius)
+        return enumerate_points(basis, radius)
+
+    monkeypatch.setattr(lattice_module, "enumerate_points", counting)
+    mu = SphereMeasure(points=np.eye(3), weights=np.ones(3))
+    find_gamma(lat3, mu, h=0.1, R0=6.0)
+    assert len(calls) <= 3
+    assert enumerate_points(lat3.basis, 6.0)[0].shape[0] > 300
 
 
 def test_find_gamma_atom_permutation_stable(lat3):
