@@ -33,9 +33,9 @@ class BandSheet:
         return float(np.max(np.abs(self.energies)))
 
 
-def band_sweep(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-               k0: np.ndarray, e: np.ndarray, xi_range: tuple[float, float],
-               samples: int, cutoff: float, threads: int = 1) -> BandSheet:
+def band_sweep(pot: PotentialSet, k0: np.ndarray, e: np.ndarray,
+               xi_range: tuple[float, float], samples: int, cutoff: float,
+               threads: int = 1) -> BandSheet:
     """Eigenvalues of the unshifted fiber at k0 + xi e over a uniform xi grid."""
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -44,13 +44,13 @@ def band_sweep(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
         raise ValueError("xi_range must be increasing")
     k0 = np.asarray(k0, dtype=float)
     e = check_unit(np.asarray(e, dtype=float), "sweep direction", tol=1e-9)
-    modes = ModeSet.from_cutoff(lattice, cutoff)
-    check_dense_dim(len(modes) * rep.M)
+    modes = ModeSet.from_cutoff(pot.lattice, cutoff)
+    check_dense_dim(len(modes) * pot.rep.M)
     xis = np.linspace(lo, hi, samples)
 
     def solve(xi: float) -> np.ndarray:
         fiber = FiberPoint(k=k0 + xi * e, e=e, kappa=0.0)
-        return eigenvalues(assemble(lattice, rep, modes, fiber, pot))
+        return eigenvalues(assemble(modes, fiber, pot))
 
     energies = np.array(pmap(solve, xis, threads))
     return BandSheet(k0=k0, e=e, xis=xis, energies=energies,

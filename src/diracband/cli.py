@@ -21,9 +21,9 @@ import numpy as np
 
 from . import config as cfg
 from .bands import band_sweep, nonconstancy_report
-from .fields import averaged_potential, condition_value
-from .gauge import EtaSpec, bessel_kernel_constant, build_frame, \
-    default_kernel_constant, gauge_bound_check
+from .fields import condition_value
+from .gauge import EtaSpec, bessel_kernel_constant, default_kernel_constant, \
+    gauge_bound_check
 from .lattice import find_gamma
 from .util import orthonormal_complement
 from .verify import condition_chain_pipeline, verify_thomas_bound, \
@@ -94,9 +94,9 @@ class _Artifacts:
 # ---------------------------------------------------------------------------
 
 def _run_bands(parsed, args, art: _Artifacts) -> int:
-    sheet = band_sweep(parsed["lattice"], parsed["rep"], parsed["pot"],
-                       parsed["k0"], parsed["e"], parsed["xi_range"],
-                       parsed["samples"], parsed["cutoff"], threads=args.threads)
+    sheet = band_sweep(parsed["pot"], parsed["k0"], parsed["e"],
+                       parsed["xi_range"], parsed["samples"], parsed["cutoff"],
+                       threads=args.threads)
     window = parsed["energy_window"]
     if window is None:
         half = sheet.free_band_max() / 2.0
@@ -144,8 +144,8 @@ def _run_find_gamma(parsed, args, art: _Artifacts) -> int:
 
 def _run_verify_thomas(parsed, args, art: _Artifacts) -> int:
     report = verify_thomas_bound(
-        parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
-        parsed["measure"], parsed["theta"], kappas=parsed["kappas"],
+        parsed["pot"], parsed["gamma"], parsed["measure"], parsed["theta"],
+        kappas=parsed["kappas"],
         k_points_per_axis=parsed["k_points_per_axis"], cutoff=parsed["cutoff"],
         refine_factor=parsed["refine_factor"],
         probe_count=parsed["probe_count"], seed=parsed["seed"],
@@ -162,9 +162,9 @@ def _run_verify_thomas(parsed, args, art: _Artifacts) -> int:
 def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
     if parsed["mode"] == "split":
         report = verify_weighted_split(
-            parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
-            parsed["measure"], parsed["delta"], parsed["beta"],
-            parsed["kappas"], k_points_per_axis=parsed["k_points_per_axis"],
+            parsed["pot"], parsed["gamma"], parsed["measure"], parsed["delta"],
+            parsed["beta"], parsed["kappas"],
+            k_points_per_axis=parsed["k_points_per_axis"],
             cutoff=parsed["cutoff"], sphere_samples=parsed["sphere_samples"],
             threads=args.threads)
         art.add("verify-weighted.json",
@@ -172,8 +172,8 @@ def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
                         **report.to_dict()}))
         return 0 if report.holds else 2
     result = weighted_floor(
-        parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
-        parsed["kappas"], k_points_per_axis=parsed["k_points_per_axis"],
+        parsed["pot"], parsed["gamma"], parsed["kappas"],
+        k_points_per_axis=parsed["k_points_per_axis"],
         cutoff=parsed["cutoff"], threads=args.threads)
     passes = result["ratio_min"] >= result["perturbation_floor"] - 1e-12
     result["passes"] = bool(passes)
@@ -183,16 +183,12 @@ def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
 
 
 def _run_gauge_bound(parsed, args, art: _Artifacts) -> int:
-    _, gvec, _, e = parsed["lattice"].direction(parsed["gamma"])
     et = parsed["et"]
     if et is None:
+        e = parsed["lattice"].direction(parsed["gamma"])[3]
         et = orthonormal_complement(e)[0]
-    frame = build_frame(gvec, et)
-    At = averaged_potential(parsed["A"], parsed["gamma"], parsed["measure"],
-                            frame.et)
-    result = gauge_bound_check(parsed["A"], At, frame, parsed["measure"],
-                               parsed["gamma"], parsed["measure"].h,
-                               default_kernel_constant(),
+    result = gauge_bound_check(parsed["A"], parsed["gamma"], parsed["measure"],
+                               et, default_kernel_constant(),
                                grid_per_axis=parsed["grid_per_axis"])
     report = {"command": "gauge-bound", "gamma": list(parsed["gamma"]),
               "et": [float(c) for c in et],

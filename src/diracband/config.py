@@ -341,9 +341,8 @@ def _preamble(raw, required, optional=(), potential=True) -> dict:
     lattice = build_lattice(raw["lattice"], "/lattice")
     out = {"lattice": lattice, "seed": _integer(raw.get("seed", 0), "/seed", ge=0)}
     if potential:
-        out["rep"] = build_clifford(lattice.n)
         out["pot"] = build_potential(raw.get("potential"), "/potential",
-                                     lattice, out["rep"])
+                                     lattice, build_clifford(lattice.n))
     return out
 
 
@@ -490,7 +489,7 @@ def parse_verify_weighted(raw) -> dict:
         "cutoff": _optional(_number, node, "/weighted", "cutoff", gt=0.0),
     })
     if mode == "floor":
-        for key in ("delta", "beta"):
+        for key in ("delta", "beta", "sphere_samples"):
             if key in node:
                 raise ConfigError(_join("/weighted", key),
                                   "only used in split mode")

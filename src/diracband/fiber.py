@@ -133,8 +133,8 @@ def transverse_direction(x: np.ndarray, e: np.ndarray) -> Optional[np.ndarray]:
     return perp / norm
 
 
-def global_projection(rep: CliffordRep, lattice: Lattice, k: np.ndarray,
-                      e: np.ndarray, modes: ModeSet, sign: int) -> np.ndarray:
+def global_projection(rep: CliffordRep, k: np.ndarray, e: np.ndarray,
+                      modes: ModeSet, sign: int) -> np.ndarray:
     """Blockwise spin projection adapted to each shifted momentum.
 
     Per mode the block is the projector for (e, transverse direction of
@@ -158,8 +158,6 @@ def global_projection(rep: CliffordRep, lattice: Lattice, k: np.ndarray,
 class TruncatedDiracOperator:
     """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix."""
 
-    lattice: Lattice
-    rep: CliffordRep
     modes: ModeSet
     fiber: FiberPoint
     pot: PotentialSet
@@ -180,7 +178,7 @@ class TruncatedDiracOperator:
 
     def mode_g_factors(self) -> np.ndarray:
         """(m, 2) array of closed-form (g_minus, g_plus) per window mode."""
-        return np.array([g_factors(self.lattice, self.fiber, row)
+        return np.array([g_factors(self.modes.lattice, self.fiber, row)
                          for row in self.modes.coords])
 
 
@@ -215,19 +213,21 @@ def _potential_stencil(modes: ModeSet, pot: PotentialSet) -> sp.csc_array:
         return stencil
 
 
-def assemble(lattice: Lattice, rep: CliffordRep, modes: ModeSet,
-             fiber: FiberPoint, pot: PotentialSet) -> TruncatedDiracOperator:
+def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
+             ) -> TruncatedDiracOperator:
     """Sparse fiber matrix on the mode window.
 
     The block diagonal of symbols, the only part that changes from fiber to
     fiber, plus the window's potential stencil.  A diagonal entry is the
     symbol plus the potential mean and every other entry a single
-    coefficient, so the dense view has the bits of a dense assembly.  A
-    warning is raised when the potential support radius exceeds twice the
-    window cutoff: such coefficients never connect two window modes.
+    coefficient, so the dense view has the bits of a dense assembly.  The
+    window must lie on the potential's lattice.  A warning is raised when
+    the potential support radius exceeds twice the window cutoff: such
+    coefficients never connect two window modes.
     """
-    if pot.rep is not rep and pot.rep.M != rep.M:
-        raise ValueError("potential and fiber use different generator sets")
+    lattice, rep = modes.lattice, pot.rep
+    if not lattice.same_as(pot.lattice):
+        raise ValueError("mode window and potential are on different lattices")
     if modes.cutoff is not None and pot.support_radius() > 2.0 * modes.cutoff:
         warnings.warn("potential has modes beyond the convolution reach of "
                       "the window; they are clipped", RuntimeWarning,
@@ -238,8 +238,8 @@ def assemble(lattice: Lattice, rep: CliffordRep, modes: ModeSet,
          np.arange(m), np.arange(m + 1)), shape=(rep.M * m, rep.M * m))
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
     matrix = (_potential_stencil(modes, pot) + symbols).tocsc()
-    return TruncatedDiracOperator(lattice=lattice, rep=rep, modes=modes,
-                                  fiber=fiber, pot=pot, sparse=matrix)
+    return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
+                                  sparse=matrix)
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
@@ -341,7 +341,7 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("weights must be positive")
     if method not in ("auto", "dense"):
         raise ValueError("method must be 'auto' or 'dense'")
-    scale = np.repeat(1.0 / weights, op.rep.M)
+    scale = np.repeat(1.0 / weights, op.pot.rep.M)
     if method == "auto":
         if op.pot.is_empty:
             return float(np.min(op.mode_g_factors()[:, 0] / weights))

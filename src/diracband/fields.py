@@ -183,8 +183,7 @@ class FourierField:
     def _binary(self, other: "FourierField", sign: float) -> "FourierField":
         if not isinstance(other, FourierField):
             raise TypeError("can only combine FourierField instances")
-        if other.kind != self.kind or other.lattice is not self.lattice and \
-                not np.array_equal(other.lattice.basis, self.lattice.basis):
+        if other.kind != self.kind or not self.lattice.same_as(other.lattice):
             raise ValueError("fields must share kind and lattice")
         out = {}
         for key in sorted(set(self.coeffs) | set(other.coeffs)):
@@ -242,10 +241,13 @@ class MeasureSpec:
     h1: Optional[float]
     norm_bound: float
 
+    def __post_init__(self):
+        # damping_factor and the gauge check read h from here unchecked
+        if not self.h > 0:
+            raise ValueError("plateau radius must be positive")
+
     @staticmethod
     def dirac(h: float = math.inf) -> "MeasureSpec":
-        if h <= 0:
-            raise ValueError("plateau radius must be positive")
         return MeasureSpec(kind="dirac", h=float(h), h1=None, norm_bound=1.0)
 
     @staticmethod
@@ -359,6 +361,8 @@ class PotentialSet:
             raise ValueError(f"matrix potentials must act on C^{rep.M}")
         if A.lattice.n != rep.n:
             raise ValueError("field dimension and generator count disagree")
+        if not (A.lattice.same_as(V0.lattice) and A.lattice.same_as(V1.lattice)):
+            raise ValueError("A, V0 and V1 must share one lattice")
         for name, field, idx in (("V0", V0, 0), ("V1", V1, 1)):
             for key, val in field.coeffs.items():
                 commutes, anticommutes = class_flags(val, rep)

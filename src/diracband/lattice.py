@@ -50,6 +50,10 @@ class Lattice:
     def n(self) -> int:
         return self.basis.shape[0]
 
+    def same_as(self, other: "Lattice") -> bool:
+        """True for the same object or an equal basis."""
+        return other is self or np.array_equal(other.basis, self.basis)
+
     def point(self, coeffs) -> np.ndarray:
         """Lattice vector with integer coefficients `coeffs`."""
         return np.asarray(coeffs, dtype=float) @ self.basis

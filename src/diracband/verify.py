@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clifford import CliffordRep
 from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim, sigma_min,
                     sigma_min_probe, weighted_sigma_min)
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
@@ -89,11 +88,11 @@ class _Face:
     every (k, kappa) node of the grid on one mode window.
     """
 
-    def __init__(self, lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-                 gamma_coeffs, k_points_per_axis: int) -> None:
-        self.lattice, self.rep, self.pot = lattice, rep, pot
-        self.gc, _, self.gnorm, self.e = lattice.direction(gamma_coeffs)
-        self.ks = k_face_grid(lattice, self.gc, k_points_per_axis)
+    def __init__(self, pot: PotentialSet, gamma_coeffs,
+                 k_points_per_axis: int) -> None:
+        self.pot = pot
+        self.gc, _, self.gnorm, self.e = pot.lattice.direction(gamma_coeffs)
+        self.ks = k_face_grid(pot.lattice, self.gc, k_points_per_axis)
 
     @cached_property
     def w_bound(self) -> float:
@@ -118,7 +117,7 @@ class _Face:
         if cond.theta_hi >= 1.0:
             raise ValueError(f"averaged-field bracket reaches 1; {what} unavailable")
         const = default_kernel_constant() if kernel_constant is None else kernel_constant
-        return cond, const, damping_factor(A, self.gc, measure.h, measure, const)
+        return cond, const, damping_factor(A, self.gc, measure, const)
 
     def scan(self, kappas, cutoff: float, threads: int,
              weights: Optional[Callable] = None) -> tuple[ModeSet, np.ndarray]:
@@ -130,15 +129,15 @@ class _Face:
         dense, so its size is checked against the dense limit before the
         first fiber is assembled.
         """
-        modes = ModeSet.from_cutoff(self.lattice, cutoff)
+        modes = ModeSet.from_cutoff(self.pot.lattice, cutoff)
         if not self.pot.is_empty:
-            check_dense_dim(len(modes) * self.rep.M)
+            check_dense_dim(len(modes) * self.pot.rep.M)
         shape = (self.ks.shape[0], len(kappas))
 
         def solve(node):
             i, j = node
             fiber = FiberPoint(k=self.ks[i], e=self.e, kappa=kappas[j])
-            op = assemble(self.lattice, self.rep, modes, fiber, self.pot)
+            op = assemble(modes, fiber, self.pot)
             if weights is None:
                 return sigma_min(op)
             return weighted_sigma_min(op, weights(op))
@@ -204,9 +203,8 @@ def _kappa_star(sigma: np.ndarray, kappas, bound: float) -> Optional[float]:
     return star
 
 
-def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-                        gamma_coeffs, measure: MeasureSpec, theta: float,
-                        kappas=None, k_points_per_axis: int = 5,
+def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
+                        theta: float, kappas=None, k_points_per_axis: int = 5,
                         cutoff: Optional[float] = None,
                         kernel_constant: Optional[float] = None,
                         refine_factor: Optional[float] = None,
@@ -220,7 +218,7 @@ def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     (0, 1 - theta_hi).  kappa_star is the smallest scanned shift from which
     the bound holds at every grid node for all larger scanned shifts.
     """
-    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
+    face = _Face(pot, gamma_coeffs, k_points_per_axis)
     cond, const, damping = face.damping(measure, sphere_samples,
                                         kernel_constant, "bound")
     if not 0.0 < theta < 1.0 - cond.theta_hi:
@@ -240,15 +238,15 @@ def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
         theta=theta, condition=cond, damping=damping, bound=bound,
         kappas=kappas, k_points=[tuple(float(c) for c in k) for k in face.ks],
         sigma=sigma, kappa_star=_kappa_star(sigma, kappas, bound),
-        cutoff=cutoff, mode_count=len(modes), dim=len(modes) * rep.M,
+        cutoff=cutoff, mode_count=len(modes), dim=len(modes) * pot.rep.M,
         w_bound=face.w_bound, kernel_constant=const)
     if pot.is_empty:
         # sigma_min took the per-mode closed form (min g_minus) at every node
         report.free_closed_form = sigma.copy()
     if probe_count > 0:
         i, j = np.unravel_index(int(np.argmin(sigma)), sigma.shape)
-        op = assemble(lattice, rep, modes,
-                      FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j]), pot)
+        fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
+        op = assemble(modes, fiber, pot)
         probe_val = sigma_min_probe(op, count=probe_count, seed=seed)
         report.probe = {"k_index": int(i), "kappa": float(kappas[j]),
                         "count": probe_count, "seed": seed,
@@ -261,7 +259,7 @@ def verify_thomas_bound(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
         report.refinement = {
             "cutoff": fine_cutoff,
             "mode_count": len(fine_modes),
-            "dim": len(fine_modes) * rep.M,
+            "dim": len(fine_modes) * pot.rep.M,
             "max_rel_change": float(np.max(rel)),
             "kappa_star": _kappa_star(fine_sigma, kappas, bound),
             "sigma_table": [[float(s) for s in row] for row in fine_sigma],
@@ -296,9 +294,9 @@ class WeightedSplitReport:
         return {**asdict(self), "verdict": "EMPIRICAL", "holds": self.holds}
 
 
-def verify_weighted_split(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-                          gamma_coeffs, measure: MeasureSpec, delta: float,
-                          beta: float, kappas, k_points_per_axis: int = 3,
+def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
+                          measure: MeasureSpec, delta: float, beta: float,
+                          kappas, k_points_per_axis: int = 3,
                           cutoff: Optional[float] = None,
                           kernel_constant: Optional[float] = None,
                           sphere_samples: int = 4096,
@@ -315,7 +313,7 @@ def verify_weighted_split(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     kappas = [float(k) for k in kappas]
     if not all(k > beta for k in kappas):
         raise ValueError("every kappa must exceed beta")
-    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
+    face = _Face(pot, gamma_coeffs, k_points_per_axis)
     cond, const, damping = face.damping(measure, sphere_samples,
                                         kernel_constant, "floor")
     floor = damping * (1.0 - cond.theta_hi) * math.pi / face.gnorm
@@ -345,16 +343,16 @@ def verify_weighted_split(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
     return report
 
 
-def weighted_floor(lattice: Lattice, rep: CliffordRep, pot: PotentialSet,
-                   gamma_coeffs, kappas, k_points_per_axis: int = 3,
-                   cutoff: Optional[float] = None, threads: int = 1) -> dict:
+def weighted_floor(pot: PotentialSet, gamma_coeffs, kappas,
+                   k_points_per_axis: int = 3, cutoff: Optional[float] = None,
+                   threads: int = 1) -> dict:
     """All-mode weighted floor: min over the grid of sigma_min(D W^{-1}).
 
     Weights are the free factors g_minus.  For the free operator the value
     is exactly 1 at every node; for small potentials it obeys the
     perturbation floor 1 - W |gamma| / pi, which is reported alongside.
     """
-    face = _Face(lattice, rep, pot, gamma_coeffs, k_points_per_axis)
+    face = _Face(pot, gamma_coeffs, k_points_per_axis)
     kappas = [float(k) for k in kappas]
     cutoff = face.cutoff(cutoff, kappas)
     modes, ratio = face.scan(kappas, cutoff, threads,

@@ -156,8 +156,8 @@ def test_04_gauge_identities(lat3):
             assert abs(two_pi_i * (nu1 * coef1 - nu2 * coef2) - a) <= 1e-12 * scale
             assert abs(two_pi_i * (nu2 * coef1 + nu1 * coef2) - b) <= 1e-12 * scale
         if draw % 5 == 0:
-            result = gauge_bound_check(A, At, frame, measure, gamma,
-                                       measure.h, const, grid_per_axis=8)
+            result = gauge_bound_check(A, gamma, measure, frame.et, const,
+                                       grid_per_axis=8)
             assert result["eta_multiplier_one"] is True
 
 
@@ -176,11 +176,9 @@ def test_05_kernel_constant_and_bound(lat3):
         gamma = gammas[draw % len(gammas)]
         gvec = lat3.point(gamma)
         axis = gvec / float(np.linalg.norm(gvec))
-        frame = build_frame(gvec, orthonormal_complement(axis)[0])
+        et = orthonormal_complement(axis)[0]
         for measure in (MeasureSpec.dirac(), MeasureSpec.plateau(0.5, 1.5)):
-            At = averaged_potential(A, gamma, measure, frame.et)
-            result = gauge_bound_check(A, At, frame, measure, gamma,
-                                       measure.h, report.constant,
+            result = gauge_bound_check(A, gamma, measure, et, report.constant,
                                        grid_per_axis=8)
             failures += 0 if result["ok"] else 1
     assert failures == 0
@@ -223,7 +221,7 @@ def test_07_free_bands(lat3, rep3):
             vals.extend([root, -root] * (rep3.M // 2))
         return np.sort(np.array(vals))
 
-    free = band_sweep(lat3, rep3, PotentialSet.zero(lat3, rep3), k0, e,
+    free = band_sweep(PotentialSet.zero(lat3, rep3), k0, e,
                       (-1.0, 1.0), 20, cutoff)
     for xi, row in zip(free.xis, free.energies):
         assert np.max(np.abs(row - closed_form(k0 + xi * e, 0.0))) <= 1e-10
@@ -234,7 +232,7 @@ def test_07_free_bands(lat3, rep3):
                       hermitian=True)
     pot = PotentialSet(zero_field(lat3, "vector"),
                        zero_field(lat3, "matrix", dim=rep3.M), v1, rep3)
-    massive = band_sweep(lat3, rep3, pot, k0, e, (-1.0, 1.0), 20, cutoff)
+    massive = band_sweep(pot, k0, e, (-1.0, 1.0), 20, cutoff)
     for xi, row in zip(massive.xis, massive.energies):
         assert np.max(np.abs(row - closed_form(k0 + xi * e, mass))) <= 1e-10
 
@@ -243,7 +241,7 @@ def test_07_free_bands(lat3, rep3):
 def test_08_thomas_documented(lat3, rep3):
     parsed = cfg.parse_verify_thomas(load_config("thomas_documented.json"))
     report = verify_thomas_bound(
-        parsed["lattice"], parsed["rep"], parsed["pot"], parsed["gamma"],
+        parsed["pot"], parsed["gamma"],
         parsed["measure"], parsed["theta"], kappas=parsed["kappas"],
         k_points_per_axis=parsed["k_points_per_axis"],
         cutoff=parsed["cutoff"], probe_count=parsed["probe_count"],
@@ -258,7 +256,7 @@ def test_08_thomas_documented(lat3, rep3):
     assert report.refinement["max_rel_change"] < 0.10
 
     free = verify_thomas_bound(
-        lat3, rep3, PotentialSet.zero(lat3, rep3), parsed["gamma"],
+        PotentialSet.zero(lat3, rep3), parsed["gamma"],
         MeasureSpec.dirac(), 0.5, kappas=parsed["kappas"],
         k_points_per_axis=5, cutoff=12.0, threads=4)
     assert np.max(np.abs(free.sigma - free.free_closed_form)) <= 1e-10
@@ -266,14 +264,14 @@ def test_08_thomas_documented(lat3, rep3):
 
 @criterion(9, "weighted floor: exactly 1 free, perturbation bound held")
 def test_09_weighted_floor(lat3, rep3):
-    free = weighted_floor(lat3, rep3, PotentialSet.zero(lat3, rep3),
+    free = weighted_floor(PotentialSet.zero(lat3, rep3),
                           (1, 0, 0), kappas=[math.pi, 2.0 * math.pi],
                           k_points_per_axis=3, cutoff=16.0)
     assert all(r["ratio"] == 1.0 for r in free["rows"])
     assert free["ratio_min"] == 1.0
 
     parsed = cfg.parse_verify_weighted(load_config("weighted_floor.json"))
-    out = weighted_floor(parsed["lattice"], parsed["rep"], parsed["pot"],
+    out = weighted_floor(parsed["pot"],
                          parsed["gamma"], parsed["kappas"],
                          k_points_per_axis=parsed["k_points_per_axis"],
                          cutoff=parsed["cutoff"])

@@ -16,17 +16,17 @@ CUTOFF = 2.0 * math.pi * 1.5
 def test_sweep_validation(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
     with pytest.raises(ValueError):
-        band_sweep(lat3, rep3, pot, np.zeros(3), E_X, (0.0, 1.0), 1, CUTOFF)
+        band_sweep(pot, np.zeros(3), E_X, (0.0, 1.0), 1, CUTOFF)
     with pytest.raises(ValueError):
-        band_sweep(lat3, rep3, pot, np.zeros(3), E_X, (1.0, 1.0), 5, CUTOFF)
+        band_sweep(pot, np.zeros(3), E_X, (1.0, 1.0), 5, CUTOFF)
     with pytest.raises(ValueError):
-        band_sweep(lat3, rep3, pot, np.zeros(3), 2.0 * E_X, (0.0, 1.0), 5,
+        band_sweep(pot, np.zeros(3), 2.0 * E_X, (0.0, 1.0), 5,
                    CUTOFF)
 
 
 def test_free_sweep_matches_closed_form(lat3, rep3, rng):
     k0 = rng.uniform(-0.4, 0.4, size=3)
-    sheet = band_sweep(lat3, rep3, PotentialSet.zero(lat3, rep3), k0, E_X,
+    sheet = band_sweep(PotentialSet.zero(lat3, rep3), k0, E_X,
                        (-1.0, 1.0), 20, CUTOFF)
     assert sheet.band_count == sheet.mode_count * rep3.M
     for xi, row in zip(sheet.xis, sheet.energies):
@@ -45,22 +45,22 @@ def test_mass_and_scalar_shifts(lat3, rep3):
     zv = zero_field(lat3, "vector")
     zm = zero_field(lat3, "matrix", dim=rep3.M)
 
-    massive = band_sweep(lat3, rep3, PotentialSet(zv, zm, v1, rep3), k0, E_X,
+    massive = band_sweep(PotentialSet(zv, zm, v1, rep3), k0, E_X,
                          (-0.5, 0.5), 7, CUTOFF)
     for xi, row in zip(massive.xis, massive.energies):
         want = free_band_values(lat3, rep3, k0 + xi * E_X, CUTOFF, mass=mass)
         assert np.max(np.abs(row - want)) < 1e-10
 
     # a constant scalar level commutes with everything: rigid shift
-    shifted = band_sweep(lat3, rep3, PotentialSet(zv, v0, zm, rep3), k0, E_X,
+    shifted = band_sweep(PotentialSet(zv, v0, zm, rep3), k0, E_X,
                          (-0.5, 0.5), 7, CUTOFF)
-    free = band_sweep(lat3, rep3, PotentialSet.zero(lat3, rep3), k0, E_X,
+    free = band_sweep(PotentialSet.zero(lat3, rep3), k0, E_X,
                       (-0.5, 0.5), 7, CUTOFF)
     assert np.max(np.abs(shifted.energies - (free.energies + level))) < 1e-10
 
 
 def test_free_sweep_reflection_symmetry(lat3, rep3):
-    sheet = band_sweep(lat3, rep3, PotentialSet.zero(lat3, rep3), np.zeros(3),
+    sheet = band_sweep(PotentialSet.zero(lat3, rep3), np.zeros(3),
                        E_X, (-0.9, 0.9), 9, CUTOFF)
     # |(-xi) e + 2 pi N| runs over the same set as |xi e + 2 pi N|
     assert np.max(np.abs(sheet.energies - sheet.energies[::-1])) < 1e-10
@@ -73,7 +73,7 @@ def test_bands_are_lipschitz_in_xi(lat3, rep3, rng):
     A = random_real_vector_field(lat3, rng, pairs=2, span=1)
     pot = PotentialSet(A, zero_field(lat3, "matrix", dim=rep3.M),
                        zero_field(lat3, "matrix", dim=rep3.M), rep3)
-    sheet = band_sweep(lat3, rep3, pot, np.array([0.2, 0.1, 0.0]), E_X,
+    sheet = band_sweep(pot, np.array([0.2, 0.1, 0.0]), E_X,
                        (-0.6, 0.6), 13, CUTOFF)
     step = sheet.xis[1] - sheet.xis[0]
     jumps = np.abs(np.diff(sheet.energies, axis=0))
@@ -81,7 +81,7 @@ def test_bands_are_lipschitz_in_xi(lat3, rep3, rng):
 
 
 def test_nonconstancy_report_free(lat3, rep3):
-    sheet = band_sweep(lat3, rep3, PotentialSet.zero(lat3, rep3),
+    sheet = band_sweep(PotentialSet.zero(lat3, rep3),
                        np.array([0.3, 0.2, -0.1]), E_X, (-1.0, 1.0), 15,
                        CUTOFF)
     half = sheet.free_band_max() / 2.0

@@ -156,6 +156,15 @@ def test_weighted_mode_cross_constraints():
         cfg.parse_verify_weighted(raw)
 
 
+def test_cli_floor_mode_rejects_sphere_samples(tmp_path, capsys):
+    payload = json.loads(open(config_path("weighted_floor.json")).read())
+    payload["weighted"]["sphere_samples"] = -5
+    path = write_config(tmp_path, payload)
+    assert main(["verify-weighted", "--config", path]) == 1
+    assert ("config error at /weighted/sphere_samples: only used in split "
+            "mode") in capsys.readouterr().err
+
+
 def test_kernel_defaults():
     parsed = cfg.parse_kernel_constant({})
     assert parsed["tau_lo"] == math.pi

@@ -115,13 +115,24 @@ def test_assemble_matches_fft_collocation(lat3, rep3, rng):
     pot = small_potential(lat3, rep3, rng)
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 2.2)
     fib = random_fiber(rng)
-    op = assemble(lat3, rep3, modes, fib, pot)
+    op = assemble(modes, fib, pot)
     m, M = len(modes), rep3.M
     phi = rng.standard_normal((m, M)) + 1.0j * rng.standard_normal((m, M))
     got = (op.matrix @ phi.ravel()).reshape(m, M)
     want = fft_apply_oracle(lat3, rep3, modes, fib, pot, phi)
     scale = float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) < 1e-12 * scale
+
+
+def test_assemble_refuses_window_on_another_lattice(lat3, rep3):
+    skewed = Lattice([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.2]])
+    fib = FiberPoint(k=np.zeros(3), e=np.array([1.0, 0.0, 0.0]))
+    pot = PotentialSet.zero(lat3, rep3)
+    with pytest.raises(ValueError, match="different lattices"):
+        assemble(ModeSet.from_cutoff(skewed, 8.0), fib, pot)
+    # an equal basis on a separate object is the same lattice
+    modes = ModeSet.from_cutoff(Lattice.cubic(3), 8.0)
+    assert assemble(modes, fib, pot).dim == len(modes) * rep3.M
 
 
 def test_assemble_warns_on_clipped_potential(lat3, rep3, rng):
@@ -131,15 +142,15 @@ def test_assemble_warns_on_clipped_potential(lat3, rep3, rng):
                        zero_field(lat3, "matrix", dim=rep3.M), rep3)
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.2)
     with pytest.warns(RuntimeWarning):
-        assemble(lat3, rep3, modes, FiberPoint(k=np.zeros(3),
-                                               e=np.array([1.0, 0, 0])), pot)
+        assemble(modes, FiberPoint(k=np.zeros(3),
+                                   e=np.array([1.0, 0, 0])), pot)
 
 
 def test_eigenvalues_free_closed_form(lat3, rep3, rng):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.5)
     k = rng.uniform(-0.5, 0.5, size=3)
     fib = FiberPoint(k=k, e=np.array([1.0, 0.0, 0.0]))
-    op = assemble(lat3, rep3, modes, fib, PotentialSet.zero(lat3, rep3))
+    op = assemble(modes, fib, PotentialSet.zero(lat3, rep3))
     evs = eigenvalues(op)
     half = rep3.M // 2
     want = []
@@ -152,7 +163,7 @@ def test_eigenvalues_free_closed_form(lat3, rep3, rng):
     mass = 0.4
     v1 = FourierField(lat3, "matrix", {(0, 0, 0): mass * rep3.alphas[rep3.n]},
                       dim=rep3.M, hermitian=True)
-    op2 = assemble(lat3, rep3, modes, fib,
+    op2 = assemble(modes, fib,
                    PotentialSet(zero_field(lat3, "vector"),
                                 zero_field(lat3, "matrix", dim=rep3.M), v1, rep3))
     evs2 = eigenvalues(op2)
@@ -166,7 +177,7 @@ def test_eigenvalues_free_closed_form(lat3, rep3, rng):
 def test_eigenvalues_rejects_non_hermitian(lat3, rep3, rng):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi)
     with pytest.raises(ValueError):
-        op = assemble(lat3, rep3, modes,
+        op = assemble(modes,
                       FiberPoint(k=np.zeros(3), e=np.array([1.0, 0, 0]),
                                  kappa=2.0), PotentialSet.zero(lat3, rep3))
         eigenvalues(op)
@@ -174,8 +185,8 @@ def test_eigenvalues_rejects_non_hermitian(lat3, rep3, rng):
     v0 = FourierField(lat3, "matrix",
                       {(1, 0, 0): 0.2 * np.eye(rep3.M, dtype=complex)},
                       dim=rep3.M)
-    op = assemble(lat3, rep3, modes, FiberPoint(k=np.zeros(3),
-                                                e=np.array([1.0, 0, 0])),
+    op = assemble(modes, FiberPoint(k=np.zeros(3),
+                                    e=np.array([1.0, 0, 0])),
                   PotentialSet(zero_field(lat3, "vector"), v0,
                                zero_field(lat3, "matrix", dim=rep3.M), rep3))
     with pytest.raises(ValueError):
@@ -185,12 +196,12 @@ def test_eigenvalues_rejects_non_hermitian(lat3, rep3, rng):
 def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
     fib = random_fiber(rng, kappa=3.0)
-    free = assemble(lat3, rep3, modes, fib, PotentialSet.zero(lat3, rep3))
+    free = assemble(modes, fib, PotentialSet.zero(lat3, rep3))
     auto = sigma_min(free)
     assert auto == float(np.min(free.mode_g_factors()[:, 0]))
     assert abs(auto - sigma_min(free, method="dense")) < 1e-10 * max(1.0, auto)
 
-    op = assemble(lat3, rep3, modes, fib, small_potential(lat3, rep3, rng))
+    op = assemble(modes, fib, small_potential(lat3, rep3, rng))
     s_auto = sigma_min(op)  # sparse LU plus Lanczos
     s_dense = sigma_min(op, method="dense")
     assert abs(s_auto - s_dense) <= 1e-12 * s_dense
@@ -205,7 +216,7 @@ def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
 def test_weighted_sigma_min(lat3, rep3, rng):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
     fib = random_fiber(rng, kappa=2.0)
-    free = assemble(lat3, rep3, modes, fib, PotentialSet.zero(lat3, rep3))
+    free = assemble(modes, fib, PotentialSet.zero(lat3, rep3))
 
     # weighting by the exact factors flattens the free ratio to exactly 1
     gm = free.mode_g_factors()[:, 0]
@@ -215,7 +226,7 @@ def test_weighted_sigma_min(lat3, rep3, rng):
     dense = weighted_sigma_min(free, w, method="dense")
     assert abs(auto - dense) < 1e-10 * max(1.0, auto)
 
-    op = assemble(lat3, rep3, modes, fib, small_potential(lat3, rep3, rng))
+    op = assemble(modes, fib, small_potential(lat3, rep3, rng))
     got = weighted_sigma_min(op, w)
     scale = np.repeat(1.0 / w, rep3.M)
     want = float(np.linalg.svd(op.matrix * scale[None, :], compute_uv=False)[-1])
@@ -230,7 +241,7 @@ def test_weighted_sigma_min(lat3, rep3, rng):
 
 def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
-    op = assemble(lat3, rep3, modes, random_fiber(rng, kappa=3.0),
+    op = assemble(modes, random_fiber(rng, kappa=3.0),
                   small_potential(lat3, rep3, rng))
     w = rng.uniform(0.5, 2.0, size=len(modes))
     dense = sigma_min(op, method="dense")
@@ -277,7 +288,7 @@ def test_sparse_route_repeats_its_bits():
     g = lat.point(gc)
     modes = ModeSet.from_cutoff(lat, p["cutoff"])
     k = k_face_grid(lat, gc, p["k_points_per_axis"])[1]
-    op = assemble(lat, p["rep"], modes,
+    op = assemble(modes,
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][1]),
                   p["pot"])
     w = op.mode_g_factors()[:, 0]
@@ -294,7 +305,7 @@ def test_sparse_route_caps_arpack_restarts(monkeypatch):
     lat, gc = p["lattice"], p["gamma"]
     g = lat.point(gc)
     k = k_face_grid(lat, gc, p["k_points_per_axis"])[6]
-    op = assemble(lat, p["rep"], ModeSet.from_cutoff(lat, p["cutoff"]),
+    op = assemble(ModeSet.from_cutoff(lat, p["cutoff"]),
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][2]),
                   p["pot"])
     real_splu = fiber.splu
@@ -325,7 +336,7 @@ def test_global_projection_checks_size_first():
     try:
         with pytest.raises(ValueError,
                            match="dimension 4552 exceeds the dense limit"):
-            global_projection(build_clifford(4), lat4, np.full(4, 0.1), e,
+            global_projection(build_clifford(4), np.full(4, 0.1), e,
                               modes, +1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -371,7 +382,7 @@ def test_g_factors_independent_of_blas_kernel():
 def test_probe_stays_above_sigma_min(lat3, rep3, rng):
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.2)
     fib = random_fiber(rng, kappa=4.0)
-    op = assemble(lat3, rep3, modes, fib, small_potential(lat3, rep3, rng))
+    op = assemble(modes, fib, small_potential(lat3, rep3, rng))
     smin = sigma_min(op)
     probe = sigma_min_probe(op, count=2000, seed=7)
     assert probe >= smin - 1e-12
@@ -383,9 +394,9 @@ def test_global_projection_transfer(lat3, rep3, rng):
     e = np.array([1.0, 0.0, 0.0])
     k = np.array([0.4, 0.2, -0.3])
     fib = FiberPoint(k=k, e=e, kappa=2.5)
-    op = assemble(lat3, rep3, modes, fib, PotentialSet.zero(lat3, rep3))
-    p_minus = global_projection(rep3, lat3, k, e, modes, -1)
-    p_plus = global_projection(rep3, lat3, k, e, modes, +1)
+    op = assemble(modes, fib, PotentialSet.zero(lat3, rep3))
+    p_minus = global_projection(rep3, k, e, modes, -1)
+    p_plus = global_projection(rep3, k, e, modes, +1)
     for p in (p_minus, p_plus):
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.max(np.abs(p - p.conj().T)) < 1e-12

@@ -124,6 +124,12 @@ def test_measure_validation():
         mu.density(0.0)
 
 
+def test_measure_refuses_nonpositive_h_however_built():
+    for h in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            MeasureSpec(kind="dirac", h=h, h1=None, norm_bound=1.0)
+
+
 def test_plateau_transform_shape():
     mu = MeasureSpec.plateau(0.5, 1.5)
     assert float(mu.transform(0.0)) == 1.0
@@ -243,6 +249,22 @@ def test_potential_class_checks(lat3, rep3):
                      FourierField(lat3, "matrix", {(0, 0, 0): eye},
                                   dim=rep3.M), rep3)
     assert PotentialSet.zero(lat3, rep3).is_empty
+
+
+def test_potential_parts_share_one_lattice(lat3, rep3):
+    # a V0 or V1 on another basis would have its keys read on A's lattice
+    skewed = Lattice([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.2]])
+    eye = np.eye(rep3.M, dtype=complex)
+    a = zero_field(lat3, "vector")
+    zm = zero_field(lat3, "matrix", dim=rep3.M)
+    off = _matrix_pair_field(skewed, rep3, eye, 0.2)
+    with pytest.raises(ValueError, match="share one lattice"):
+        PotentialSet(a, off, zm, rep3)
+    with pytest.raises(ValueError, match="share one lattice"):
+        PotentialSet(a, zm, zero_field(skewed, "matrix", dim=rep3.M), rep3)
+    # an equal basis on a separate object is the same lattice
+    same = _matrix_pair_field(Lattice.cubic(3), rep3, eye, 0.2)
+    assert not PotentialSet(a, same, zm, rep3).is_empty
 
 
 def test_composite_and_w_norm(lat3, rep3):

@@ -159,38 +159,36 @@ def test_damping_factor(lat3, rng):
     A = random_real_vector_field(lat3, rng, pairs=2)
     mu = MeasureSpec.dirac()
     from diracband.fields import zero_field
-    assert damping_factor(zero_field(lat3, "vector"), GAMMA, math.inf, mu,
+    assert damping_factor(zero_field(lat3, "vector"), GAMMA, mu,
                           const) == 1.0
 
     # documented single-pair example: sup-bound 0.1, |gamma| = 1
     v = np.array([0.0, 0.0, 0.05])
     doc = FourierField(lat3, "vector", {(0, 1, 0): v, (0, -1, 0): v}, real=True)
-    got = damping_factor(doc, GAMMA, math.inf, mu, default_kernel_constant())
+    got = damping_factor(doc, GAMMA, mu, default_kernel_constant())
     assert abs(got - 0.5054337008315438) < 1e-12
     assert abs(got - math.exp(-0.4 * default_kernel_constant())) < 1e-15
 
     # finite smoothing radius switches the scale to 1/h once that is larger
-    f1 = damping_factor(doc, GAMMA, 0.25, MeasureSpec.plateau(0.25, 0.75), const)
+    f1 = damping_factor(doc, GAMMA, MeasureSpec.plateau(0.25, 0.75), const)
     hi = sup_norm(doc)[1]
     t = 4.0
     norm = MeasureSpec.plateau(0.25, 0.75).norm_bound
     assert abs(f1 - math.exp(-4.0 * const * norm * t * hi)) < 1e-15
 
     with pytest.raises(ValueError):
-        damping_factor(A, GAMMA, math.inf, mu, 0.0)
+        damping_factor(A, GAMMA, mu, 0.0)
     with pytest.raises(ValueError):
-        damping_factor(A, (0, 0, 0), math.inf, mu, const)
+        damping_factor(A, (0, 0, 0), mu, const)
 
 
 @pytest.mark.parametrize("kind", ["dirac", "plateau"])
 def test_gauge_bound_check_random_draws(lat3, rng, kind):
     mu = MeasureSpec.dirac() if kind == "dirac" else MeasureSpec.plateau(0.5, 1.5)
-    frame = build_frame(lat3.point(GAMMA), ET)
     const = default_kernel_constant()
     for _ in range(3):
         A = random_real_vector_field(lat3, rng, pairs=4)
-        At = averaged_potential(A, GAMMA, mu, frame.et)
-        result = gauge_bound_check(A, At, frame, mu, GAMMA, mu.h, const)
+        result = gauge_bound_check(A, GAMMA, mu, ET, const)
         assert result["ok"]
         assert result["eta_multiplier_one"]
         assert result["phi1_sup_lo"] <= result["bound"] + 1e-15
@@ -198,10 +196,8 @@ def test_gauge_bound_check_random_draws(lat3, rng, kind):
         assert result["t"] == (1.0 if kind == "dirac" else 2.0)
 
 
-def test_gauge_bound_check_rejects_wrong_average(lat3, rng):
-    frame = build_frame(lat3.point(GAMMA), ET)
+def test_gauge_bound_check_rejects_et_not_orthogonal_to_gamma(lat3, rng):
     A = random_real_vector_field(lat3, rng, pairs=3)
-    from diracband.fields import zero_field
-    with pytest.raises(ValueError):
-        gauge_bound_check(A, zero_field(lat3, "vector"), frame,
-                          MeasureSpec.dirac(), GAMMA, math.inf, 1.7)
+    tilted = np.array([0.6, 0.8, 0.0])
+    with pytest.raises(ValueError, match="et must be orthogonal to gamma"):
+        gauge_bound_check(A, GAMMA, MeasureSpec.dirac(), tilted, 1.7)

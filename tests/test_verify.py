@@ -48,7 +48,7 @@ def test_face_grid_validation(lat3):
 
 def test_thomas_scan_free_matches_closed_form(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
-    report = verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    report = verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(),
                                  theta=0.5, kappas=[4.0, 8.0],
                                  k_points_per_axis=2, cutoff=SMALL_CUTOFF)
     assert report.damping == 1.0
@@ -65,7 +65,7 @@ def test_thomas_scan_free_matches_closed_form(lat3, rep3):
     e = lat3.point(GAMMA) / np.linalg.norm(lat3.point(GAMMA))
     for i, k in enumerate(report.k_points):
         for j, kappa in enumerate(report.kappas):
-            op = assemble(lat3, rep3, modes,
+            op = assemble(modes,
                           FiberPoint(k=np.array(k), e=e, kappa=kappa), pot)
             dense = sigma_min(op, method="dense")
             assert abs(report.sigma[i, j] - dense) < 1e-10
@@ -84,9 +84,9 @@ def test_thomas_scan_tiny_potential_stays_near_free(lat3, rep3, rng):
     free = PotentialSet.zero(lat3, rep3)
     kwargs = dict(kappas=[4.0, 8.0], k_points_per_axis=2, cutoff=SMALL_CUTOFF,
                   sphere_samples=256)
-    got = verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    got = verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(),
                               theta=0.5, **kwargs)
-    ref = verify_thomas_bound(lat3, rep3, free, GAMMA, MeasureSpec.dirac(),
+    ref = verify_thomas_bound(free, GAMMA, MeasureSpec.dirac(),
                               theta=0.5, **kwargs)
     # eigenvalue perturbation is bounded by the potential sup norm
     assert np.max(np.abs(got.sigma - ref.sigma)) <= w_norm(pot) + 1e-12
@@ -97,7 +97,7 @@ def test_thomas_scan_tiny_potential_stays_near_free(lat3, rep3, rng):
 
 def test_thomas_scan_probe_and_refinement(lat3, rep3, rng):
     pot = tiny_potential(lat3, rep3, rng)
-    report = verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    report = verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(),
                                  theta=0.5, kappas=[4.0], k_points_per_axis=2,
                                  cutoff=SMALL_CUTOFF, sphere_samples=256,
                                  probe_count=500, seed=3, refine_factor=1.0)
@@ -108,9 +108,29 @@ def test_thomas_scan_probe_and_refinement(lat3, rep3, rng):
     assert report.refinement["kappa_star"] == report.kappa_star
 
 
+def test_potential_stencil_built_once_per_window(lat3, rep3, rng, monkeypatch):
+    # every node and the probe of a scan share one stencil per mode window:
+    # one composite for the scan window and one for the refined window
+    pot = tiny_potential(lat3, rep3, rng)
+    calls = []
+    composite = PotentialSet.composite
+
+    def counted(self):
+        calls.append(self)
+        return composite(self)
+
+    monkeypatch.setattr(PotentialSet, "composite", counted)
+    verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(), theta=0.5,
+                        kappas=[4.0, 8.0], k_points_per_axis=2,
+                        cutoff=SMALL_CUTOFF, kernel_constant=KERNEL_C,
+                        sphere_samples=256, probe_count=10, refine_factor=1.4,
+                        threads=2)
+    assert len(calls) == 2
+
+
 def test_thomas_scan_free_refinement_is_stable(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
-    report = verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    report = verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(),
                                  theta=0.5, kappas=[4.0, 8.0],
                                  k_points_per_axis=2, cutoff=SMALL_CUTOFF,
                                  refine_factor=1.4)
@@ -122,11 +142,11 @@ def test_thomas_scan_free_refinement_is_stable(lat3, rep3):
 def test_thomas_scan_preconditions(lat3, rep3, rng):
     free = PotentialSet.zero(lat3, rep3)
     with pytest.raises(ValueError):
-        verify_thomas_bound(lat3, rep3, free, GAMMA, MeasureSpec.dirac(),
+        verify_thomas_bound(free, GAMMA, MeasureSpec.dirac(),
                             theta=1.5, kappas=[4.0], k_points_per_axis=1,
                             cutoff=SMALL_CUTOFF)
     with pytest.raises(ValueError):
-        verify_thomas_bound(lat3, rep3, free, GAMMA, MeasureSpec.dirac(),
+        verify_thomas_bound(free, GAMMA, MeasureSpec.dirac(),
                             theta=0.5, kappas=[8.0, 4.0], k_points_per_axis=1,
                             cutoff=SMALL_CUTOFF)
     # a large field pushes the smallness bracket past 1
@@ -136,7 +156,7 @@ def test_thomas_scan_preconditions(lat3, rep3, rng):
     zm = zero_field(lat3, "matrix", dim=rep3.M)
     pot = PotentialSet(big, zm, zm, rep3)
     with pytest.raises(ValueError):
-        verify_thomas_bound(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+        verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(),
                             theta=0.1, kappas=[4.0], k_points_per_axis=1,
                             cutoff=SMALL_CUTOFF, sphere_samples=128)
 
@@ -155,7 +175,7 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     fib = FiberPoint(k=np.full(4, 0.1), e=np.array([1.0, 0.0, 0.0, 0.0]))
     tracemalloc.start()
     try:
-        op = assemble(lat4, rep4, ModeSet.from_cutoff(lat4, 20.0), fib, pot)
+        op = assemble(ModeSet.from_cutoff(lat4, 20.0), fib, pot)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,12 +192,12 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     monkeypatch.setattr(verify, "assemble", no_assembly)
     monkeypatch.setattr(bands, "assemble", no_assembly)
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
-        verify_thomas_bound(lat4, rep4, pot, (1, 0, 0, 0), MeasureSpec.dirac(),
+        verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
                             theta=0.5, kappas=[4.0], k_points_per_axis=1,
                             cutoff=20.0, kernel_constant=KERNEL_C)
     e = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
-        bands.band_sweep(lat4, rep4, pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
+        bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
 
 
 def test_free_scan_allocates_no_dense_fiber():
@@ -187,7 +207,7 @@ def test_free_scan_allocates_no_dense_fiber():
     rep4 = build_clifford(4)
     tracemalloc.start()
     try:
-        out = weighted_floor(lat4, rep4, PotentialSet.zero(lat4, rep4),
+        out = weighted_floor(PotentialSet.zero(lat4, rep4),
                              (1, 0, 0, 0), kappas=[math.pi, 2.0 * math.pi],
                              k_points_per_axis=2, cutoff=20.0)
         peak = tracemalloc.get_traced_memory()[1]
@@ -229,7 +249,7 @@ def test_weighted_split_free_is_exact(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
     # axial components on the face sit at pi or beyond, so the annulus only
     # populates once its half-width passes pi
-    report = verify_weighted_split(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    report = verify_weighted_split(pot, GAMMA, MeasureSpec.dirac(),
                                    delta=0.5, beta=3.5, kappas=[4.0, 8.0],
                                    k_points_per_axis=2, cutoff=SMALL_CUTOFF)
     # free factors divided by themselves off the annulus, and the face floor
@@ -242,7 +262,7 @@ def test_weighted_split_free_is_exact(lat3, rep3):
 
 def test_weighted_split_small_potential(lat3, rep3, rng):
     pot = tiny_potential(lat3, rep3, rng)
-    report = verify_weighted_split(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+    report = verify_weighted_split(pot, GAMMA, MeasureSpec.dirac(),
                                    delta=0.5, beta=1.0, kappas=[4.0],
                                    k_points_per_axis=2, cutoff=SMALL_CUTOFF,
                                    sphere_samples=256)
@@ -257,18 +277,18 @@ def test_weighted_split_small_potential(lat3, rep3, rng):
 def test_weighted_split_preconditions(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
     with pytest.raises(ValueError):
-        verify_weighted_split(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+        verify_weighted_split(pot, GAMMA, MeasureSpec.dirac(),
                               delta=1.0, beta=1.0, kappas=[4.0],
                               cutoff=SMALL_CUTOFF)
     with pytest.raises(ValueError):
-        verify_weighted_split(lat3, rep3, pot, GAMMA, MeasureSpec.dirac(),
+        verify_weighted_split(pot, GAMMA, MeasureSpec.dirac(),
                               delta=0.5, beta=5.0, kappas=[4.0],
                               cutoff=SMALL_CUTOFF)
 
 
 def test_weighted_floor_free_is_one(lat3, rep3):
     pot = PotentialSet.zero(lat3, rep3)
-    out = weighted_floor(lat3, rep3, pot, GAMMA, kappas=[4.0, 8.0],
+    out = weighted_floor(pot, GAMMA, kappas=[4.0, 8.0],
                          k_points_per_axis=2, cutoff=SMALL_CUTOFF)
     assert out["ratio_min"] == 1.0
     assert all(r["ratio"] == 1.0 for r in out["rows"])
@@ -277,7 +297,7 @@ def test_weighted_floor_free_is_one(lat3, rep3):
 
 def test_weighted_floor_obeys_perturbation_bound(lat3, rep3, rng):
     pot = tiny_potential(lat3, rep3, rng)
-    out = weighted_floor(lat3, rep3, pot, GAMMA, kappas=[4.0],
+    out = weighted_floor(pot, GAMMA, kappas=[4.0],
                          k_points_per_axis=2, cutoff=SMALL_CUTOFF)
     # sup perturbation / smallest weight, with weights >= pi/|gamma| on face
     assert out["perturbation_floor"] == 1.0 - out["w_bound"] / math.pi
