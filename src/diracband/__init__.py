@@ -17,10 +17,9 @@ from .fiber import (FiberPoint, ModeSet, TruncatedDiracOperator, assemble,
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, sup_norm, w_norm,
                      zero_field)
-from .gauge import (EtaSpec, Frame, KernelConstantReport,
-                    bessel_kernel_constant, build_frame, build_phi,
-                    damping_factor, default_kernel_constant, gauge_bound_check,
-                    radial_kernel)
+from .gauge import (EtaSpec, KernelConstantReport, bessel_kernel_constant,
+                    build_phi, damping_factor, default_kernel_constant,
+                    gauge_bound_check, radial_kernel)
 from .lattice import (GammaCertificate, Lattice, SphereMeasure, check_gamma,
                       enumerate_points, find_gamma, k_beta_set,
                       reciprocal_basis)
@@ -41,9 +40,9 @@ __all__ = [
     "ConditionValue", "FourierField", "MeasureSpec", "PotentialSet",
     "averaged_potential", "condition_value", "sup_norm", "w_norm",
     "zero_field",
-    "EtaSpec", "Frame", "KernelConstantReport", "bessel_kernel_constant",
-    "build_frame", "build_phi", "damping_factor", "default_kernel_constant",
-    "gauge_bound_check", "radial_kernel",
+    "EtaSpec", "KernelConstantReport", "bessel_kernel_constant", "build_phi",
+    "damping_factor", "default_kernel_constant", "gauge_bound_check",
+    "radial_kernel",
     "GammaCertificate", "Lattice", "SphereMeasure", "check_gamma",
     "enumerate_points", "find_gamma", "k_beta_set", "reciprocal_basis",
     "ThomasBoundReport", "WeightedSplitReport", "condition_chain_pipeline",

@@ -346,6 +346,15 @@ def _preamble(raw, required, optional=(), potential=True) -> dict:
     return out
 
 
+def _vector_potential(raw, pot: PotentialSet) -> FourierField:
+    """A of a command that reads only the vector potential; V0 and V1 refused."""
+    for key in ("V0", "V1"):
+        if key in (raw.get("potential") or {}):
+            raise ConfigError(_join("/potential", key),
+                              "unused: this command reads only A")
+    return pot.A
+
+
 def _optional(parse, node, path, key, **bounds):
     """`parse` of node[key] at path/key, or None when the key is absent."""
     return parse(node[key], _join(path, key), **bounds) if key in node else None
@@ -387,7 +396,7 @@ def parse_check_condition(raw) -> dict:
     node = _object(raw["condition"], "/condition", required=("gamma",),
                    optional=("sphere_samples", "scan_grid", "refine_grid"))
     return {
-        **out, "A": out["pot"].A, "measure": measure,
+        **out, "A": _vector_potential(raw, out["pot"]), "measure": measure,
         "gamma": _gamma(node["gamma"], "/condition/gamma", out["lattice"]),
         "sphere_samples": _integer(node.get("sphere_samples", 4096),
                                    "/condition/sphere_samples", ge=8, le=10 ** 7),
@@ -426,7 +435,7 @@ def parse_find_gamma(raw) -> dict:
     h = _number(node["h"], "/pipeline/h", gt=0.0)
     r0s = _list(node["R0_list"], "/pipeline/R0_list", min_length=1)
     return {
-        **out, "mode": "pipeline", "A": pot.A,
+        **out, "mode": "pipeline", "A": _vector_potential(raw, pot),
         "q": _number(node["q"], "/pipeline/q", gt=0.0),
         "h": h,
         "h1": _number(node["h1"], "/pipeline/h1", gt=h),
@@ -524,10 +533,12 @@ def parse_gauge_bound(raw) -> dict:
         if norm == 0.0:
             raise ConfigError("/gauge/et", "direction must be nonzero")
         et = v / norm
+    gamma = _gamma(node["gamma"], "/gauge/gamma", lattice)
+    if et is not None and abs(float(np.dot(lattice.direction(gamma)[3], et))) > 1e-10:
+        raise ConfigError("/gauge/et", "must be orthogonal to gamma")
     return {
-        **out, "A": out["pot"].A, "measure": measure,
-        "gamma": _gamma(node["gamma"], "/gauge/gamma", lattice),
-        "et": et,
+        **out, "A": _vector_potential(raw, out["pot"]), "measure": measure,
+        "gamma": gamma, "et": et,
         "grid_per_axis": _optional(_integer, node, "/gauge", "grid_per_axis",
                                    ge=3, le=257),
     }

@@ -1,13 +1,14 @@
 """Gauge pairs that integrate the averaged-field defect, and their bound.
 
-Given a zero-mean vector field A and its direction average At, this module
-builds two scalar trigonometric polynomials (Phi1, Phi2) whose in-plane
-derivatives reproduce the defect A - At:
+Given a zero-mean vector field A, a lattice vector gamma and a unit
+transverse direction et, this module averages A along gamma to At and builds
+two scalar trigonometric polynomials (Phi1, Phi2) whose in-plane derivatives
+reproduce the defect A - At:
 
     d1 Phi1 - d2 Phi2 = (A - At) . et      (transverse component)
     d2 Phi1 + d1 Phi2 = (A - At) . e       (axial component)
 
-where d1, d2 differentiate along the frame directions et and e.  The pair is
+where d1, d2 differentiate along et and e = gamma / |gamma|.  The pair is
 uniformly bounded by a kernel constant times |mu| * max(|gamma|, 1/h) * sup|A|.
 The constant depends only on a smooth radial cutoff eta: it is (2/pi) times
 the L1 norm of G(x, y) = x / (x^2 + y^2) * integral of eta'(tau) J0(tau r) dtau.
@@ -27,79 +28,41 @@ from scipy import integrate, interpolate, optimize, special
 
 from .fields import (FourierField, MeasureSpec, averaged_potential,
                      coefficient_sum, sup_norm)
-from .util import check_unit, complete_orthonormal, gauss_legendre_panels
-
-# ---------------------------------------------------------------------------
-# frames
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal frame with rows (et, e, completion...).
-
-    Row 0 is the transverse direction, row 1 the axial direction gamma/|gamma|;
-    the remaining rows complete the basis deterministically (Gram-Schmidt over
-    the standard axes, smallest-index component positive).
-    """
-
-    vectors: np.ndarray  # (n, n) rows E^lam_j
-
-    @property
-    def et(self) -> np.ndarray:
-        return self.vectors[0]
-
-    @property
-    def e(self) -> np.ndarray:
-        return self.vectors[1]
-
-
-def build_frame(gamma_vec: np.ndarray, et: np.ndarray) -> Frame:
-    gamma_vec = np.asarray(gamma_vec, dtype=float)
-    gnorm = float(np.linalg.norm(gamma_vec))
-    if gnorm == 0.0:
-        raise ValueError("gamma must be nonzero")
-    e = gamma_vec / gnorm
-    et = check_unit(np.asarray(et, dtype=float), "et", tol=1e-10)
-    if abs(float(np.dot(e, et))) > 1e-10:
-        raise ValueError("et must be orthogonal to gamma")
-    rows = complete_orthonormal([et, e], e.shape[0])
-    ortho_defect = np.max(np.abs(rows @ rows.T - np.eye(e.shape[0])))
-    if ortho_defect > 1e-12:
-        raise ValueError("frame completion failed orthonormality")
-    rows.flags.writeable = False
-    return Frame(vectors=rows)
-
+from .util import check_unit, gauss_legendre_panels
 
 # ---------------------------------------------------------------------------
 # gauge pair
 # ---------------------------------------------------------------------------
 
-def _defect_modes(A: FourierField, At: FourierField, frame: Frame):
+def _defect_modes(A: FourierField, gamma_coeffs, measure: MeasureSpec,
+                  et: np.ndarray):
     """(key, N, (N, et), (N, e), (d_N, et), (d_N, e)) per mode of the defect
-    d = A - At, in stored order."""
+    d = A - At, in stored order, with e = gamma / |gamma| and At the average
+    of A along gamma.  et must be a unit vector (to 1e-10) orthogonal to gamma.
+    """
+    e = A.lattice.direction(gamma_coeffs)[3]
+    et = check_unit(np.asarray(et, dtype=float), "et", tol=1e-10)
+    At = averaged_potential(A, gamma_coeffs, measure, et)
     for key, val in (A - At).coeffs.items():
         nvec = A.lattice.dual_point(key)
-        yield (key, nvec, float(np.dot(nvec, frame.et)), float(np.dot(nvec, frame.e)),
-               complex(np.dot(val, frame.et)), complex(np.dot(val, frame.e)))
+        yield (key, nvec, float(np.dot(nvec, et)), float(np.dot(nvec, e)),
+               complex(np.dot(val, et)), complex(np.dot(val, e)))
 
 
-def build_phi(A: FourierField, At: FourierField, frame: Frame
-              ) -> tuple[FourierField, FourierField]:
+def build_phi(A: FourierField, gamma_coeffs, measure: MeasureSpec,
+              et: np.ndarray) -> tuple[FourierField, FourierField]:
     """Coefficient-wise solution of the in-plane div/curl system.
 
-    With nu1 = (N, et), nu2 = (N, e) and the defect components a, b along
-    (et, e), the coefficients are
+    With nu1 = (N, et), nu2 = (N, e) and the components a, b of the defect
+    A - At along (et, e), the coefficients are
 
         Phi1_N = (nu1 a + nu2 b) / (2 pi i (nu1^2 + nu2^2))
         Phi2_N = -(nu2 a - nu1 b) / (2 pi i (nu1^2 + nu2^2))
 
     and modes with nu1 = nu2 = 0 carry no defect and are dropped.
     """
-    if A.kind != "vector" or At.kind != "vector":
-        raise ValueError("build_phi needs vector fields")
     coeffs1, coeffs2 = {}, {}
-    for key, nvec, nu1, nu2, a, b in _defect_modes(A, At, frame):
+    for key, nvec, nu1, nu2, a, b in _defect_modes(A, gamma_coeffs, measure, et):
         plane = math.hypot(nu1, nu2)
         if plane <= 1e-12 * float(np.linalg.norm(nvec)):
             # the defect vanishes identically on such modes
@@ -113,9 +76,8 @@ def build_phi(A: FourierField, At: FourierField, frame: Frame
             coeffs1[key] = p1
         if p2 != 0.0:
             coeffs2[key] = p2
-    real = A.real and At.real
-    return (FourierField(A.lattice, "scalar", coeffs1, real=real),
-            FourierField(A.lattice, "scalar", coeffs2, real=real))
+    return (FourierField(A.lattice, "scalar", coeffs1, real=A.real),
+            FourierField(A.lattice, "scalar", coeffs2, real=A.real))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +197,11 @@ class KernelConstantReport:
     tau_hi: float
     sample_step: float
 
+    @property
+    def passes(self) -> bool:
+        """The two routes agree to 1e-4 relative (true without the cross route)."""
+        return self.cross_residual is None or self.cross_residual <= 1e-4
+
 
 def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
                            sample_step: float = 0.01,
@@ -343,40 +310,36 @@ def _gauge_scale(A: FourierField, gamma_coeffs, measure: MeasureSpec) -> float:
     return max(gnorm, 0.0 if math.isinf(measure.h) else 1.0 / measure.h)
 
 
-def damping_factor(A: FourierField, gamma_coeffs, measure: MeasureSpec,
-                   kernel_constant: float) -> float:
-    """exp(-4 k |mu| max(|gamma|, 1/h) sup|A|) with kernel constant k; 1 iff A = 0."""
-    if kernel_constant <= 0.0:
-        raise ValueError("kernel_constant must be positive")
+def damping_factor(A: FourierField, gamma_coeffs, measure: MeasureSpec) -> float:
+    """exp(-4 k |mu| max(|gamma|, 1/h) sup|A|), k the default kernel constant;
+    1 iff A = 0."""
     t = _gauge_scale(A, gamma_coeffs, measure)
-    return math.exp(-4.0 * kernel_constant * measure.norm_bound * t
+    return math.exp(-4.0 * default_kernel_constant() * measure.norm_bound * t
                     * coefficient_sum(A))
 
 
 def gauge_bound_check(A: FourierField, gamma_coeffs, measure: MeasureSpec,
-                      et: np.ndarray, kernel_constant: float,
-                      grid_per_axis: Optional[int] = None) -> dict:
+                      et: np.ndarray, grid_per_axis: Optional[int] = None) -> dict:
     """Empirical check of the gauge-pair sup bound at the frame (et, e).
 
-    Builds the frame from gamma and the unit transverse direction et (which
-    must be orthogonal to gamma), the average At of A along gamma, and
-    (Phi1, Phi2); compares grid lower bounds of their sup-norms against
-    kernel_constant * |mu| * max(|gamma|, 1/h) * sup|A| (certified upper), and
-    asserts the exact multiplier identity: every mode carrying defect has
-    eta(2 pi t |in-plane frequency|) == 1 for the default cutoff eta.
+    Builds (Phi1, Phi2) from A, gamma, the measure and the unit transverse
+    direction et (which must be orthogonal to gamma); compares grid lower
+    bounds of their sup-norms against k * |mu| * max(|gamma|, 1/h) * sup|A|
+    (certified upper), k the constant of the default cutoff eta, and asserts
+    the exact multiplier identity: every mode carrying defect has
+    eta(2 pi t |in-plane frequency|) == 1 for that same eta.
     """
-    frame = build_frame(A.lattice.direction(gamma_coeffs)[1], et)
-    At = averaged_potential(A, gamma_coeffs, measure, frame.et)
+    const = default_kernel_constant()
     t = _gauge_scale(A, gamma_coeffs, measure)
-    phi1, phi2 = build_phi(A, At, frame)
+    phi1, phi2 = build_phi(A, gamma_coeffs, measure, et)
     a_lo, a_hi = sup_norm(A, grid_per_axis)
-    bound = kernel_constant * measure.norm_bound * t * a_hi
+    bound = const * measure.norm_bound * t * a_hi
     lo1 = sup_norm(phi1, grid_per_axis)[0]
     lo2 = sup_norm(phi2, grid_per_axis)[0]
 
     # multiplier identity on active modes
     eta, eta_ok, active = EtaSpec(), True, 0
-    for _, _, nu1, nu2, a, b in _defect_modes(A, At, frame):
+    for _, _, nu1, nu2, a, b in _defect_modes(A, gamma_coeffs, measure, et):
         if max(abs(a), abs(b)) == 0.0:
             continue
         active += 1
@@ -385,7 +348,7 @@ def gauge_bound_check(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     ok1 = lo1 <= bound * (1.0 + 1e-12) + 1e-15
     ok2 = lo2 <= bound * (1.0 + 1e-12) + 1e-15
     return {
-        "kernel_constant": kernel_constant,
+        "kernel_constant": const,
         "t": t,
         "measure_norm": measure.norm_bound,
         "a_sup_lo": a_lo,

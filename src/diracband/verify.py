@@ -105,8 +105,7 @@ class _Face:
         kmax = float(np.max(np.linalg.norm(self.ks, axis=1)))
         return 3.0 * (max(kappas) + self.w_bound) + kmax
 
-    def damping(self, measure: MeasureSpec, sphere_samples: int,
-                kernel_constant: Optional[float], what: str
+    def damping(self, measure: MeasureSpec, sphere_samples: int, what: str
                 ) -> tuple[ConditionValue, float, float]:
         """(condition bracket, kernel constant, damping factor) of A on the face.
 
@@ -116,8 +115,7 @@ class _Face:
         cond = condition_value(A, self.gc, measure, sphere_samples=sphere_samples)
         if cond.theta_hi >= 1.0:
             raise ValueError(f"averaged-field bracket reaches 1; {what} unavailable")
-        const = default_kernel_constant() if kernel_constant is None else kernel_constant
-        return cond, const, damping_factor(A, self.gc, measure, const)
+        return cond, default_kernel_constant(), damping_factor(A, self.gc, measure)
 
     def scan(self, kappas, cutoff: float, threads: int,
              weights: Optional[Callable] = None) -> tuple[ModeSet, np.ndarray]:
@@ -206,7 +204,6 @@ def _kappa_star(sigma: np.ndarray, kappas, bound: float) -> Optional[float]:
 def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
                         theta: float, kappas=None, k_points_per_axis: int = 5,
                         cutoff: Optional[float] = None,
-                        kernel_constant: Optional[float] = None,
                         refine_factor: Optional[float] = None,
                         probe_count: int = 0, seed: int = 0,
                         sphere_samples: int = 4096,
@@ -219,8 +216,7 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
     the bound holds at every grid node for all larger scanned shifts.
     """
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
-    cond, const, damping = face.damping(measure, sphere_samples,
-                                        kernel_constant, "bound")
+    cond, const, damping = face.damping(measure, sphere_samples, "bound")
     if not 0.0 < theta < 1.0 - cond.theta_hi:
         raise ValueError("theta must lie in (0, 1 - theta_hi)")
     bound = theta * math.pi / face.gnorm * damping
@@ -298,7 +294,6 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
                           measure: MeasureSpec, delta: float, beta: float,
                           kappas, k_points_per_axis: int = 3,
                           cutoff: Optional[float] = None,
-                          kernel_constant: Optional[float] = None,
                           sphere_samples: int = 4096,
                           threads: int = 1) -> WeightedSplitReport:
     """Two-zone weighted lower bound on the face (k, gamma) = pi.
@@ -314,8 +309,7 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
     if not all(k > beta for k in kappas):
         raise ValueError("every kappa must exceed beta")
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
-    cond, const, damping = face.damping(measure, sphere_samples,
-                                        kernel_constant, "floor")
+    cond, const, damping = face.damping(measure, sphere_samples, "floor")
     floor = damping * (1.0 - cond.theta_hi) * math.pi / face.gnorm
     cutoff = face.cutoff(cutoff, kappas)
 
@@ -350,7 +344,8 @@ def weighted_floor(pot: PotentialSet, gamma_coeffs, kappas,
 
     Weights are the free factors g_minus.  For the free operator the value
     is exactly 1 at every node; for small potentials it obeys the
-    perturbation floor 1 - W |gamma| / pi, which is reported alongside.
+    perturbation floor 1 - W |gamma| / pi, which is reported alongside;
+    `passes` says whether the minimum reaches that floor (to 1e-12).
     """
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
     kappas = [float(k) for k in kappas]
@@ -359,14 +354,17 @@ def weighted_floor(pot: PotentialSet, gamma_coeffs, kappas,
                              lambda op: op.mode_g_factors()[:, 0])
     rows = [{"k_index": i, "kappa": kappas[j], "ratio": float(ratio[i, j])}
             for i, j in np.ndindex(ratio.shape)]
+    ratio_min = min(r["ratio"] for r in rows)
+    floor = 1.0 - face.w_bound * face.gnorm / math.pi
     return {
         "verdict": "EMPIRICAL",
         "gamma_coeffs": [int(c) for c in face.gc],
         "gamma_norm": face.gnorm,
         "kappas": kappas,
         "rows": rows,
-        "ratio_min": min(r["ratio"] for r in rows),
-        "perturbation_floor": 1.0 - face.w_bound * face.gnorm / math.pi,
+        "ratio_min": ratio_min,
+        "perturbation_floor": floor,
+        "passes": bool(ratio_min >= floor - 1e-12),
         "w_bound": face.w_bound,
         "cutoff": cutoff,
         "mode_count": len(modes),

@@ -21,9 +21,8 @@ from diracband.clifford import (anticommutator, build_clifford,
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               averaged_potential, zero_field)
 from diracband.fiber import FiberPoint, ModeSet, g_factors, symbol
-from diracband.gauge import (bessel_kernel_constant, build_frame, build_phi,
-                             default_kernel_constant, gauge_bound_check,
-                             EtaSpec)
+from diracband.gauge import (bessel_kernel_constant, build_phi,
+                             gauge_bound_check, EtaSpec)
 from diracband.lattice import Lattice, SphereMeasure, check_gamma, find_gamma
 from diracband.util import orthonormal_complement
 from diracband.verify import condition_chain_pipeline, verify_thomas_bound, \
@@ -132,23 +131,21 @@ def test_04_gauge_identities(lat3):
     rng = np.random.default_rng(4)
     gammas = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 1)]
     measures = [MeasureSpec.dirac(), MeasureSpec.plateau(0.5, 1.5)]
-    const = default_kernel_constant()
     for draw in range(100):
         A = random_real_vector_field(lat3, rng, pairs=3, span=2)
         gamma = gammas[draw % len(gammas)]
         measure = measures[draw % 2]
-        gvec = lat3.point(gamma)
-        axis = gvec / float(np.linalg.norm(gvec))
-        frame = build_frame(gvec, orthonormal_complement(axis)[0])
-        At = averaged_potential(A, gamma, measure, frame.et)
-        p1, p2 = build_phi(A, At, frame)
+        axis = lat3.direction(gamma)[3]
+        et = orthonormal_complement(axis)[0]
+        At = averaged_potential(A, gamma, measure, et)
+        p1, p2 = build_phi(A, gamma, measure, et)
         diff = A - At
         for key, val in diff.coeffs.items():
             nvec = lat3.dual_point(key)
-            nu1 = float(np.dot(nvec, frame.et))
-            nu2 = float(np.dot(nvec, frame.e))
-            a = complex(np.dot(val, frame.et))
-            b = complex(np.dot(val, frame.e))
+            nu1 = float(np.dot(nvec, et))
+            nu2 = float(np.dot(nvec, axis))
+            a = complex(np.dot(val, et))
+            b = complex(np.dot(val, axis))
             coef1 = p1.coeffs.get(key, 0.0)
             coef2 = p2.coeffs.get(key, 0.0)
             scale = max(abs(a), abs(b), 1e-30)
@@ -156,8 +153,7 @@ def test_04_gauge_identities(lat3):
             assert abs(two_pi_i * (nu1 * coef1 - nu2 * coef2) - a) <= 1e-12 * scale
             assert abs(two_pi_i * (nu2 * coef1 + nu1 * coef2) - b) <= 1e-12 * scale
         if draw % 5 == 0:
-            result = gauge_bound_check(A, gamma, measure, frame.et, const,
-                                       grid_per_axis=8)
+            result = gauge_bound_check(A, gamma, measure, et, grid_per_axis=8)
             assert result["eta_multiplier_one"] is True
 
 
@@ -178,8 +174,7 @@ def test_05_kernel_constant_and_bound(lat3):
         axis = gvec / float(np.linalg.norm(gvec))
         et = orthonormal_complement(axis)[0]
         for measure in (MeasureSpec.dirac(), MeasureSpec.plateau(0.5, 1.5)):
-            result = gauge_bound_check(A, gamma, measure, et, report.constant,
-                                       grid_per_axis=8)
+            result = gauge_bound_check(A, gamma, measure, et, grid_per_axis=8)
             failures += 0 if result["ok"] else 1
     assert failures == 0
 

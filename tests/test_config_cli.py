@@ -165,6 +165,33 @@ def test_cli_floor_mode_rejects_sphere_samples(tmp_path, capsys):
             "mode") in capsys.readouterr().err
 
 
+def test_cli_gauge_et_must_be_orthogonal_to_gamma(tmp_path, capsys):
+    payload = json.loads(open(config_path("gauge_bound.json")).read())
+    payload["gauge"]["et"] = [1, 1, 0]
+    path = write_config(tmp_path, payload)
+    assert main(["gauge-bound", "--config", path]) == 1
+    assert ("config error at /gauge/et: must be orthogonal to gamma"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command,name", [
+    ("check-condition", "condition.json"),
+    ("gauge-bound", "gauge_bound.json"),
+    ("find-gamma", "pipeline_documented.json"),
+])
+@pytest.mark.parametrize("part,scalar", [("V0", 0.2), ("V1", 0.1)])
+def test_cli_vector_potential_commands_reject_v0_v1(tmp_path, capsys, command,
+                                                    name, part, scalar):
+    # these commands read only A; a matrix potential would be dropped
+    payload = json.loads(open(config_path(name)).read())
+    payload["potential"][part] = {"hermitian": True, "modes": [
+        {"coeffs": [0, 0, 0], "scalar": scalar}]}
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path]) == 1
+    assert (f"config error at /potential/{part}: unused: this command reads "
+            "only A") in capsys.readouterr().err
+
+
 def test_kernel_defaults():
     parsed = cfg.parse_kernel_constant({})
     assert parsed["tau_lo"] == math.pi

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,57 +12,56 @@ import pytest
 from scipy.integrate import quad
 
 from diracband.fields import FourierField, MeasureSpec, averaged_potential, sup_norm
-from diracband.gauge import (EtaSpec, bessel_kernel_constant, build_frame,
-                             build_phi, damping_factor, default_kernel_constant,
+from diracband.gauge import (EtaSpec, bessel_kernel_constant, build_phi,
+                             damping_factor, default_kernel_constant,
                              gauge_bound_check, radial_kernel)
 from helpers import random_real_vector_field
 
 GAMMA = (1, 0, 0)
+E = np.array([1.0, 0.0, 0.0])  # GAMMA / |GAMMA| on the cubic lattice
 ET = np.array([0.0, 1.0, 0.0])
 
 
-def test_frame_construction(lat3):
-    frame = build_frame(lat3.point(GAMMA), ET)
-    assert np.allclose(frame.vectors @ frame.vectors.T, np.eye(3), atol=1e-14)
-    assert np.array_equal(frame.et, ET)
-    assert np.array_equal(frame.e, np.array([1.0, 0.0, 0.0]))
-
-    with pytest.raises(ValueError):
-        build_frame(np.zeros(3), ET)
-    with pytest.raises(ValueError):
-        build_frame(lat3.point(GAMMA), np.array([0.0, 2.0, 0.0]))
-    with pytest.raises(ValueError):
-        build_frame(lat3.point(GAMMA), np.array([1.0, 0.0, 0.0]))
+def test_gauge_pair_rejects_bad_frame_inputs(lat3, rng):
+    A = random_real_vector_field(lat3, rng, pairs=2)
+    mu = MeasureSpec.dirac()
+    with pytest.raises(ValueError, match="gamma must be nonzero"):
+        build_phi(A, (0, 0, 0), mu, ET)
+    with pytest.raises(ValueError, match="et must have unit length"):
+        build_phi(A, GAMMA, mu, np.array([0.0, 2.0, 0.0]))
+    with pytest.raises(ValueError, match="et must have unit length"):
+        # passes the averaging's 1e-9 unit check, not the pair's 1e-10
+        build_phi(A, GAMMA, mu, np.array([0.0, 1.0 + 5e-10, 0.0]))
+    with pytest.raises(ValueError, match="et must be orthogonal to gamma"):
+        build_phi(A, GAMMA, mu, E)
 
 
 @pytest.mark.parametrize("kind", ["dirac", "plateau"])
 def test_gauge_pair_solves_defect_system(lat3, rng, kind):
     mu = MeasureSpec.dirac() if kind == "dirac" else MeasureSpec.plateau(0.5, 1.5)
-    frame = build_frame(lat3.point(GAMMA), ET)
     for _ in range(5):
         A = random_real_vector_field(lat3, rng, pairs=4)
-        At = averaged_potential(A, GAMMA, mu, frame.et)
-        phi1, phi2 = build_phi(A, At, frame)
+        At = averaged_potential(A, GAMMA, mu, ET)
+        phi1, phi2 = build_phi(A, GAMMA, mu, ET)
         assert phi1.real and phi2.real
         diff = A - At
         for key in diff.coeffs:
             nvec = lat3.dual_point(key)
-            nu1 = 2.0j * math.pi * float(np.dot(nvec, frame.et))
-            nu2 = 2.0j * math.pi * float(np.dot(nvec, frame.e))
+            nu1 = 2.0j * math.pi * float(np.dot(nvec, ET))
+            nu2 = 2.0j * math.pi * float(np.dot(nvec, E))
             p1, p2 = phi1.coeff(key), phi2.coeff(key)
-            a = complex(np.dot(diff.coeff(key), frame.et))
-            b = complex(np.dot(diff.coeff(key), frame.e))
+            a = complex(np.dot(diff.coeff(key), ET))
+            b = complex(np.dot(diff.coeff(key), E))
             assert abs(nu1 * p1 - nu2 * p2 - a) < 1e-12
             assert abs(nu2 * p1 + nu1 * p2 - b) < 1e-12
 
 
 def test_gauge_pair_matches_finite_differences(lat3, rng):
     # real-space check: directional derivatives recover the defect
-    frame = build_frame(lat3.point(GAMMA), ET)
     mu = MeasureSpec.dirac()
     A = random_real_vector_field(lat3, rng, pairs=3)
-    At = averaged_potential(A, GAMMA, mu, frame.et)
-    phi1, phi2 = build_phi(A, At, frame)
+    At = averaged_potential(A, GAMMA, mu, ET)
+    phi1, phi2 = build_phi(A, GAMMA, mu, ET)
     diff = A - At
     eps = 1e-5
 
@@ -70,24 +69,13 @@ def test_gauge_pair_matches_finite_differences(lat3, rng):
         return (f.evaluate(x + eps * u) - f.evaluate(x - eps * u)) / (2 * eps)
 
     for x in rng.uniform(-1.0, 1.0, size=(4, 3)):
-        d1p1 = dderiv(phi1, x, frame.et)
-        d2p1 = dderiv(phi1, x, frame.e)
-        d1p2 = dderiv(phi2, x, frame.et)
-        d2p2 = dderiv(phi2, x, frame.e)
+        d1p1 = dderiv(phi1, x, ET)
+        d2p1 = dderiv(phi1, x, E)
+        d1p2 = dderiv(phi2, x, ET)
+        d2p2 = dderiv(phi2, x, E)
         want = diff.evaluate(x)
-        assert abs(d1p1 - d2p2 - float(np.dot(want, frame.et))) < 1e-6
-        assert abs(d2p1 + d1p2 - float(np.dot(want, frame.e))) < 1e-6
-
-
-def test_gauge_pair_rejects_unresolvable_defect(lat3):
-    # a mode with no in-plane frequency cannot carry in-plane defect, which
-    # happens when the declared average is not the actual one
-    v = np.array([0.0, 0.1, 0.0])
-    A = FourierField(lat3, "vector", {(0, 0, 1): v, (0, 0, -1): v}, real=True)
-    frame = build_frame(lat3.point(GAMMA), ET)
-    from diracband.fields import zero_field
-    with pytest.raises(ValueError):
-        build_phi(A, zero_field(lat3, "vector"), frame)
+        assert abs(d1p1 - d2p2 - float(np.dot(want, ET))) < 1e-6
+        assert abs(d2p1 + d1p2 - float(np.dot(want, E))) < 1e-6
 
 
 def test_eta_spec():
@@ -129,6 +117,10 @@ def test_kernel_constant_frozen():
     assert report.norm_l1_2d is None and report.cross_residual is None
     assert report.tail_estimate < 1e-7 * report.norm_l1 / 4.0 * 10
     assert abs(default_kernel_constant() - report.constant) < 1e-14
+    # without the cross route there is nothing to disagree with
+    assert report.passes is True
+    assert replace(report, cross_residual=1e-4).passes is True
+    assert replace(report, cross_residual=1.5e-4).passes is False
     d = asdict(report)
     assert d["zero_count"] == report.zero_count >= 50
     assert d["rmax"] == report.rmax
@@ -155,40 +147,37 @@ def test_kernel_constant_independent_of_blas_kernel():
 
 
 def test_damping_factor(lat3, rng):
-    const = 1.7058460118707472
+    const = default_kernel_constant()
     A = random_real_vector_field(lat3, rng, pairs=2)
     mu = MeasureSpec.dirac()
     from diracband.fields import zero_field
-    assert damping_factor(zero_field(lat3, "vector"), GAMMA, mu,
-                          const) == 1.0
+    assert damping_factor(zero_field(lat3, "vector"), GAMMA, mu) == 1.0
 
     # documented single-pair example: sup-bound 0.1, |gamma| = 1
     v = np.array([0.0, 0.0, 0.05])
     doc = FourierField(lat3, "vector", {(0, 1, 0): v, (0, -1, 0): v}, real=True)
-    got = damping_factor(doc, GAMMA, mu, default_kernel_constant())
+    got = damping_factor(doc, GAMMA, mu)
     assert abs(got - 0.5054337008315438) < 1e-12
     assert abs(got - math.exp(-0.4 * default_kernel_constant())) < 1e-15
 
     # finite smoothing radius switches the scale to 1/h once that is larger
-    f1 = damping_factor(doc, GAMMA, MeasureSpec.plateau(0.25, 0.75), const)
+    f1 = damping_factor(doc, GAMMA, MeasureSpec.plateau(0.25, 0.75))
     hi = sup_norm(doc)[1]
     t = 4.0
     norm = MeasureSpec.plateau(0.25, 0.75).norm_bound
     assert abs(f1 - math.exp(-4.0 * const * norm * t * hi)) < 1e-15
 
     with pytest.raises(ValueError):
-        damping_factor(A, GAMMA, mu, 0.0)
-    with pytest.raises(ValueError):
-        damping_factor(A, (0, 0, 0), mu, const)
+        damping_factor(A, (0, 0, 0), mu)
 
 
 @pytest.mark.parametrize("kind", ["dirac", "plateau"])
 def test_gauge_bound_check_random_draws(lat3, rng, kind):
     mu = MeasureSpec.dirac() if kind == "dirac" else MeasureSpec.plateau(0.5, 1.5)
-    const = default_kernel_constant()
     for _ in range(3):
         A = random_real_vector_field(lat3, rng, pairs=4)
-        result = gauge_bound_check(A, GAMMA, mu, ET, const)
+        result = gauge_bound_check(A, GAMMA, mu, ET)
+        assert result["kernel_constant"] == default_kernel_constant()
         assert result["ok"]
         assert result["eta_multiplier_one"]
         assert result["phi1_sup_lo"] <= result["bound"] + 1e-15
@@ -200,4 +189,4 @@ def test_gauge_bound_check_rejects_et_not_orthogonal_to_gamma(lat3, rng):
     A = random_real_vector_field(lat3, rng, pairs=3)
     tilted = np.array([0.6, 0.8, 0.0])
     with pytest.raises(ValueError, match="et must be orthogonal to gamma"):
-        gauge_bound_check(A, GAMMA, MeasureSpec.dirac(), tilted, 1.7)
+        gauge_bound_check(A, GAMMA, MeasureSpec.dirac(), tilted)

@@ -122,8 +122,7 @@ def test_potential_stencil_built_once_per_window(lat3, rep3, rng, monkeypatch):
     monkeypatch.setattr(PotentialSet, "composite", counted)
     verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(), theta=0.5,
                         kappas=[4.0, 8.0], k_points_per_axis=2,
-                        cutoff=SMALL_CUTOFF, kernel_constant=KERNEL_C,
-                        sphere_samples=256, probe_count=10, refine_factor=1.4,
+                        cutoff=SMALL_CUTOFF, sphere_samples=256, probe_count=10, refine_factor=1.4,
                         threads=2)
     assert len(calls) == 2
 
@@ -194,7 +193,7 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
         verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
                             theta=0.5, kappas=[4.0], k_points_per_axis=1,
-                            cutoff=20.0, kernel_constant=KERNEL_C)
+                            cutoff=20.0)
     e = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
         bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
@@ -293,6 +292,7 @@ def test_weighted_floor_free_is_one(lat3, rep3):
     assert out["ratio_min"] == 1.0
     assert all(r["ratio"] == 1.0 for r in out["rows"])
     assert out["perturbation_floor"] == 1.0
+    assert out["passes"] is True
 
 
 def test_weighted_floor_obeys_perturbation_bound(lat3, rep3, rng):
@@ -302,6 +302,7 @@ def test_weighted_floor_obeys_perturbation_bound(lat3, rep3, rng):
     # sup perturbation / smallest weight, with weights >= pi/|gamma| on face
     assert out["perturbation_floor"] == 1.0 - out["w_bound"] / math.pi
     assert out["ratio_min"] >= out["perturbation_floor"] - 1e-10
+    assert out["passes"] is True
 
 
 def test_sobolev_measure_accumulates_parallel_modes(lat3):
