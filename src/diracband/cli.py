@@ -4,6 +4,8 @@ Subcommands wrap the library's sweeps and checks, read a strict JSON config
 (--config), and emit byte-deterministic artifacts: JSON reports with sorted
 keys and CSV tables with 17-significant-digit floats.  Without --out the
 JSON report goes to stdout; CSV side tables are written only under --out.
+Each subcommand is declared once, in `_COMMANDS`: its runner returns the
+report, the verdict and the side tables, and `main` writes them.
 
 Exit codes: 0 when the run's checks pass, 2 when the run completed but some
 empirical check failed (reports are still written), 1 for usage or config
@@ -45,10 +47,6 @@ def _jsonable(x):
     return x
 
 
-def _dumps(report) -> str:
-    return cfg.canonical_dumps(_jsonable(report))
-
-
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
@@ -64,164 +62,122 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Artifacts:
-    """Collects named outputs; flushed to --out or (JSON only) to stdout."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.items: list[tuple[str, str]] = []
-
-    def add(self, name: str, text: str) -> None:
-        self.items.append((name, text))
-
-    def flush(self) -> None:
-        if self.out_dir is None:
-            for name, text in self.items:
-                if name.endswith(".json"):
-                    sys.stdout.write(text)
-            return
-        os.makedirs(self.out_dir, exist_ok=True)
-        for name, text in self.items:
-            path = os.path.join(self.out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # command runners: parsed config (with --seed and --cutoff applied) and
-# --threads -> (exit code, artifacts)
+# --threads -> (report, passes, {CSV file name: text}); the docstring is the
+# command's help line
 # ---------------------------------------------------------------------------
 
-def _run_bands(parsed, args, art: _Artifacts) -> int:
+def _run_bands(parsed, threads):
+    """sweep fiber eigenvalues along a quasimomentum line"""
     sheet = band_sweep(parsed["pot"], parsed["k0"], parsed["e"],
                        parsed["xi_range"], parsed["samples"], parsed["cutoff"],
-                       threads=args.threads)
+                       threads=threads)
     window = parsed["energy_window"]
     if window is None:
         half = sheet.free_band_max() / 2.0
         window = (-half, half)
     report = nonconstancy_report(sheet, window, parsed["threshold"])
-
     header = ["xi"] + [f"E_{j + 1}" for j in range(sheet.band_count)]
     rows = [[sheet.xis[i]] + list(sheet.energies[i])
             for i in range(len(sheet.xis))]
-    art.add("bands.csv", _csv(header, rows))
-    art.add("bands.json", _dumps({"command": "bands", **report}))
-    return 2 if report["suspect_flat_bands"] else 0
+    return (report, not report["suspect_flat_bands"],
+            {"bands.csv": _csv(header, rows)})
 
 
-def _run_check_condition(parsed, args, art: _Artifacts) -> int:
+def _run_check_condition(parsed, threads):
+    """bracket the averaged-field smallness value"""
     cv = condition_value(parsed["A"], parsed["gamma"], parsed["measure"],
                          sphere_samples=parsed["sphere_samples"],
                          scan_grid=parsed["scan_grid"],
                          refine_grid=parsed["refine_grid"],
                          rng=np.random.default_rng(parsed["seed"]))
-    report = {"command": "check-condition",
-              "gamma": list(parsed["gamma"]),
-              "measure": parsed["measure"].to_dict(),
-              "passes": cv.holds, **dataclasses.asdict(cv)}
-    art.add("check-condition.json", _dumps(report))
-    return 0 if cv.holds else 2
+    return ({"gamma": list(parsed["gamma"]),
+             "measure": parsed["measure"].to_dict(),
+             "passes": cv.holds, **dataclasses.asdict(cv)}, cv.holds, {})
 
 
-def _run_find_gamma(parsed, args, art: _Artifacts) -> int:
+def _run_find_gamma(parsed, threads):
+    """search period directions (or run the decay pipeline)"""
     if parsed["mode"] == "search":
         cert = find_gamma(parsed["lattice"], parsed["measure"], parsed["h"],
                           parsed["R0"], parsed["window"])
-        report = {"command": "find-gamma", "mode": "search", **cert.to_dict()}
-        art.add("find-gamma.json", _dumps(report))
-        return 0
+        return {"mode": "search", **cert.to_dict()}, True, {}
     result = condition_chain_pipeline(
         parsed["A"], parsed["q"], parsed["h"], parsed["h1"],
         parsed["R0_list"], et_samples=parsed["et_samples"],
         grid_per_axis=parsed["grid_per_axis"],
         search_window=parsed["window"], seed=parsed["seed"])
-    report = {"command": "find-gamma", "mode": "pipeline", **result}
-    art.add("find-gamma.json", _dumps(report))
-    return 0 if result["chain_ok"] else 2
+    return {"mode": "pipeline", **result}, result["chain_ok"], {}
 
 
-def _run_verify_thomas(parsed, args, art: _Artifacts) -> int:
+def _run_verify_thomas(parsed, threads):
+    """scan shifted fibers against the damped lower bound"""
     report = verify_thomas_bound(
         parsed["pot"], parsed["gamma"], parsed["measure"], parsed["theta"],
         kappas=parsed["kappas"],
         k_points_per_axis=parsed["k_points_per_axis"], cutoff=parsed["cutoff"],
         refine_factor=parsed["refine_factor"],
         probe_count=parsed["probe_count"], seed=parsed["seed"],
-        sphere_samples=parsed["sphere_samples"], threads=args.threads)
-    art.add("verify-thomas.json",
-            _dumps({"command": "verify-thomas", **report.to_dict()}))
-    art.add("margins.csv",
-            _csv(["k_index", "kappa", "sigma_min", "bound", "margin"],
-                 [[r["k_index"], r["kappa"], r["sigma_min"], r["bound"],
-                   r["margin"]] for r in report.margin_rows()]))
-    return 0 if report.holds else 2
+        sphere_samples=parsed["sphere_samples"], threads=threads)
+    margins = _csv(["k_index", "kappa", "sigma_min", "bound", "margin"],
+                   [[r["k_index"], r["kappa"], r["sigma_min"], r["bound"],
+                     r["margin"]] for r in report.margin_rows()])
+    return report.to_dict(), report.holds, {"margins.csv": margins}
 
 
-def _run_verify_weighted(parsed, args, art: _Artifacts) -> int:
+def _run_verify_weighted(parsed, threads):
+    """weighted singular-value floors on the critical face"""
     if parsed["mode"] == "split":
         report = verify_weighted_split(
             parsed["pot"], parsed["gamma"], parsed["measure"], parsed["delta"],
             parsed["beta"], parsed["kappas"],
             k_points_per_axis=parsed["k_points_per_axis"],
             cutoff=parsed["cutoff"], sphere_samples=parsed["sphere_samples"],
-            threads=args.threads)
-        art.add("verify-weighted.json",
-                _dumps({"command": "verify-weighted", "mode": "split",
-                        **report.to_dict()}))
-        return 0 if report.holds else 2
+            threads=threads)
+        return {"mode": "split", **report.to_dict()}, report.holds, {}
     result = weighted_floor(
         parsed["pot"], parsed["gamma"], parsed["kappas"],
         k_points_per_axis=parsed["k_points_per_axis"],
-        cutoff=parsed["cutoff"], threads=args.threads)
-    art.add("verify-weighted.json",
-            _dumps({"command": "verify-weighted", "mode": "floor", **result}))
-    return 0 if result["passes"] else 2
+        cutoff=parsed["cutoff"], threads=threads)
+    return {"mode": "floor", **result}, result["passes"], {}
 
 
-def _run_gauge_bound(parsed, args, art: _Artifacts) -> int:
+def _run_gauge_bound(parsed, threads):
+    """gauge-pair sup-norm bound check at one frame"""
     et = parsed["et"]
     if et is None:
         e = parsed["lattice"].direction(parsed["gamma"])[3]
         et = orthonormal_complement(e)[0]
     result = gauge_bound_check(parsed["A"], parsed["gamma"], parsed["measure"],
                                et, grid_per_axis=parsed["grid_per_axis"])
-    report = {"command": "gauge-bound", "gamma": list(parsed["gamma"]),
-              "et": [float(c) for c in et],
-              "measure": parsed["measure"].to_dict(), **result}
-    art.add("gauge_bound.json", _dumps(report))
-    return 0 if result["ok"] else 2
+    return ({"gamma": list(parsed["gamma"]), "et": [float(c) for c in et],
+             "measure": parsed["measure"].to_dict(), **result},
+            result["ok"], {})
 
 
-def _run_kernel_constant(parsed, args, art: _Artifacts) -> int:
+def _run_kernel_constant(parsed, threads):
+    """compute the oscillatory-kernel constant"""
     eta = EtaSpec(parsed["tau_lo"], parsed["tau_hi"])
     result = bessel_kernel_constant(eta, sample_step=parsed["sample_step"],
                                     radial_tol=parsed["radial_tol"],
                                     cross_check=parsed["cross_check"])
-    art.add("kernel-constant.json",
-            _dumps({"command": "kernel-constant", "passes": result.passes,
-                    **dataclasses.asdict(result)}))
-    return 0 if result.passes else 2
+    return ({"passes": result.passes, **dataclasses.asdict(result)},
+            result.passes, {})
 
 
-_RUNNERS = {
-    "bands": _run_bands,
-    "check-condition": _run_check_condition,
-    "find-gamma": _run_find_gamma,
-    "verify-thomas": _run_verify_thomas,
-    "verify-weighted": _run_verify_weighted,
-    "gauge-bound": _run_gauge_bound,
-    "kernel-constant": _run_kernel_constant,
-}
-
-_HELP = {
-    "bands": "sweep fiber eigenvalues along a quasimomentum line",
-    "check-condition": "bracket the averaged-field smallness value",
-    "find-gamma": "search period directions (or run the decay pipeline)",
-    "verify-thomas": "scan shifted fibers against the damped lower bound",
-    "verify-weighted": "weighted singular-value floors on the critical face",
-    "gauge-bound": "gauge-pair sup-norm bound check at one frame",
-    "kernel-constant": "compute the oscillatory-kernel constant",
+# name: (runner, JSON report file, flags beyond --config, --out and --threads)
+_COMMANDS = {
+    "bands": (_run_bands, "bands.json", ("--cutoff",)),
+    "check-condition": (_run_check_condition, "check-condition.json",
+                        ("--seed",)),
+    "find-gamma": (_run_find_gamma, "find-gamma.json", ("--seed",)),
+    "verify-thomas": (_run_verify_thomas, "verify-thomas.json",
+                      ("--seed", "--cutoff")),
+    "verify-weighted": (_run_verify_weighted, "verify-weighted.json",
+                        ("--cutoff",)),
+    "gauge-bound": (_run_gauge_bound, "gauge_bound.json", ()),
+    "kernel-constant": (_run_kernel_constant, "kernel-constant.json", ()),
 }
 
 
@@ -239,21 +195,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="diracband",
         description="Spectral checks for periodic Dirac operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (runner, _, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=runner.__doc__)
+        sp.set_defaults(seed=None, cutoff=None)
         sp.add_argument("--config", required=name != "kernel-constant",
                         help="path to the JSON config")
         sp.add_argument("--out", default=None,
                         help="directory for artifacts (default: JSON to stdout)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized probes (overrides config)")
+        if "--seed" in flags:
+            sp.add_argument("--seed", type=int,
+                            help="seed for randomized probes (overrides config)")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads for grid sweeps")
-        if name in ("bands", "verify-thomas", "verify-weighted"):
-            sp.add_argument("--cutoff", type=float, default=None,
+        if "--cutoff" in flags:
+            sp.add_argument("--cutoff", type=float,
                             help="mode-window radius (overrides config)")
-        else:
-            sp.set_defaults(cutoff=None)
     return parser
 
 
@@ -280,14 +236,23 @@ def main(argv=None) -> int:
         if getattr(args, key) is not None:
             parsed[key] = getattr(args, key)
 
-    art = _Artifacts(args.out)
+    runner, report_name, _ = _COMMANDS[args.command]
     try:
-        code = _RUNNERS[args.command](parsed, args, art)
+        report, passes, tables = runner(parsed, args.threads)
+        text = cfg.canonical_dumps(
+            _jsonable({"command": args.command, **report}))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    art.flush()
-    return code
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        os.makedirs(args.out, exist_ok=True)
+        for name, body in {report_name: text, **tables}.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(body)
+    return 0 if passes else 2
 
 
 if __name__ == "__main__":

@@ -175,6 +175,21 @@ def _float_vector(node, path, length) -> np.ndarray:
     return np.array([_number(v, _join(path, i)) for i, v in enumerate(node)])
 
 
+def _direction(node, path, length, what="direction") -> np.ndarray:
+    """A nonzero vector of `length` numbers, scaled to unit length."""
+    v = _float_vector(node, path, length)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ConfigError(path, f"{what} must be nonzero")
+    return v / norm
+
+
+def _positive_list(node, path) -> list:
+    """A nonempty array of numbers > 0."""
+    _list(node, path, min_length=1)
+    return [_number(v, _join(path, i), gt=0.0) for i, v in enumerate(node)]
+
+
 # ---------------------------------------------------------------------------
 # domain builders
 # ---------------------------------------------------------------------------
@@ -317,15 +332,11 @@ def build_sphere_measure(node, path, lattice: Lattice) -> SphereMeasure:
     for i, entry in enumerate(entries):
         epath = _join(path, i)
         entry = _object(entry, epath, required=("point", "weight"))
-        p = _float_vector(entry["point"], _join(epath, "point"), lattice.n)
-        norm = float(np.linalg.norm(p))
-        if norm == 0.0:
-            raise ConfigError(_join(epath, "point"), "atom direction must be nonzero")
-        points.append(p / norm)
+        points.append(_direction(entry["point"], _join(epath, "point"),
+                                 lattice.n, "atom direction"))
         weights.append(_number(entry["weight"], _join(epath, "weight"), ge=0.0))
-    if not points:
-        return SphereMeasure(points=np.zeros((0, lattice.n)), weights=np.zeros(0))
-    return SphereMeasure(points=np.array(points), weights=np.array(weights))
+    return SphereMeasure(points=np.reshape(points, (-1, lattice.n)),
+                         weights=np.array(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +345,15 @@ def build_sphere_measure(node, path, lattice: Lattice) -> SphereMeasure:
 
 def _preamble(raw, required, optional=(), potential=True) -> dict:
     """Shared head of a command config, checked in this order: the top-level
-    keys, the lattice, the seed, then (with `potential`) the generators and
-    the potential block."""
+    keys, the lattice, the seed (only where `optional` names it, for the
+    commands that draw random numbers), then (with `potential`) the
+    generators and the potential block."""
     _object(raw, "", required=("lattice",) + required,
-            optional=("seed", "potential") + optional)
+            optional=("potential",) + optional)
     lattice = build_lattice(raw["lattice"], "/lattice")
-    out = {"lattice": lattice, "seed": _integer(raw.get("seed", 0), "/seed", ge=0)}
+    out = {"lattice": lattice}
+    if "seed" in optional:
+        out["seed"] = _integer(raw.get("seed", 0), "/seed", ge=0)
     if potential:
         out["pot"] = build_potential(raw.get("potential"), "/potential",
                                      lattice, build_clifford(lattice.n))
@@ -367,10 +381,7 @@ def parse_bands(raw) -> dict:
                    required=("k0", "direction", "xi_range", "samples", "cutoff"),
                    optional=("energy_window", "threshold"))
     k0 = _float_vector(node["k0"], "/bands/k0", lattice.n)
-    e = _float_vector(node["direction"], "/bands/direction", lattice.n)
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0:
-        raise ConfigError("/bands/direction", "direction must be nonzero")
+    e = _direction(node["direction"], "/bands/direction", lattice.n)
     xi = _list(node["xi_range"], "/bands/xi_range", length=2)
     a = _number(xi[0], "/bands/xi_range/0")
     b = _number(xi[1], "/bands/xi_range/1", gt=a)
@@ -381,7 +392,7 @@ def parse_bands(raw) -> dict:
         hi = _number(win[1], "/bands/energy_window/1", gt=lo)
         window = (lo, hi)
     return {
-        **out, "k0": k0, "e": e / norm, "xi_range": (a, b),
+        **out, "k0": k0, "e": e, "xi_range": (a, b),
         "samples": _integer(node["samples"], "/bands/samples", ge=2, le=100000),
         "cutoff": _number(node["cutoff"], "/bands/cutoff", gt=0.0),
         "energy_window": window,
@@ -391,7 +402,7 @@ def parse_bands(raw) -> dict:
 
 
 def parse_check_condition(raw) -> dict:
-    out = _preamble(raw, ("measure", "condition"))
+    out = _preamble(raw, ("measure", "condition"), ("seed",))
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["condition"], "/condition", required=("gamma",),
                    optional=("sphere_samples", "scan_grid", "refine_grid"))
@@ -408,7 +419,7 @@ def parse_check_condition(raw) -> dict:
 
 
 def parse_find_gamma(raw) -> dict:
-    out = _preamble(raw, (), ("search", "pipeline"), potential=False)
+    out = _preamble(raw, (), ("seed", "search", "pipeline"), potential=False)
     lattice = out["lattice"]
     if ("search" in raw) == ("pipeline" in raw):
         raise ConfigError("", "give exactly one of 'search' or 'pipeline'")
@@ -433,14 +444,13 @@ def parse_find_gamma(raw) -> dict:
                    required=("q", "h", "h1", "R0_list"),
                    optional=("et_samples", "grid_per_axis", "window"))
     h = _number(node["h"], "/pipeline/h", gt=0.0)
-    r0s = _list(node["R0_list"], "/pipeline/R0_list", min_length=1)
+    r0s = _positive_list(node["R0_list"], "/pipeline/R0_list")
     return {
         **out, "mode": "pipeline", "A": _vector_potential(raw, pot),
         "q": _number(node["q"], "/pipeline/q", gt=0.0),
         "h": h,
         "h1": _number(node["h1"], "/pipeline/h1", gt=h),
-        "R0_list": [_number(v, _join("/pipeline/R0_list", i), gt=0.0)
-                    for i, v in enumerate(r0s)],
+        "R0_list": r0s,
         "et_samples": _integer(node.get("et_samples", 16),
                                "/pipeline/et_samples", ge=1, le=4096),
         "grid_per_axis": _integer(node.get("grid_per_axis", 32),
@@ -450,16 +460,14 @@ def parse_find_gamma(raw) -> dict:
 
 
 def parse_verify_thomas(raw) -> dict:
-    out = _preamble(raw, ("measure", "thomas"))
+    out = _preamble(raw, ("measure", "thomas"), ("seed",))
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["thomas"], "/thomas", required=("gamma", "theta"),
                    optional=("kappas", "k_points_per_axis", "cutoff",
                              "refine_factor", "probe_count", "sphere_samples"))
     kappas = None
     if "kappas" in node:
-        vals = _list(node["kappas"], "/thomas/kappas", min_length=1)
-        kappas = [_number(v, _join("/thomas/kappas", i), gt=0.0)
-                  for i, v in enumerate(vals)]
+        kappas = _positive_list(node["kappas"], "/thomas/kappas")
         if sorted(kappas) != kappas:
             raise ConfigError("/thomas/kappas", "must be increasing")
     return {
@@ -486,9 +494,7 @@ def parse_verify_weighted(raw) -> dict:
                    optional=("delta", "beta", "k_points_per_axis", "cutoff",
                              "sphere_samples"))
     mode = _string(node["mode"], "/weighted/mode", choices={"split", "floor"})
-    vals = _list(node["kappas"], "/weighted/kappas", min_length=1)
-    kappas = [_number(v, _join("/weighted/kappas", i), gt=0.0)
-              for i, v in enumerate(vals)]
+    kappas = _positive_list(node["kappas"], "/weighted/kappas")
     out.update({
         "mode": mode,
         "gamma": _gamma(node["gamma"], "/weighted/gamma", out["lattice"]),
@@ -526,13 +532,7 @@ def parse_gauge_bound(raw) -> dict:
     measure = build_measure(raw["measure"], "/measure")
     node = _object(raw["gauge"], "/gauge", required=("gamma",),
                    optional=("et", "grid_per_axis"))
-    et = None
-    if "et" in node:
-        v = _float_vector(node["et"], "/gauge/et", lattice.n)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ConfigError("/gauge/et", "direction must be nonzero")
-        et = v / norm
+    et = _optional(_direction, node, "/gauge", "et", length=lattice.n)
     gamma = _gamma(node["gamma"], "/gauge/gamma", lattice)
     if et is not None and abs(float(np.dot(lattice.direction(gamma)[3], et))) > 1e-10:
         raise ConfigError("/gauge/et", "must be orthogonal to gamma")
@@ -545,8 +545,7 @@ def parse_gauge_bound(raw) -> dict:
 
 
 def parse_kernel_constant(raw) -> dict:
-    _object(raw, "", optional=("seed", "kernel"))
-    seed = _integer(raw.get("seed", 0), "/seed", ge=0)
+    _object(raw, "", optional=("kernel",))
     node = _object(raw.get("kernel", {}), "/kernel",
                    optional=("tau_lo", "tau_hi", "sample_step", "radial_tol",
                              "cross_check"))
@@ -554,7 +553,7 @@ def parse_kernel_constant(raw) -> dict:
     tau_hi = _number(node.get("tau_hi", 2.0 * math.pi), "/kernel/tau_hi",
                      gt=tau_lo, le=2.0 * math.pi)
     return {
-        "seed": seed, "tau_lo": tau_lo, "tau_hi": tau_hi,
+        "tau_lo": tau_lo, "tau_hi": tau_hi,
         "sample_step": _number(node.get("sample_step", 0.01),
                                "/kernel/sample_step", gt=0.0, le=1.0),
         "radial_tol": _number(node.get("radial_tol", 1e-7),

@@ -398,10 +398,8 @@ def sobolev_direction_measure(A: FourierField, q: float) -> SphereMeasure:
         nvec = lattice.dual_point(prim)
         points.append(nvec / float(np.linalg.norm(nvec)))
         weights.append(acc[prim])
-    if not points:
-        return SphereMeasure(points=np.zeros((0, lattice.n)),
-                             weights=np.zeros(0))
-    return SphereMeasure(points=np.array(points), weights=np.array(weights))
+    return SphereMeasure(points=np.reshape(points, (-1, lattice.n)),
+                         weights=np.array(weights))
 
 
 def condition_chain_pipeline(A: FourierField, q: float, h: float, h1: float,

@@ -27,7 +27,7 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module("diracband." + mod),
                                 attr)), (mod, attr)
     from diracband import cli, config, fields
-    assert set(config.PARSERS) == set(cli._RUNNERS)
+    assert set(config.PARSERS) == set(cli._COMMANDS)
     for name, parse in config.PARSERS.items():
         assert getattr(config, parse.__name__) is parse, name
     assert callable(fields.MeasureSpec.__dict__["plateau"].__func__)

@@ -156,6 +156,79 @@ def test_weighted_mode_cross_constraints():
         cfg.parse_verify_weighted(raw)
 
 
+def _set(raw, pointer, value):
+    *parents, last = pointer.strip("/").split("/")
+    node = raw
+    for token in parents:
+        node = node[int(token)] if isinstance(node, list) else node[token]
+    node[int(last) if isinstance(node, list) else last] = value
+
+
+@pytest.mark.parametrize("command,name,pointer,message", [
+    ("bands", "free_bands.json", "/bands/direction",
+     "direction must be nonzero"),
+    ("gauge-bound", "gauge_bound.json", "/gauge/et",
+     "direction must be nonzero"),
+    ("find-gamma", "find_gamma_atoms.json", "/search/atoms/0/point",
+     "atom direction must be nonzero"),
+])
+def test_zero_direction_is_refused(command, name, pointer, message):
+    raw = cfg.load_file(config_path(name))
+    _set(raw, pointer, [0, 0, 0])
+    with pytest.raises(cfg.ConfigError) as err:
+        cfg.PARSERS[command](raw)
+    assert (err.value.path, err.value.message) == (pointer, message)
+
+
+@pytest.mark.parametrize("command,name,pointer", [
+    ("verify-thomas", "thomas_documented.json", "/thomas/kappas"),
+    ("verify-weighted", "weighted_floor.json", "/weighted/kappas"),
+    ("find-gamma", "pipeline_documented.json", "/pipeline/R0_list"),
+])
+@pytest.mark.parametrize("value,suffix,message", [
+    ([], "", "expected at least 1 entries"),
+    ([0], "/0", "must be > 0.0"),
+])
+def test_positive_lists_are_refused(command, name, pointer, value, suffix,
+                                    message):
+    raw = cfg.load_file(config_path(name))
+    _set(raw, pointer, value)
+    with pytest.raises(cfg.ConfigError) as err:
+        cfg.PARSERS[command](raw)
+    assert (err.value.path, err.value.message) == (pointer + suffix, message)
+
+
+def test_pipeline_checks_r0_list_before_q():
+    raw = cfg.load_file(config_path("pipeline_documented.json"))
+    raw["pipeline"].update({"R0_list": [], "q": -1})
+    with pytest.raises(cfg.ConfigError) as err:
+        cfg.parse_find_gamma(raw)
+    assert err.value.path == "/pipeline/R0_list"
+
+
+def test_empty_atom_list_gives_an_empty_measure():
+    raw = cfg.load_file(config_path("find_gamma_atoms.json"))
+    raw["search"]["atoms"] = []
+    measure = cfg.parse_find_gamma(raw)["measure"]
+    assert measure.points.shape == (0, 3)
+    assert measure.weights.shape == (0,)
+
+
+@pytest.mark.parametrize("command,name", [
+    ("bands", "free_bands.json"),
+    ("verify-weighted", "weighted_floor.json"),
+    ("gauge-bound", "gauge_bound.json"),
+    ("kernel-constant", "kernel.json"),
+])
+def test_cli_seed_key_refused_where_nothing_is_drawn(tmp_path, capsys,
+                                                     command, name):
+    payload = json.loads(open(config_path(name)).read())
+    payload["seed"] = 1
+    path = write_config(tmp_path, payload)
+    assert main([command, "--config", path]) == 1
+    assert "config error at /seed: unknown key" in capsys.readouterr().err
+
+
 def test_cli_floor_mode_rejects_sphere_samples(tmp_path, capsys):
     payload = json.loads(open(config_path("weighted_floor.json")).read())
     payload["weighted"]["sphere_samples"] = -5
@@ -327,8 +400,42 @@ def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
 
 def test_cli_usage_errors_exit_one(capsys):
     for argv in ([], ["no-such-command"],
-                 ["bands", "--config", "x.json", "--threads", "0"]):
+                 ["bands", "--config", "x.json", "--threads", "0"],
+                 ["bands", "--config", "x.json", "--seed", "1"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
         capsys.readouterr()
+
+
+HELP_LINES = {
+    "bands": "sweep fiber eigenvalues along a quasimomentum line",
+    "check-condition": "bracket the averaged-field smallness value",
+    "find-gamma": "search period directions (or run the decay pipeline)",
+    "verify-thomas": "scan shifted fibers against the damped lower bound",
+    "verify-weighted": "weighted singular-value floors on the critical face",
+    "gauge-bound": "gauge-pair sup-norm bound check at one frame",
+    "kernel-constant": "compute the oscillatory-kernel constant",
+}
+
+
+def _help(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["-h"])
+    assert err.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_cli_command_table(capsys):
+    top = _help(capsys, [])
+    offers = {"--seed": set(), "--cutoff": set(), "--threads": set()}
+    for command, line in HELP_LINES.items():
+        assert " ".join(top.split()).count(f"{command} {line}") == 1
+        text = _help(capsys, [command])
+        offers = {flag: found | ({command} if flag in text else set())
+                  for flag, found in offers.items()}
+    assert offers == {
+        "--seed": {"check-condition", "find-gamma", "verify-thomas"},
+        "--cutoff": {"bands", "verify-thomas", "verify-weighted"},
+        "--threads": set(HELP_LINES),
+    }
