@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .clifford import CliffordRep, class_flags
 from .lattice import Lattice
@@ -298,6 +297,7 @@ def _plateau_norm(h: float, h1: float) -> float:
     bracketed sign changes and the sign-definite pieces are integrated
     separately.
     """
+    from scipy.optimize import brentq
 
     def point(t: float) -> float:
         return float(_plateau_density(h, h1, np.array([t]))[0])

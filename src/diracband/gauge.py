@@ -13,7 +13,10 @@ uniformly bounded by a kernel constant times |mu| * max(|gamma|, 1/h) * sup|A|.
 The constant depends only on a smooth radial cutoff eta: it is (2/pi) times
 the L1 norm of G(x, y) = x / (x^2 + y^2) * integral of eta'(tau) J0(tau r) dtau.
 `bessel_kernel_constant` evaluates that norm by a polar reduction and
-cross-validates it against a direct two-dimensional quadrature.
+cross-validates it against a fixed two-dimensional Gauss-Legendre rule in
+Cartesian coordinates.  The constant of the default cutoff is pinned as the
+module literal DEFAULT_KERNEL_CONSTANT, the polar route's value, so the
+processes that only read it do not recompute it.
 """
 
 from __future__ import annotations
@@ -24,11 +27,15 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, interpolate, optimize, special
+from scipy import special
 
 from .fields import (FourierField, MeasureSpec, averaged_potential,
                      coefficient_sum, sup_norm)
-from .util import check_unit, gauss_legendre_panels
+from .util import check_unit, gauss_legendre_edges, gauss_legendre_panels
+
+# bessel_kernel_constant(cross_check=False).constant for EtaSpec(), with
+# numpy 2.4.6 and scipy 1.17.1; test_gauge checks it against the function
+DEFAULT_KERNEL_CONSTANT = 1.705846011870747
 
 # ---------------------------------------------------------------------------
 # gauge pair
@@ -216,12 +223,16 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     to rmax; rmax starts at 20 and grows by 10 a round until the pieces ending
     in its last 5 hold under radial_tol of the total (or rmax passes 200).
 
-    Cross route: direct nested adaptive quadrature of |G| over a quadrant of
-    the same square, with the circle crossings passed as breakpoints, to
-    1e-9; it uses a cubic-spline surrogate of g whose residual is checked
-    separately.  The relative difference of the two routes is reported.
+    Cross route: 4 times the integral of |G| over the quarter disc x, y > 0,
+    r < rmax by the fixed Cartesian rule of `_quadrant_norm`, on a cubic-spline
+    surrogate of g through the samples (spacing sample_step) that the zeros
+    were bracketed on.  It never reduces to the radial integral.  The relative
+    difference of the two routes is reported; at the default sample_step the
+    spline's interpolation error, about 3e-9, is most of it.
     """
-    block, quad_tol = 5.0, 1e-9
+    from scipy import optimize
+
+    block = 5.0
     # radial profile, extended until the tail is negligible
     rmax = 4.0 * block
     while True:
@@ -250,28 +261,10 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     norm_2d = None
     residual = None
     if cross_check:
-        spline = interpolate.CubicSpline(rs, gs)
-        zero_arr = np.array(zeros)
+        from scipy import interpolate
 
-        def abs_kernel(y: float, x: float) -> float:
-            r = math.hypot(x, y)
-            if r == 0.0 or r >= rmax:
-                return 0.0
-            return x / (r * r) * abs(float(spline(r)))
-
-        def inner(x: float) -> float:
-            inside = zero_arr[zero_arr > x]
-            pts = np.sqrt(np.maximum(inside ** 2 - x * x, 0.0))
-            pts = [p for p in np.unique(pts) if 0.0 < p < rmax]
-            val, _ = integrate.quad(abs_kernel, 0.0, rmax, args=(x,),
-                                    points=pts or None, limit=400,
-                                    epsabs=quad_tol, epsrel=quad_tol)
-            return val
-
-        quad_points = [z for z in zeros if z < rmax]
-        q, _ = integrate.quad(inner, 0.0, rmax, points=quad_points or None,
-                              limit=400, epsabs=quad_tol, epsrel=1e-8)
-        norm_2d = 4.0 * q
+        norm_2d = 4.0 * _quadrant_norm(interpolate.CubicSpline(rs, gs),
+                                       np.array(zeros), rmax)
         residual = abs(norm_2d - norm_polar) / norm_polar
 
     return KernelConstantReport(
@@ -288,16 +281,53 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     )
 
 
-@lru_cache(maxsize=1)
-def default_kernel_constant() -> float:
-    """The constant for the default cutoff, computed once per process.
+def _quadrant_norm(profile, zeros: np.ndarray, rmax: float) -> float:
+    """Integral of x / r^2 * |profile(r)| over x, y > 0, r < rmax.
 
-    The bits are the same whatever BLAS kernel or numpy SIMD level is in use
-    (see `radial_kernel`).  Its accuracy is set by `radial_tol` (about 1e-7
-    relative), not by the last bits, which may still differ across numpy,
-    scipy or LAPACK versions.
+    A tensor-product composite Gauss-Legendre rule of order 12 in Cartesian
+    coordinates.  The outer x axis is cut at the zeros of the profile and at
+    rmax.  Each piece is graded geometrically toward its right end, where the
+    inner integral has a (z - x)^(3/2) singularity as the line at x stops
+    crossing the circle r = z; the first piece is also graded toward x = 0.  Each inner line is cut where it crosses the zero circles,
+    at y = sqrt(z^2 - x^2), and where it leaves the quadrant, and graded
+    toward y = 0 on the scale x, where x / r^2 peaks; each of its pieces is
+    one panel.  The lines are evaluated 128 at a time.
     """
-    return bessel_kernel_constant(cross_check=False).constant
+    order, lines = 12, 128
+    grade = 4.0 ** -np.arange(4)
+    breaks = np.concatenate([[0.0], zeros, [rmax]])
+    a, b = breaks[:-1, None], breaks[1:, None]
+    edges = np.sort(np.concatenate([(b - (b - a) * grade).ravel(),
+                                    breaks[1] * grade[1:], [rmax]]))
+    xs, wx = (v.ravel() for v in gauss_legendre_edges(edges, order))
+    levels = int(math.ceil(math.log(rmax / xs[0], 4.0))) + 1
+    total = 0.0
+    for i in range(0, xs.size, lines):
+        x = xs[i:i + lines, None]
+        top = np.sqrt(rmax * rmax - x * x)
+        cuts = np.concatenate([np.zeros_like(x),
+                               np.minimum(x * 4.0 ** np.arange(levels), top),
+                               np.sqrt(np.maximum(zeros * zeros - x * x, 0.0)),
+                               top], axis=1)
+        y, wy = gauss_legendre_edges(np.sort(cuts, axis=1), order)
+        x = x[..., None]
+        r2 = x * x + y * y
+        inner = np.sum(x / r2 * np.abs(profile(np.sqrt(r2))) * wy, axis=(1, 2))
+        total += float(np.sum(wx[i:i + lines] * inner))
+    return total
+
+
+def default_kernel_constant() -> float:
+    """The kernel constant of the default cutoff EtaSpec(), a module literal.
+
+    DEFAULT_KERNEL_CONSTANT holds the bits `bessel_kernel_constant(
+    cross_check=False).constant` gives with numpy 2.4.6 and scipy 1.17.1, so
+    no process recomputes it and the reports that read it carry the same
+    constant on every machine and library version.  Elsewhere the function's
+    last bits may differ from the literal; the two agree to `radial_tol`
+    (about 1e-7 relative), the accuracy of either.
+    """
+    return DEFAULT_KERNEL_CONSTANT
 
 
 # ---------------------------------------------------------------------------

@@ -166,11 +166,20 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 12
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
+    """Composite Gauss-Legendre nodes/weights on [a, b], equal panels, flat."""
+    nodes, weights = gauss_legendre_edges(np.linspace(a, b, panels + 1), order)
+    return nodes.ravel(), weights.ravel()
+
+
+def gauss_legendre_edges(edges: np.ndarray, order: int = 12
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on each panel between consecutive edges.
+
+    `edges` runs along its last axis (leading axes are batches of lines);
+    the results have shape edges.shape[:-1] + (panels, order).  A panel of
+    zero length gets zero weights.
+    """
     base_x, base_w = _leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    return mid[..., None] + half[..., None] * base_x, half[..., None] * base_w

@@ -290,9 +290,6 @@ def test_10_condition_chain(lat3):
 
 @criterion(11, "byte-identical command reruns and the committed golden")
 def test_11_cli_determinism(tmp_path):
-    kernel_cfg = tmp_path / "kernel.json"
-    kernel_cfg.write_text('{"kernel": {"cross_check": false}}',
-                          encoding="utf-8")
     jobs = [
         ("bands", os.path.join(CONFIG_DIR, "free_bands.json")),
         ("check-condition", os.path.join(CONFIG_DIR, "condition.json")),
@@ -301,7 +298,7 @@ def test_11_cli_determinism(tmp_path):
         ("verify-weighted", os.path.join(CONFIG_DIR, "weighted_floor.json")),
         ("verify-weighted", os.path.join(CONFIG_DIR, "weighted_split.json")),
         ("gauge-bound", os.path.join(CONFIG_DIR, "gauge_bound.json")),
-        ("kernel-constant", str(kernel_cfg)),
+        ("kernel-constant", os.path.join(CONFIG_DIR, "kernel.json")),
     ]
     for idx, (command, config) in enumerate(jobs):
         snapshots = []

@@ -1,4 +1,9 @@
-"""The package's public names all resolve."""
+"""The package's public names all resolve, and importing the CLI stays light."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import diracband
 
@@ -17,7 +22,6 @@ def test_traced_names_resolve():
     # `--trace 1` runs at install time
     import importlib
     import importlib.util
-    from pathlib import Path
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
@@ -31,3 +35,17 @@ def test_traced_names_resolve():
     for name, parse in config.PARSERS.items():
         assert getattr(config, parse.__name__) is parse, name
     assert callable(fields.MeasureSpec.__dict__["plateau"].__func__)
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    # brentq, quadrature and splines serve only the kernel constant's own
+    # command and the plateau norm; they load inside those functions
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.optimize', 'scipy.integrate', 'scipy.interpolate')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -12,9 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 from diracband.fields import FourierField, MeasureSpec, averaged_potential, sup_norm
-from diracband.gauge import (EtaSpec, bessel_kernel_constant, build_phi,
-                             damping_factor, default_kernel_constant,
-                             gauge_bound_check, radial_kernel)
+from diracband.gauge import (DEFAULT_KERNEL_CONSTANT, EtaSpec, _quadrant_norm,
+                             bessel_kernel_constant, build_phi, damping_factor,
+                             default_kernel_constant, gauge_bound_check,
+                             radial_kernel)
 from helpers import random_real_vector_field
 
 GAMMA = (1, 0, 0)
@@ -109,14 +110,18 @@ def test_radial_kernel_against_quad():
         assert abs(got - want) < 1e-10
 
 
-def test_kernel_constant_frozen():
-    report = bessel_kernel_constant(cross_check=False)
+@pytest.fixture(scope="module")
+def polar_report():
+    return bessel_kernel_constant(cross_check=False)
+
+
+def test_kernel_constant_frozen(polar_report):
+    report = polar_report
     assert abs(report.constant - 1.7058460118707472) < 1e-10
     assert abs(report.norm_l1 - 2.679536649524293) < 1e-10
     assert abs(report.constant - (2.0 / math.pi) * report.norm_l1) < 1e-14
     assert report.norm_l1_2d is None and report.cross_residual is None
     assert report.tail_estimate < 1e-7 * report.norm_l1 / 4.0 * 10
-    assert abs(default_kernel_constant() - report.constant) < 1e-14
     # without the cross route there is nothing to disagree with
     assert report.passes is True
     assert replace(report, cross_residual=1e-4).passes is True
@@ -126,13 +131,29 @@ def test_kernel_constant_frozen():
     assert d["rmax"] == report.rmax
 
 
+def test_default_kernel_constant_is_the_polar_value(polar_report):
+    # the literal is the function's value where it was pinned; other numpy or
+    # scipy versions may move the function's last bits, not more
+    assert default_kernel_constant() == DEFAULT_KERNEL_CONSTANT
+    assert (abs(polar_report.constant - DEFAULT_KERNEL_CONSTANT)
+            <= 1e-13 * DEFAULT_KERNEL_CONSTANT)
+
+
+def test_quadrant_rule_matches_the_radial_integral():
+    # over the quarter disc, x / r^2 * |f(r)| integrates to the integral of
+    # |f| over [0, rmax]; for cos up to 7 pi / 2 that is 1 + 2 + 2 + 2
+    zeros = np.array([0.5, 1.5, 2.5]) * math.pi
+    got = _quadrant_norm(np.cos, zeros, 3.5 * math.pi)
+    assert abs(got - 7.0) < 1e-9 * 7.0
+
+
 def test_kernel_constant_independent_of_blas_kernel():
     # OpenBLAS picks its gemv kernel from OPENBLAS_CORETYPE; the constant must
     # come out with the same bits either way (builds that ignore the variable
     # run both processes identically)
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("from diracband.gauge import default_kernel_constant; "
-            "print(repr(default_kernel_constant()))")
+    code = ("from diracband.gauge import bessel_kernel_constant; "
+            "print(repr(bessel_kernel_constant(cross_check=False).constant))")
     outs = []
     for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
