@@ -8,7 +8,7 @@ import numpy as np
 
 from .clifford import CliffordRep
 from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
-                    eigenvalues, g_factors)
+                    eigenvalues, g_factors, potential_stencil)
 from .fields import PotentialSet
 from .lattice import Lattice
 from .util import check_unit, pmap
@@ -46,6 +46,7 @@ def band_sweep(pot: PotentialSet, k0: np.ndarray, e: np.ndarray,
     e = check_unit(np.asarray(e, dtype=float), "sweep direction", tol=1e-9)
     modes = ModeSet.from_cutoff(pot.lattice, cutoff)
     check_dense_dim(len(modes) * pot.rep.M)
+    potential_stencil(modes, pot)  # once, before pmap's workers fork
     xis = np.linspace(lo, hi, samples)
 
     def solve(xi: float) -> np.ndarray:

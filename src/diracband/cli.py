@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int,
                             help="seed for randomized probes (overrides config)")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid sweeps")
+                        help="worker processes for grid sweeps")
         if "--cutoff" in flags:
             sp.add_argument("--cutoff", type=float,
                             help="mode-window radius (overrides config)")
@@ -225,6 +225,9 @@ def main(argv=None) -> int:
 
     try:
         raw = cfg.load_file(args.config) if args.config else {}
+        if args.seed is not None and isinstance(raw, dict):
+            # the flag overrides the config's seed and is checked like it
+            raw = {**raw, "seed": args.seed}
         parsed = cfg.PARSERS[args.command](raw)
     except cfg.ConfigError as exc:
         print(f"config error at {exc.path}: {exc.message}", file=sys.stderr)
@@ -232,9 +235,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
-    for key in ("seed", "cutoff"):  # the flags override the config
-        if getattr(args, key) is not None:
-            parsed[key] = getattr(args, key)
+    if args.cutoff is not None:  # the flag overrides the config
+        parsed["cutoff"] = args.cutoff
 
     runner, report_name, _ = _COMMANDS[args.command]
     try:

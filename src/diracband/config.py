@@ -425,8 +425,9 @@ def parse_find_gamma(raw) -> dict:
         raise ConfigError("", "give exactly one of 'search' or 'pipeline'")
 
     if "search" in raw:
-        if "potential" in raw:
-            raise ConfigError("/potential", "unused in atom-search mode")
+        for key in ("potential", "seed"):  # both serve only the pipeline
+            if key in raw:
+                raise ConfigError(f"/{key}", "unused in atom-search mode")
         node = _object(raw["search"], "/search", required=("atoms", "h", "R0"),
                        optional=("window",))
         return {

@@ -28,7 +28,6 @@ the reference the other routes are checked against.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
 from .clifford import CliffordRep, clifford_contraction, projector
 from .fields import PotentialSet
 from .lattice import Lattice
-from .util import check_unit, scipy_blas_single_threaded
+from .util import blas_single_threaded, check_unit
 
 DENSE_LIMIT = 4096
 # Lanczos basis size of the sparse route: ARPACK's default of 20 stalls on
@@ -87,9 +86,9 @@ class ModeSet:
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
         self.cutoff: Optional[float] = None
-        # potential stencils on this window, one per PotentialSet (`_stencil`)
+        # potential stencils on this window, one per PotentialSet
+        # (`potential_stencil`)
         self._stencils: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._stencil_lock = threading.Lock()
 
     @classmethod
     def from_cutoff(cls, lattice: Lattice, cutoff: float) -> "ModeSet":
@@ -182,35 +181,36 @@ class TruncatedDiracOperator:
                          for row in self.modes.coords])
 
 
-def _potential_stencil(modes: ModeSet, pot: PotentialSet) -> sp.csc_array:
+def potential_stencil(modes: ModeSet, pot: PotentialSet) -> sp.csc_array:
     """The potential part of every fiber on the window, built once per potential.
 
     Block (i, j) is the composite coefficient V(N_i - N_j).  Each required
     coefficient is materialised once and copied into every block it serves,
-    so equal offsets give bit-identical blocks.
+    so equal offsets give bit-identical blocks.  A scan builds it before
+    its `pmap`, so that forked workers inherit it instead of each building
+    their own.
     """
-    with modes._stencil_lock:
-        stencil = modes._stencils.get(pot)
-        if stencil is None:
-            M, dim = pot.rep.M, pot.rep.M * len(modes)
-            bi, bj, blocks = [], [], []
-            for key, block in pot.composite().coeffs.items():
-                targets = modes.coords + np.asarray(key, dtype=np.int64)
-                for j, target in enumerate(targets.tolist()):
-                    i = modes.index.get(tuple(target))
-                    if i is not None:
-                        bi.append(i)
-                        bj.append(j)
-                        blocks.append(block)
-            r, c = np.divmod(np.arange(M * M), M)  # block entries, row-major
-            rows = (np.array(bi, dtype=np.int64)[:, None] * M + r).reshape(-1)
-            cols = (np.array(bj, dtype=np.int64)[:, None] * M + c).reshape(-1)
-            stencil = sp.csc_array(
-                (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
-                shape=(dim, dim))
-            stencil.eliminate_zeros()
-            modes._stencils[pot] = stencil
-        return stencil
+    stencil = modes._stencils.get(pot)
+    if stencil is None:
+        M, dim = pot.rep.M, pot.rep.M * len(modes)
+        bi, bj, blocks = [], [], []
+        for key, block in pot.composite().coeffs.items():
+            targets = modes.coords + np.asarray(key, dtype=np.int64)
+            for j, target in enumerate(targets.tolist()):
+                i = modes.index.get(tuple(target))
+                if i is not None:
+                    bi.append(i)
+                    bj.append(j)
+                    blocks.append(block)
+        r, c = np.divmod(np.arange(M * M), M)  # block entries, row-major
+        rows = (np.array(bi, dtype=np.int64)[:, None] * M + r).reshape(-1)
+        cols = (np.array(bj, dtype=np.int64)[:, None] * M + c).reshape(-1)
+        stencil = sp.csc_array(
+            (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
+            shape=(dim, dim))
+        stencil.eliminate_zeros()
+        modes._stencils[pot] = stencil
+    return stencil
 
 
 def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
@@ -237,7 +237,7 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
         (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
          np.arange(m), np.arange(m + 1)), shape=(rep.M * m, rep.M * m))
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
-    matrix = (_potential_stencil(modes, pot) + symbols).tocsc()
+    matrix = (potential_stencil(modes, pot) + symbols).tocsc()
     return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
                                   sparse=matrix)
 
@@ -283,7 +283,7 @@ def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
     the singular triplet (u, sigma, v) with u = Dv / |Dv| misses the
     residual check |D^H u - sigma v| <= 1e-10 max(sigma, 1).
     """
-    scipy_blas_single_threaded()
+    blas_single_threaded("scipy")
     try:
         lu = splu(D)
     except RuntimeError:  # exactly singular

@@ -5,10 +5,11 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import glob
+import importlib
 import math
 import os
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -117,40 +118,84 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+# (fn, items) of the running `pmap`: its forked workers inherit them
+_PMAP_TASK: Optional[tuple] = None
+# chunks per worker, so that a worker that drew slow items gets fewer
+_PMAP_CHUNKS_PER_WORKER = 4
+
+
+def _pmap_chunk(lo: int, hi: int) -> list:
+    fn, items = _PMAP_TASK
+    return [fn(x) for x in items[lo:hi]]
+
+
+def _pmap_worker_init() -> None:
+    for package in ("numpy", "scipy"):
+        blas_single_threaded(package)
+
+
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
-    """Order-preserving map, optionally on a thread pool.
+    """Order-preserving map, optionally on forked worker processes.
 
     The pool gets at most one worker per item and per usable core, whatever
-    `threads` asks for.  Results are collected in input order regardless of
-    completion order, so reports stay deterministic for any thread count.
+    `threads` asks for, and each worker runs numpy's and scipy's BLAS on one
+    thread.  `fn` and the items reach the workers by fork inheritance, in
+    contiguous chunks of indices, so only the results are pickled; `fn` may
+    be a closure.  Results are collected in input order regardless of
+    completion order, so reports stay deterministic for any worker count.
+    An exception in a worker is raised here, without waiting for the chunks
+    not yet started.  Where the platform cannot fork, the map runs serially.
+    The workers are joined before returning.
     """
+    global _PMAP_TASK
     items = list(items)
     workers = min(threads, len(items), _usable_cores())
     if workers <= 1:
         return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    size = -(-len(items) // (_PMAP_CHUNKS_PER_WORKER * workers))
+    _PMAP_TASK = (fn, items)
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_pmap_worker_init) as pool:
+            chunks = [pool.submit(_pmap_chunk, lo, lo + size)
+                      for lo in range(0, len(items), size)]
+            try:
+                return [y for chunk in chunks for y in chunk.result()]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _PMAP_TASK = None
 
 
 @lru_cache(maxsize=None)
-def scipy_blas_single_threaded() -> None:
-    """Run the OpenBLAS bundled with scipy on one thread from now on.
+def blas_single_threaded(package: str) -> None:
+    """Run the OpenBLAS bundled with `package` ("numpy" or "scipy") on one thread.
 
-    ARPACK (`scipy.sparse.linalg.eigsh`) calls that library, and with more
-    than one thread its iterates, and so the last bits of the eigenvalues it
-    returns, vary from run to run.  numpy's dense routines use a library of
-    their own and keep their threads.  Runs once per process; changes
-    nothing when scipy bundles no OpenBLAS (builds against a system BLAS).
+    The two wheels each bundle a library of their own.  ARPACK
+    (`scipy.sparse.linalg.eigsh`) calls scipy's, and with more than one
+    thread its iterates, and so the last bits of the eigenvalues it returns,
+    vary from run to run; `pmap` workers set both, so that workers times
+    BLAS threads stay within the cores.  Runs once per process and package;
+    changes nothing when the package bundles no OpenBLAS (builds against a
+    system BLAS).
     """
-    import scipy
-
-    base = os.path.dirname(scipy.__file__)
+    base = os.path.dirname(importlib.import_module(package).__file__)
     for path in sorted(glob.glob(os.path.join(base + ".libs", "*openblas*")) +
                        glob.glob(os.path.join(base, ".dylibs", "*openblas*"))):
-        lib = ctypes.CDLL(path)  # the copy scipy has loaded already
-        for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        lib = ctypes.CDLL(path)  # the copy the package has loaded already
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
             setter = getattr(lib, name, None)
             if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
                 setter(1)
                 return
 

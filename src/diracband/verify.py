@@ -35,8 +35,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim, sigma_min,
-                    sigma_min_probe, weighted_sigma_min)
+from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
+                    potential_stencil, sigma_min, sigma_min_probe,
+                    weighted_sigma_min)
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, orthogonal_modes,
                      sup_norm, w_norm)
@@ -125,11 +126,13 @@ class _Face:
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
         closed-form route; any other the sparse route, whose fallback is
         dense, so its size is checked against the dense limit before the
-        first fiber is assembled.
+        first fiber is assembled.  The window's potential stencil is built
+        here, before the nodes fan out to `pmap`'s workers.
         """
         modes = ModeSet.from_cutoff(self.pot.lattice, cutoff)
         if not self.pot.is_empty:
             check_dense_dim(len(modes) * self.pot.rep.M)
+        potential_stencil(modes, self.pot)
         shape = (self.ks.shape[0], len(kappas))
 
         def solve(node):

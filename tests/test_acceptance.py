@@ -304,8 +304,9 @@ def test_11_cli_determinism(tmp_path):
         snapshots = []
         for attempt in ("first", "second"):
             out = tmp_path / f"{idx}_{attempt}"
+            # find-gamma's search mode draws nothing and refuses a seed
             seed = (["--seed", "0"] if command in
-                    ("check-condition", "find-gamma", "verify-thomas") else [])
+                    ("check-condition", "verify-thomas") else [])
             code = main([command, "--config", config, *seed,
                          "--out", str(out)])
             assert code == 0, (command, config)

@@ -229,6 +229,24 @@ def test_cli_seed_key_refused_where_nothing_is_drawn(tmp_path, capsys,
     assert "config error at /seed: unknown key" in capsys.readouterr().err
 
 
+def test_cli_search_mode_refuses_a_seed_key(tmp_path, capsys):
+    # find-gamma offers a seed for its pipeline mode; the search draws nothing
+    payload = json.loads(open(config_path("find_gamma_atoms.json")).read())
+    payload["seed"] = 1
+    path = write_config(tmp_path, payload)
+    assert main(["find-gamma", "--config", path]) == 1
+    assert ("config error at /seed: unused in atom-search mode"
+            in capsys.readouterr().err)
+
+
+def test_cli_search_mode_refuses_the_seed_flag(capsys):
+    argv = ["find-gamma", "--config", config_path("find_gamma_atoms.json")]
+    assert main(argv + ["--seed", "1"]) == 1
+    assert ("config error at /seed: unused in atom-search mode"
+            in capsys.readouterr().err)
+    assert main(argv) == 0
+
+
 def test_cli_floor_mode_rejects_sphere_samples(tmp_path, capsys):
     payload = json.loads(open(config_path("weighted_floor.json")).read())
     payload["weighted"]["sphere_samples"] = -5
