@@ -9,11 +9,10 @@ those checks rest on.
 
 from .bands import BandSheet, band_sweep, free_band_values, nonconstancy_report
 from .clifford import (CliffordRep, build_clifford, class_flags,
-                       classify_matrix, clifford_contraction, projector,
-                       symmetrize)
+                       clifford_contraction, projector)
 from .fiber import (FiberPoint, ModeSet, TruncatedDiracOperator, assemble,
-                    eigenvalues, g_factors, global_projection, sigma_min,
-                    sigma_min_probe, symbol, weighted_sigma_min)
+                    eigenvalues, g_factors, sigma_min, sigma_min_probe, symbol,
+                    weighted_sigma_min)
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, sup_norm, w_norm,
                      zero_field)
@@ -21,8 +20,7 @@ from .gauge import (EtaSpec, KernelConstantReport, bessel_kernel_constant,
                     build_phi, damping_factor, default_kernel_constant,
                     gauge_bound_check, radial_kernel)
 from .lattice import (GammaCertificate, Lattice, SphereMeasure, check_gamma,
-                      enumerate_points, find_gamma, k_beta_set,
-                      reciprocal_basis)
+                      enumerate_points, find_gamma, reciprocal_basis)
 from .verify import (ThomasBoundReport, WeightedSplitReport,
                      condition_chain_pipeline, k_face_grid,
                      sobolev_direction_measure, verify_thomas_bound,
@@ -32,11 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandSheet", "band_sweep", "free_band_values", "nonconstancy_report",
-    "CliffordRep", "build_clifford", "class_flags", "classify_matrix",
-    "clifford_contraction", "projector", "symmetrize",
+    "CliffordRep", "build_clifford", "class_flags", "clifford_contraction",
+    "projector",
     "FiberPoint", "ModeSet", "TruncatedDiracOperator", "assemble",
-    "eigenvalues", "g_factors", "global_projection", "sigma_min",
-    "sigma_min_probe", "symbol", "weighted_sigma_min",
+    "eigenvalues", "g_factors", "sigma_min", "sigma_min_probe", "symbol",
+    "weighted_sigma_min",
     "ConditionValue", "FourierField", "MeasureSpec", "PotentialSet",
     "averaged_potential", "condition_value", "sup_norm", "w_norm",
     "zero_field",
@@ -44,7 +42,7 @@ __all__ = [
     "damping_factor", "default_kernel_constant", "gauge_bound_check",
     "radial_kernel",
     "GammaCertificate", "Lattice", "SphereMeasure", "check_gamma",
-    "enumerate_points", "find_gamma", "k_beta_set", "reciprocal_basis",
+    "enumerate_points", "find_gamma", "reciprocal_basis",
     "ThomasBoundReport", "WeightedSplitReport", "condition_chain_pipeline",
     "k_face_grid", "sobolev_direction_measure", "verify_thomas_bound",
     "verify_weighted_split", "weighted_floor",

@@ -83,21 +83,6 @@ def clifford_contraction(rep: CliffordRep, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_matrix(L: np.ndarray, rep: CliffordRep, tol: float = 1e-12) -> str:
-    """Return "s0", "s1" or "neither" for the matrix L.
-
-    "s0" means L commutes with alpha_1..alpha_n entrywise within `tol`,
-    "s1" means it anticommutes with all of them.  The zero matrix satisfies
-    both relations and is surfaced as "s0".
-    """
-    commutes, anticommutes = class_flags(L, rep, tol)
-    if commutes:
-        return "s0"
-    if anticommutes:
-        return "s1"
-    return "neither"
-
-
 def class_flags(L: np.ndarray, rep: CliffordRep, tol: float = 1e-12
                 ) -> tuple[bool, bool]:
     """(commutes, anticommutes) flags against the first n generators."""
@@ -111,24 +96,6 @@ def class_flags(L: np.ndarray, rep: CliffordRep, tol: float = 1e-12
         np.max(np.abs(L @ a + a @ L)) <= tol for a in rep.alphas[: rep.n]
     )
     return commutes, anticommutes
-
-
-def symmetrize(L: np.ndarray, rep: CliffordRep, s: int) -> np.ndarray:
-    """Orthogonal projection of L onto the class "s0" (s=0) or "s1" (s=1).
-
-    Averages L over conjugation by each generator with the appropriate sign;
-    Hermiticity of L is preserved.  Useful for manufacturing admissible
-    potential values from arbitrary matrices.
-    """
-    if s not in (0, 1):
-        raise ValueError("s must be 0 or 1")
-    out = np.asarray(L, dtype=complex)
-    if out.shape != (rep.M, rep.M):
-        raise ValueError(f"matrix must be {rep.M} x {rep.M}")
-    sign = 1.0 if s == 0 else -1.0
-    for a in rep.alphas[: rep.n]:
-        out = 0.5 * (out + sign * (a @ out @ a))
-    return out
 
 
 def projector(e: np.ndarray, et: np.ndarray, sign: int, rep: CliffordRep

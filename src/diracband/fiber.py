@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .clifford import CliffordRep, clifford_contraction, projector
+from .clifford import CliffordRep, clifford_contraction
 from .fields import PotentialSet
 from .lattice import Lattice
 from .util import blas_single_threaded, check_unit
@@ -122,37 +122,6 @@ def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
     return math.hypot(p, fiber.kappa - q), math.hypot(p, fiber.kappa + q)
 
 
-def transverse_direction(x: np.ndarray, e: np.ndarray) -> Optional[np.ndarray]:
-    """Unit vector along the component of x orthogonal to e; None on the axis."""
-    x = np.asarray(x, dtype=float)
-    perp = x - float(np.dot(x, e)) * e
-    norm = float(np.linalg.norm(perp))
-    if norm <= 1e-12 * float(np.linalg.norm(x)) or norm == 0.0:
-        return None
-    return perp / norm
-
-
-def global_projection(rep: CliffordRep, k: np.ndarray, e: np.ndarray,
-                      modes: ModeSet, sign: int) -> np.ndarray:
-    """Blockwise spin projection adapted to each shifted momentum.
-
-    Per mode the block is the projector for (e, transverse direction of
-    k + 2 pi N); modes on the axis spanned by e get a zero block.
-    """
-    k = np.asarray(k, dtype=float)
-    e = check_unit(np.asarray(e, dtype=float), "direction e", tol=1e-12)
-    M = rep.M
-    check_dense_dim(M * len(modes))
-    out = np.zeros((M * len(modes), M * len(modes)), dtype=complex)
-    for i in range(len(modes)):
-        x = k + 2.0 * math.pi * modes.vectors[i]
-        et = transverse_direction(x, e)
-        if et is None:
-            continue
-        out[i * M:(i + 1) * M, i * M:(i + 1) * M] = projector(e, et, sign, rep)
-    return out
-
-
 @dataclass
 class TruncatedDiracOperator:
     """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix."""
@@ -188,10 +157,20 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> sp.csc_array:
     coefficient is materialised once and copied into every block it serves,
     so equal offsets give bit-identical blocks.  A scan builds it before
     its `pmap`, so that forked workers inherit it instead of each building
-    their own.
+    their own.  The window must lie on the potential's lattice.  Building
+    it warns when the potential support radius exceeds twice the window
+    cutoff: such coefficients never connect two window modes.
     """
     stencil = modes._stencils.get(pot)
     if stencil is None:
+        if not modes.lattice.same_as(pot.lattice):
+            raise ValueError(
+                "mode window and potential are on different lattices")
+        if (modes.cutoff is not None
+                and pot.support_radius() > 2.0 * modes.cutoff):
+            warnings.warn("potential has modes beyond the convolution reach "
+                          "of the window; they are clipped", RuntimeWarning,
+                          stacklevel=2)
         M, dim = pot.rep.M, pot.rep.M * len(modes)
         bi, bj, blocks = [], [], []
         for key, block in pot.composite().coeffs.items():
@@ -221,23 +200,15 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     fiber, plus the window's potential stencil.  A diagonal entry is the
     symbol plus the potential mean and every other entry a single
     coefficient, so the dense view has the bits of a dense assembly.  The
-    window must lie on the potential's lattice.  A warning is raised when
-    the potential support radius exceeds twice the window cutoff: such
-    coefficients never connect two window modes.
+    stencil checks the window against the potential when it is built.
     """
-    lattice, rep = modes.lattice, pot.rep
-    if not lattice.same_as(pot.lattice):
-        raise ValueError("mode window and potential are on different lattices")
-    if modes.cutoff is not None and pot.support_radius() > 2.0 * modes.cutoff:
-        warnings.warn("potential has modes beyond the convolution reach of "
-                      "the window; they are clipped", RuntimeWarning,
-                      stacklevel=2)
-    m = len(modes)
+    stencil = potential_stencil(modes, pot)
+    lattice, rep, m = modes.lattice, pot.rep, len(modes)
     symbols = sp.bsr_array(
         (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
          np.arange(m), np.arange(m + 1)), shape=(rep.M * m, rep.M * m))
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
-    matrix = (potential_stencil(modes, pot) + symbols).tocsc()
+    matrix = (stencil + symbols).tocsc()
     return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
                                   sparse=matrix)
 

@@ -491,10 +491,6 @@ class ConditionValue:
     def holds(self) -> bool:
         return self.theta_hi < 1.0
 
-    @property
-    def excluded(self) -> bool:
-        return self.theta_lo >= 1.0
-
 
 def _mean_size(A: FourierField) -> float:
     return _coeff_norm(A.kind, A.mean())

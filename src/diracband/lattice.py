@@ -19,8 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .util import check_unit
-
 
 def reciprocal_basis(basis: np.ndarray) -> np.ndarray:
     """Rows E*_l with (E_j, E*_l) = delta_jl; raises on singular input."""
@@ -194,11 +192,12 @@ def _dual_window(lattice: Lattice, window: float
 
 def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
                  h: float, R0: float, window: float,
-                 dual=None) -> GammaCertificate:
+                 dual: tuple[np.ndarray, np.ndarray]) -> GammaCertificate:
+    """Score gamma against `dual`, the `_dual_window` of `window`."""
     n = lattice.n
     gc, gvec, gnorm, _ = lattice.direction(gamma_coeffs)
 
-    dual_coeffs, dual_norms = _dual_window(lattice, window) if dual is None else dual
+    dual_coeffs, dual_norms = dual
     orth = (dual_coeffs @ gc) == 0  # exact: integer pairing of the lattices
     min_orth_raw = float(np.min(dual_norms[orth])) if np.any(orth) else None
     scale1 = R0 ** (1.0 / (n - 1))
@@ -240,7 +239,8 @@ def check_gamma(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
     n = lattice.n
     if window is None:
         window = _default_window(lattice, R0, n, orth_floor)
-    cert = _certificate(lattice, gamma_coeffs, measure, h, R0, window)
+    cert = _certificate(lattice, gamma_coeffs, measure, h, R0, window,
+                        _dual_window(lattice, window))
     cond1 = cert.gamma_norm <= R0
     cond2 = (cert.min_orth_raw is None
              or cert.min_orth_raw > orth_floor * R0 ** (1.0 / (n - 1)))
@@ -291,20 +291,3 @@ def annulus_mask(vectors: np.ndarray, k: np.ndarray, e: np.ndarray,
     axial = xs @ e
     perp = np.linalg.norm(xs - np.outer(axial, e), axis=1)
     return (np.abs(axial) < beta) & (np.abs(kappa - perp) < beta)
-
-
-def k_beta_set(lattice: Lattice, k: np.ndarray, e: np.ndarray, kappa: float,
-               beta: float, mode_cutoff: float) -> tuple:
-    """Reciprocal modes whose shifted momenta sit in the critical annulus.
-
-    Selects N (as coefficient tuples, |2 pi N| <= mode_cutoff) with
-    |(k + 2 pi N, e)| < beta and | kappa - |transverse part| | < beta.
-    Requires kappa > beta > 0.  Returned sorted for deterministic reports.
-    """
-    if not (kappa > beta > 0.0):
-        raise ValueError("need kappa > beta > 0")
-    e = check_unit(e, "direction e")
-    k = np.asarray(k, dtype=float)
-    rows = lattice.mode_window(mode_cutoff)
-    mask = annulus_mask(rows @ lattice.reciprocal, k, e, kappa, beta)
-    return tuple(sorted(tuple(int(c) for c in row) for row in rows[mask]))

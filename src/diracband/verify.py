@@ -6,8 +6,8 @@ quasimomentum grids, never proofs.  Smallest singular values take the
 "auto" route of `fiber.sigma_min`: the closed form for potential-free
 fibers, sparse LU plus Lanczos otherwise; dense LAPACK is the reference it
 is tested against.  Reports carry the truncation metadata (cutoff, mode
-count, grids) and, where available, closed-form cross-checks and randomized
-lower-bound probes.
+count, grids) and, where asked for, a randomized lower-bound probe and a
+cutoff refinement.
 
 The three checks:
 
@@ -29,7 +29,7 @@ Cauchy-Schwarz split) at every sampled transverse direction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -164,7 +164,6 @@ class ThomasBoundReport:
     dim: int
     w_bound: float
     kernel_constant: float
-    free_closed_form: Optional[np.ndarray] = None
     probe: Optional[dict] = None
     refinement: Optional[dict] = None
 
@@ -187,7 +186,7 @@ class ThomasBoundReport:
         the absent optional blocks left out."""
         out = asdict(self)
         out["sigma_table"] = out.pop("sigma")
-        for key in ("free_closed_form", "probe", "refinement"):
+        for key in ("probe", "refinement"):
             if out[key] is None:
                 del out[key]
         return {**out, "verdict": "EMPIRICAL", "holds": self.holds}
@@ -239,9 +238,6 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
         sigma=sigma, kappa_star=_kappa_star(sigma, kappas, bound),
         cutoff=cutoff, mode_count=len(modes), dim=len(modes) * pot.rep.M,
         w_bound=face.w_bound, kernel_constant=const)
-    if pot.is_empty:
-        # sigma_min took the per-mode closed form (min g_minus) at every node
-        report.free_closed_form = sigma.copy()
     if probe_count > 0:
         i, j = np.unravel_index(int(np.argmin(sigma)), sigma.shape)
         fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
@@ -279,11 +275,11 @@ class WeightedSplitReport:
     condition: ConditionValue
     damping: float
     floor: float
-    rows: list = field(default_factory=list)
-    one_minus_delta_star: float = math.nan
-    cutoff: float = 0.0
-    mode_count: int = 0
-    kernel_constant: float = 0.0
+    rows: list
+    one_minus_delta_star: float
+    cutoff: float
+    mode_count: int
+    kernel_constant: float
 
     @property
     def holds(self) -> bool:
@@ -325,19 +321,19 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
         return w
 
     modes, ratio = face.scan(kappas, cutoff, threads, weights)
-    report = WeightedSplitReport(
-        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
-        delta=delta, beta=beta, condition=cond, damping=damping, floor=floor,
-        cutoff=cutoff, mode_count=len(modes), kernel_constant=const)
+    rows = []
     for i, j in np.ndindex(ratio.shape):
         mask = annulus(modes, face.ks[i], kappas[j])
         value = float(ratio[i, j])
-        report.rows.append({"k_index": i, "kappa": kappas[j],
-                            "annulus_modes": int(np.sum(mask)),
-                            "ratio_sq": value * value,
-                            "passes": bool(value * value >= 1.0 - delta)})
-    report.one_minus_delta_star = min(r["ratio_sq"] for r in report.rows)
-    return report
+        rows.append({"k_index": i, "kappa": kappas[j],
+                     "annulus_modes": int(np.sum(mask)),
+                     "ratio_sq": value * value,
+                     "passes": bool(value * value >= 1.0 - delta)})
+    return WeightedSplitReport(
+        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
+        delta=delta, beta=beta, condition=cond, damping=damping, floor=floor,
+        rows=rows, one_minus_delta_star=min(r["ratio_sq"] for r in rows),
+        cutoff=cutoff, mode_count=len(modes), kernel_constant=const)
 
 
 def weighted_floor(pot: PotentialSet, gamma_coeffs, kappas,

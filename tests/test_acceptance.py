@@ -15,18 +15,19 @@ import pytest
 
 from diracband import config as cfg
 from diracband.bands import band_sweep
-from diracband.cli import main
 from diracband.clifford import (anticommutator, build_clifford,
                                 clifford_contraction, projector)
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               averaged_potential, zero_field)
-from diracband.fiber import FiberPoint, ModeSet, g_factors, symbol
+from diracband.fiber import (FiberPoint, ModeSet, assemble, g_factors,
+                             sigma_min, symbol)
 from diracband.gauge import (bessel_kernel_constant, build_phi,
                              gauge_bound_check, EtaSpec)
-from diracband.lattice import Lattice, SphereMeasure, check_gamma, find_gamma
+from diracband.lattice import SphereMeasure, check_gamma, find_gamma
 from diracband.util import orthonormal_complement
 from diracband.verify import condition_chain_pipeline, verify_thomas_bound, \
     weighted_floor
+from golden import regenerate as golden
 from helpers import (average_by_quadrature, brute_force_gamma,
                      random_real_vector_field)
 
@@ -250,11 +251,19 @@ def test_08_thomas_documented(lat3, rep3):
     assert report.refinement["kappa_star"] == report.kappa_star
     assert report.refinement["max_rel_change"] < 0.10
 
+    # the free scan's closed form against the dense SVD at every node
+    zero = PotentialSet.zero(lat3, rep3)
     free = verify_thomas_bound(
-        PotentialSet.zero(lat3, rep3), parsed["gamma"],
-        MeasureSpec.dirac(), 0.5, kappas=parsed["kappas"],
-        k_points_per_axis=5, cutoff=12.0, threads=4)
-    assert np.max(np.abs(free.sigma - free.free_closed_form)) <= 1e-10
+        zero, parsed["gamma"], MeasureSpec.dirac(), 0.5,
+        kappas=parsed["kappas"], k_points_per_axis=5, cutoff=12.0, threads=4)
+    modes = ModeSet.from_cutoff(lat3, free.cutoff)
+    e = lat3.direction(parsed["gamma"])[3]
+    for i, k in enumerate(free.k_points):
+        for j, kappa in enumerate(free.kappas):
+            op = assemble(modes, FiberPoint(k=np.array(k), e=e, kappa=kappa),
+                          zero)
+            dense = sigma_min(op, method="dense")
+            assert abs(free.sigma[i, j] - dense) <= 1e-10
 
 
 @criterion(9, "weighted floor: exactly 1 free, perturbation bound held")
@@ -288,33 +297,77 @@ def test_10_condition_chain(lat3):
     assert a > b > c
 
 
-@criterion(11, "byte-identical command reruns and the committed golden")
+# floats of a golden where ENV.json does not match this machine: the last
+# bits are promised only within one environment, and the kernel constant's
+# polar route is accurate to radial_tol (1e-7 relative); the absolute floor
+# admits roundoff in entries that are zero in exact arithmetic
+GOLDEN_REL_TOL = 1e-6
+GOLDEN_ABS_TOL = 1e-12
+
+
+def _assert_json_close(want, got, where):
+    """Keys, strings, integers, booleans and nulls exactly; floats to tolerance."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_json_close(want[key], got[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(want, got)):
+            _assert_json_close(a, b, f"{where}/{i}")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(
+            got, want, rel_tol=GOLDEN_REL_TOL, abs_tol=GOLDEN_ABS_TOL), \
+            (where, want, got)
+    else:
+        assert type(got) is type(want) and got == want, (where, want, got)
+
+
+def _assert_csv_close(want, got, where):
+    """Header, booleans and integers exactly; any other cell as a float."""
+    want, got = want.splitlines(), got.splitlines()
+    assert got[0] == want[0] and len(got) == len(want), where
+    for line, (a_row, b_row) in enumerate(zip(want[1:], got[1:]), start=2):
+        a_row, b_row = a_row.split(","), b_row.split(",")
+        assert len(b_row) == len(a_row), (where, line)
+        for a, b in zip(a_row, b_row):
+            if a in ("true", "false") or (a.lstrip("-").isdigit()
+                                          and b.lstrip("-").isdigit()):
+                assert b == a, (where, line, a, b)
+            else:
+                assert math.isclose(float(b), float(a), rel_tol=GOLDEN_REL_TOL,
+                                    abs_tol=GOLDEN_ABS_TOL), (where, line, a, b)
+
+
+@criterion(11, "byte-identical command reruns and the committed goldens")
 def test_11_cli_determinism(tmp_path):
-    jobs = [
-        ("bands", os.path.join(CONFIG_DIR, "free_bands.json")),
-        ("check-condition", os.path.join(CONFIG_DIR, "condition.json")),
-        ("find-gamma", os.path.join(CONFIG_DIR, "find_gamma_atoms.json")),
-        ("verify-thomas", os.path.join(CONFIG_DIR, "thomas_documented.json")),
-        ("verify-weighted", os.path.join(CONFIG_DIR, "weighted_floor.json")),
-        ("verify-weighted", os.path.join(CONFIG_DIR, "weighted_split.json")),
-        ("gauge-bound", os.path.join(CONFIG_DIR, "gauge_bound.json")),
-        ("kernel-constant", os.path.join(CONFIG_DIR, "kernel.json")),
-    ]
-    for idx, (command, config) in enumerate(jobs):
+    with open(os.path.join(GOLDEN_DIR, "ENV.json"), encoding="utf-8") as fh:
+        exact = json.load(fh) == golden.environment()
+    for command, config in golden.JOBS:
         snapshots = []
         for attempt in ("first", "second"):
-            out = tmp_path / f"{idx}_{attempt}"
-            # find-gamma's search mode draws nothing and refuses a seed
-            seed = (["--seed", "0"] if command in
-                    ("check-condition", "verify-thomas") else [])
-            code = main([command, "--config", config, *seed,
-                         "--out", str(out)])
-            assert code == 0, (command, config)
+            out = tmp_path / f"{config}_{attempt}"
+            assert golden.run(command, config, str(out)) == 0, config
             snapshots.append({name: (out / name).read_bytes()
                               for name in os.listdir(out)})
-        assert snapshots[0] == snapshots[1], (command, config)
+        assert snapshots[0] == snapshots[1], config
 
-    golden = open(os.path.join(GOLDEN_DIR, "find_gamma_atoms.json"),
-                  "rb").read()
-    produced = (tmp_path / "2_first" / "find-gamma.json").read_bytes()
-    assert produced == golden
+        pinned = golden.golden_dir(config)
+        assert sorted(os.listdir(pinned)) == sorted(snapshots[0]), config
+        for name, produced in snapshots[0].items():
+            with open(os.path.join(pinned, name), "rb") as fh:
+                want = fh.read()
+            if exact:
+                assert produced == want, (config, name)
+            elif name.endswith(".json"):
+                _assert_json_close(json.loads(want), json.loads(produced),
+                                   f"{config}/{name}")
+            else:
+                _assert_csv_close(want.decode(), produced.decode(),
+                                  f"{config}/{name}")
+
+    with open(os.path.join(GOLDEN_DIR, "find_gamma_atoms.json"), "rb") as fh:
+        single = fh.read()
+    produced = (tmp_path / "find_gamma_atoms.json_first"
+                / "find-gamma.json").read_bytes()
+    assert produced == single

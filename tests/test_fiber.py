@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +11,8 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from diracband import config, fiber
-from diracband.clifford import build_clifford
 from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
-                             g_factors, global_projection, sigma_min,
-                             sigma_min_probe, symbol, transverse_direction,
+                             g_factors, sigma_min, sigma_min_probe, symbol,
                              weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
@@ -144,6 +141,27 @@ def test_assemble_warns_on_clipped_potential(lat3, rep3, rng):
     with pytest.warns(RuntimeWarning):
         assemble(modes, FiberPoint(k=np.zeros(3),
                                    e=np.array([1.0, 0, 0])), pot)
+
+
+def test_clipping_warns_once_at_any_thread_count():
+    # at cutoff 3.0 the window is the origin alone and the documented
+    # potential reaches 2 pi; the window is checked once, when its stencil is
+    # built before the scan's workers fork, not once per worker and probe
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] +
+        ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracband.cli", "verify-thomas",
+             "--config", str(root / "configs" / "thomas_documented.json"),
+             "--cutoff", "3.0", "--threads", threads],
+            env=env, capture_output=True, text=True)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][2].count("RuntimeWarning") == 1
 
 
 def test_eigenvalues_free_closed_form(lat3, rep3, rng):
@@ -327,23 +345,6 @@ def test_sparse_route_caps_arpack_restarts(monkeypatch):
     assert 0 < len(solves) <= 2 * 20 * 101
 
 
-def test_global_projection_checks_size_first():
-    # n = 4 at cutoff 20: dim 4,552, a 330 MB dense projection
-    lat4 = Lattice.cubic(4)
-    modes = ModeSet.from_cutoff(lat4, 20.0)
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError,
-                           match="dimension 4552 exceeds the dense limit"):
-            global_projection(build_clifford(4), np.full(4, 0.1), e,
-                              modes, +1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 50e6
-
-
 def test_g_factors_independent_of_blas_kernel():
     # every (g_minus, g_plus) of the shipped weighted-split face scan, under
     # the default OpenBLAS kernel and under OPENBLAS_CORETYPE=Prescott
@@ -387,26 +388,3 @@ def test_probe_stays_above_sigma_min(lat3, rep3, rng):
     probe = sigma_min_probe(op, count=2000, seed=7)
     assert probe >= smin - 1e-12
     assert sigma_min_probe(op, count=2000, seed=7) == probe  # seeded
-
-
-def test_global_projection_transfer(lat3, rep3, rng):
-    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
-    e = np.array([1.0, 0.0, 0.0])
-    k = np.array([0.4, 0.2, -0.3])
-    fib = FiberPoint(k=k, e=e, kappa=2.5)
-    op = assemble(modes, fib, PotentialSet.zero(lat3, rep3))
-    p_minus = global_projection(rep3, k, e, modes, -1)
-    p_plus = global_projection(rep3, k, e, modes, +1)
-    for p in (p_minus, p_plus):
-        assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert np.max(np.abs(p - p.conj().T)) < 1e-12
-    # each momentum lies in its own (axial, transverse) plane, so the free
-    # fiber swaps the two projections
-    lhs = op.matrix @ p_minus
-    rhs = p_plus @ op.matrix
-    assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-    # axis momenta have no transverse direction and produce zero blocks
-    assert transverse_direction(np.array([2.0, 0.0, 0.0]), e) is None
-    et = transverse_direction(k + 2.0 * math.pi * np.array([0, 1, 0]), e)
-    assert abs(float(np.dot(et, e))) < 1e-12

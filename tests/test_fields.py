@@ -344,7 +344,7 @@ def test_condition_single_pair_closed_form(lat3):
     assert abs(cv.theta_hi - expect) < 1e-13
     assert cv.theta_lo <= cv.theta_hi + 1e-12
     assert abs(cv.theta_lo - expect) < 1e-9 * expect
-    assert cv.holds and not cv.excluded
+    assert cv.holds and cv.theta_lo < 1.0
 
 
 def test_condition_documented_value(lat3):
@@ -371,14 +371,14 @@ def test_condition_edge_cases(lat3):
     A = FourierField(lat3, "vector", {(1, 0, 0): v, (-1, 0, 0): v}, real=True)
     cv = condition_value(A, (1, 0, 0), MeasureSpec.dirac(), sphere_samples=16)
     assert cv == ConditionValue(0.0, 0.0, cv.best_et, 0.0, 0.0, 0)
-    assert cv.holds and not cv.excluded
+    assert cv.holds and cv.theta_lo < 1.0
 
     big = FourierField(lat3, "vector", {(0, 1, 0): np.array([0.0, 0.0, 2.0]),
                                         (0, -1, 0): np.array([0.0, 0.0, 2.0])},
                        real=True)
     cv2 = condition_value(big, (1, 0, 0), MeasureSpec.dirac(),
                           sphere_samples=512)
-    assert cv2.excluded and not cv2.holds
+    assert cv2.theta_lo >= 1.0 and not cv2.holds
 
     with pytest.raises(ValueError):
         mean = FourierField(lat3, "vector", {(0, 0, 0): v})
