@@ -68,6 +68,32 @@ def build_clifford(n: int) -> CliffordRep:
     return CliffordRep(n=n, M=2 ** m, alphas=alphas)
 
 
+def chirality(rep: CliffordRep) -> tuple[np.ndarray, tuple]:
+    """(Omega, (U_plus, U_minus)): the chirality of an even-n rep and its eigenbases.
+
+    Omega = alpha_1 ... alpha_{n+1}, times i where needed so that Omega^2 = I.
+    For even n it is a product of an odd number of generators, so it commutes
+    with each, and C^M is twice the irreducible dimension.  U_plus, U_minus
+    are (M, M/2) orthonormal bases of its +1 and -1 eigenspaces.  Omega is a
+    Pauli string, so each column of the projector (I +- Omega) / 2 is zero or
+    supported on a pair {j, pi(j)}; the normalised column of each pair whose
+    first nonzero entry is its own gives the basis without LAPACK.
+    """
+    if rep.n % 2:
+        raise ValueError("the chirality splits even n only")
+    omega = reduce(np.matmul, rep.alphas)
+    if not np.array_equal(omega @ omega, rep.identity):
+        omega = 1.0j * omega
+    bases = []
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (rep.identity + sign * omega)
+        keep = [j for j in range(rep.M)
+                if np.flatnonzero(proj[:, j])[:1].tolist() == [j]]
+        cols = proj[:, keep]
+        bases.append(_readonly(cols / np.linalg.norm(cols, axis=0)))
+    return _readonly(omega), tuple(bases)
+
+
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 

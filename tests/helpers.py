@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from diracband import FourierField, MeasureSpec
+from diracband import FourierField, MeasureSpec, PotentialSet
 from diracband.util import gauss_legendre_panels
 
 
@@ -25,6 +25,26 @@ def random_real_vector_field(lattice, rng, pairs=4, span=2, scale=0.05):
         coeffs[key] = val
         coeffs[tuple(-c for c in key)] = np.conj(val)
     return FourierField(lattice, "vector", coeffs, real=True)
+
+
+def chiral_potential(lattice, rep, rng, mass=0.2):
+    """Random real A on +-e_2, scalar V0 on +-e_1 plus a mean, V1 = mass alpha_{n+1}.
+
+    Every composite coefficient commutes with the chirality, so for even n
+    the fibers split into their two halves.
+    """
+    n, eye = lattice.n, np.eye(rep.M, dtype=complex)
+    e1, e2 = (tuple(int(j == i) for j in range(n)) for i in (0, 1))
+    a = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    A = FourierField(lattice, "vector",
+                     {e2: a, tuple(-x for x in e2): np.conj(a)}, real=True)
+    c = complex(0.15 + 0.05j)
+    v0 = FourierField(lattice, "matrix",
+                      {e1: c * eye, tuple(-x for x in e1): np.conj(c) * eye,
+                       (0,) * n: 0.1 * eye}, dim=rep.M, hermitian=True)
+    v1 = FourierField(lattice, "matrix", {(0,) * n: mass * rep.alphas[n]},
+                      dim=rep.M, hermitian=True)
+    return PotentialSet(A, v0, v1, rep)
 
 
 def random_complex_vector_field(lattice, rng, count=5, span=2, scale=0.05):

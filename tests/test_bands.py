@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from diracband import Lattice, build_clifford
 from diracband.bands import (BandSheet, band_sweep, free_band_values,
                              nonconstancy_report)
+from diracband.fiber import FiberPoint, ModeSet, assemble
 from diracband.fields import FourierField, PotentialSet, zero_field
+from helpers import chiral_potential
 
 E_X = np.array([1.0, 0.0, 0.0])
 CUTOFF = 2.0 * math.pi * 1.5
@@ -78,6 +81,40 @@ def test_bands_are_lipschitz_in_xi(lat3, rep3, rng):
     step = sheet.xis[1] - sheet.xis[0]
     jumps = np.abs(np.diff(sheet.energies, axis=0))
     assert float(np.max(jumps)) <= step + 1e-12
+
+
+@pytest.mark.parametrize("n, cutoff", [(4, 2.0 * math.pi * 1.45),
+                                       (6, 2.0 * math.pi)])
+def test_split_sweep_matches_whole_fiber(n, cutoff, rng):
+    # even n: each fiber is solved as its two chiral halves; the sorted
+    # union must be the spectrum of the whole fiber
+    lat, rep = Lattice.cubic(n), build_clifford(n)
+    pot = chiral_potential(lat, rep, rng)
+    k0 = rng.uniform(-0.5, 0.5, size=n)
+    e = rng.standard_normal(n)
+    e /= np.linalg.norm(e)
+    sheet = band_sweep(pot, k0, e, (-0.5, 0.5), 3, cutoff)
+    modes = ModeSet.from_cutoff(lat, cutoff)
+    assert sheet.band_count == len(modes) * rep.M
+    for xi, row in zip(sheet.xis, sheet.energies):
+        op = assemble(modes, FiberPoint(k=k0 + xi * e, e=e), pot)
+        assert op.halves is not None
+        want = np.linalg.eigvalsh(op.matrix)
+        assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_split_mass_sweep_matches_closed_form():
+    lat4, rep4 = Lattice.cubic(4), build_clifford(4)
+    mass, cutoff = 0.6, 2.0 * math.pi * 1.45
+    v1 = FourierField(lat4, "matrix", {(0, 0, 0, 0): mass * rep4.alphas[4]},
+                      dim=rep4.M, hermitian=True)
+    pot = PotentialSet(zero_field(lat4, "vector"),
+                       zero_field(lat4, "matrix", dim=rep4.M), v1, rep4)
+    k0, e = np.array([0.3, -0.1, 0.2, 0.05]), np.eye(4)[1]
+    sheet = band_sweep(pot, k0, e, (-0.5, 0.5), 5, cutoff)
+    for xi, row in zip(sheet.xis, sheet.energies):
+        want = free_band_values(lat4, rep4, k0 + xi * e, cutoff, mass=mass)
+        assert np.max(np.abs(row - want)) < 1e-10
 
 
 def test_nonconstancy_report_free(lat3, rep3):

@@ -3,7 +3,7 @@ import pytest
 
 from diracband import (build_clifford, class_flags, clifford_contraction,
                        projector)
-from diracband.clifford import anticommutator
+from diracband.clifford import anticommutator, chirality
 from diracband.util import complete_orthonormal
 
 TOL = 1e-12
@@ -21,6 +21,29 @@ def test_generators_anticommute_exactly(n):
             want = 2.0 * eye if i == j else np.zeros_like(eye)
             # integer/half-integer entries: identities hold without tolerance
             assert np.array_equal(ac, want)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_chirality_commutes_and_splits(n):
+    rep = build_clifford(n)
+    omega, (up, um) = chirality(rep)
+    eye = np.eye(rep.M)
+    assert np.array_equal(omega @ omega, eye)
+    for a in rep.alphas:
+        assert np.array_equal(omega @ a, a @ omega)
+    # +1 and -1 eigenbases of half the dimension each, together unitary
+    assert up.shape == um.shape == (rep.M, rep.M // 2)
+    assert np.max(np.abs(omega @ up - up)) < TOL
+    assert np.max(np.abs(omega @ um + um)) < TOL
+    both = np.hstack([up, um])
+    assert np.max(np.abs(both.conj().T @ both - eye)) < TOL
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_chirality_refuses_odd_n(n):
+    # the product of an even number of generators anticommutes with each
+    with pytest.raises(ValueError):
+        chirality(build_clifford(n))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

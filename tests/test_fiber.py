@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from diracband import config, fiber
+from diracband import build_clifford, config, fiber
+from diracband.clifford import PAULI_Z, chirality
 from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
                              g_factors, sigma_min, sigma_min_probe, symbol,
                              weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
 from diracband.verify import k_face_grid
-from helpers import fft_apply_oracle, random_real_vector_field
+from helpers import chiral_potential, fft_apply_oracle, random_real_vector_field
 
 
 def random_fiber(rng, kappa=None):
@@ -255,6 +256,50 @@ def test_weighted_sigma_min(lat3, rep3, rng):
         weighted_sigma_min(op, w[:-1])
     with pytest.raises(ValueError):
         weighted_sigma_min(op, 0.0 * w)
+
+
+def shifted_fiber4(rng):
+    e = rng.standard_normal(4)
+    return FiberPoint(k=rng.uniform(-0.5, 0.5, size=4), e=e / np.linalg.norm(e),
+                      kappa=2.5)
+
+
+def test_split_weighted_sigma_min_matches_whole_fiber(rng):
+    lat4, rep4 = Lattice.cubic(4), build_clifford(4)
+    modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
+    op = assemble(modes, shifted_fiber4(rng), chiral_potential(lat4, rep4, rng))
+    assert op.halves is not None
+    assert [b.shape[0] for b in op.blocks] == [op.dim // 2] * 2
+    for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
+        scale = np.repeat(1.0 / w, rep4.M)
+        want = float(np.linalg.svd(op.matrix * scale[None, :],
+                                   compute_uv=False)[-1])
+        for method in ("auto", "dense"):
+            got = weighted_sigma_min(op, w, method)
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_even_n_potential_off_the_chirality_takes_whole_fiber(rng):
+    # I x I x Z commutes with alpha_1..alpha_4, so it is a valid V0, but
+    # not with the chirality I x I x X: the halves would drop a coupling
+    lat4, rep4 = Lattice.cubic(4), build_clifford(4)
+    omega = chirality(rep4)[0]
+    zz = np.kron(np.eye(4), PAULI_Z)
+    assert not np.array_equal(omega @ zz, zz @ omega)
+    chiral = chiral_potential(lat4, rep4, rng)
+    v0 = FourierField(lat4, "matrix", {(1, 0, 0, 0): 0.2 * zz,
+                                       (-1, 0, 0, 0): 0.2 * zz},
+                      dim=rep4.M, hermitian=True)
+    pot = PotentialSet(chiral.A, v0, chiral.V1, rep4)
+    modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
+    fib = shifted_fiber4(rng)
+    op = assemble(modes, fib, pot)
+    assert op.halves is None and op.blocks == (op.sparse,)
+    want = float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
+    assert sigma_min(op, method="dense") == want
+    assert abs(sigma_min(op) - want) <= 1e-12 * want
+    flat = assemble(modes, FiberPoint(k=fib.k, e=fib.e), pot)
+    assert np.array_equal(eigenvalues(flat), np.linalg.eigvalsh(flat.matrix))
 
 
 def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracband import Lattice, bands, build_clifford, cli, fiber, verify
+from diracband import (Lattice, bands, build_clifford, cli, config, fiber,
+                       verify)
 from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               zero_field, w_norm)
@@ -124,6 +126,26 @@ def test_potential_stencil_built_once_per_window(lat3, rep3, rng, monkeypatch):
                         cutoff=SMALL_CUTOFF, sphere_samples=256, probe_count=10, refine_factor=1.4,
                         threads=2)
     assert len(calls) == 2
+
+
+def test_refinement_scan_warns_for_each_clipped_window():
+    # at cutoffs 3.0 and 3.75 each window is the origin alone, so every
+    # nonzero mode of the documented potential is clipped; the two warnings
+    # come from one line and name their cutoffs, so the default filter,
+    # which drops a repeated text from the same line, shows both
+    p = config.parse_verify_thomas(config.load_file(str(
+        Path(__file__).resolve().parents[1] / "configs"
+        / "thomas_documented.json")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        verify_thomas_bound(p["pot"], p["gamma"], p["measure"], p["theta"],
+                            kappas=p["kappas"], k_points_per_axis=1,
+                            cutoff=3.0, refine_factor=1.25, sphere_samples=256)
+    texts = [str(w.message) for w in caught
+             if issubclass(w.category, RuntimeWarning)]
+    assert len(texts) == 2
+    assert "cutoff 3.0;" in texts[0] and "cutoff 3.75;" in texts[1]
+    assert all("4 mode(s)" in t for t in texts)
 
 
 def test_thomas_scan_free_refinement_is_stable(lat3, rep3):
