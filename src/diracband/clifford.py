@@ -51,14 +51,17 @@ def build_clifford(n: int) -> CliffordRep:
     """Construct the generator set for n space dimensions.
 
     The chain is deterministic: pairs (Z^(j-1) x X x I..., Z^(j-1) x Y x I...)
-    for j = 1..m followed by Z^m, truncated to the first n+1 matrices, with
-    m = ceil((n+1)/2).
+    for j = 1..ceil(n/2) followed by Z^m, truncated to the first n+1
+    matrices, with m = (n+2)//2 factors.  For odd n the pairs fill all n+1
+    slots; for even n they give alpha_1..alpha_n and the mass involution is
+    alpha_{n+1} = Z^m, so the chirality alpha_1 ... alpha_{n+1} is a phase
+    times I x ... x I x Z, diagonal with alternating signs.
     """
     if n < 2:
         raise ValueError("need at least two space dimensions")
     m = (n + 2) // 2
     mats = []
-    for j in range(1, m + 1):
+    for j in range(1, (n + 3) // 2):
         pre = [PAULI_Z] * (j - 1)
         post = [_EYE2] * (m - j)
         mats.append(_kron_chain(pre + [PAULI_X] + post))
@@ -66,32 +69,6 @@ def build_clifford(n: int) -> CliffordRep:
     mats.append(_kron_chain([PAULI_Z] * m))
     alphas = tuple(_readonly(a) for a in mats[: n + 1])
     return CliffordRep(n=n, M=2 ** m, alphas=alphas)
-
-
-def chirality(rep: CliffordRep) -> tuple[np.ndarray, tuple]:
-    """(Omega, (U_plus, U_minus)): the chirality of an even-n rep and its eigenbases.
-
-    Omega = alpha_1 ... alpha_{n+1}, times i where needed so that Omega^2 = I.
-    For even n it is a product of an odd number of generators, so it commutes
-    with each, and C^M is twice the irreducible dimension.  U_plus, U_minus
-    are (M, M/2) orthonormal bases of its +1 and -1 eigenspaces.  Omega is a
-    Pauli string, so each column of the projector (I +- Omega) / 2 is zero or
-    supported on a pair {j, pi(j)}; the normalised column of each pair whose
-    first nonzero entry is its own gives the basis without LAPACK.
-    """
-    if rep.n % 2:
-        raise ValueError("the chirality splits even n only")
-    omega = reduce(np.matmul, rep.alphas)
-    if not np.array_equal(omega @ omega, rep.identity):
-        omega = 1.0j * omega
-    bases = []
-    for sign in (1.0, -1.0):
-        proj = 0.5 * (rep.identity + sign * omega)
-        keep = [j for j in range(rep.M)
-                if np.flatnonzero(proj[:, j])[:1].tolist() == [j]]
-        cols = proj[:, keep]
-        bases.append(_readonly(cols / np.linalg.norm(cols, axis=0)))
-    return _readonly(omega), tuple(bases)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

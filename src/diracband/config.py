@@ -60,7 +60,9 @@ def loads(text: str) -> dict:
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicates,
                          parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # also integers over Python's digit limit
         raise ConfigError("", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be an object")
@@ -68,8 +70,12 @@ def loads(text: str) -> dict:
 
 
 def load_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", f"not UTF-8: {exc}") from exc
+    return loads(text)
 
 
 def canonical_dumps(raw) -> str:
@@ -108,7 +114,10 @@ def _list(node, path, length=None, min_length=None):
 def _number(node, path, *, gt=None, ge=None, lt=None, le=None) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, "expected a number")
-    x = float(node)
+    try:
+        x = float(node)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(path, "expected a finite number")
     if gt is not None and not x > gt:
@@ -151,7 +160,7 @@ def _rational(node, path) -> float:
     if isinstance(node, str):
         try:
             return float(Fraction(node))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(path, f"invalid rational: {exc}") from exc
     return _number(node, path)
 

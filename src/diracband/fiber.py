@@ -25,13 +25,13 @@ inverse Gram operator; method="dense" is the LAPACK SVD of the dense view,
 the reference the other routes are checked against.
 
 For even n the chirality Omega = alpha_1 ... alpha_{n+1} commutes with every
-generator (`clifford.chirality`).  When every composite potential
-coefficient commutes with it too, as scalar V0 and V1 = mass alpha_{n+1} do,
-each fiber is block diagonal in Omega's eigenspaces (Lawson and Michelsohn,
-Spin Geometry, ch. I.5) and is solved as two chiral halves of dimension
-m M/2, for about a quarter of the dense eigensolver flops.  The halves are
-taken in a basis with entries 1/sqrt(2), so even-n results may differ from a
-whole-fiber solve in their last bits.  Any other fiber is one block.
+generator, and `build_clifford` makes it diagonal: +-diag(1, -1, 1, -1, ...).
+When every composite potential coefficient commutes with it too, as scalar
+V0 and V1 = mass alpha_{n+1} do, no coefficient couples an even spin index
+to an odd one, so each fiber is block diagonal in Omega's eigenspaces
+(Lawson and Michelsohn, Spin Geometry, ch. I.5): its even and odd rows and
+columns are two chiral halves of dimension m M/2, solved apart for about a
+quarter of the dense eigensolver flops.  Any other fiber is one block.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .clifford import CliffordRep, chirality, clifford_contraction
+from .clifford import CliffordRep, clifford_contraction
 from .fields import PotentialSet
 from .lattice import Lattice
 from .util import blas_single_threaded, check_unit
@@ -95,7 +95,7 @@ class ModeSet:
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
         self.cutoff: Optional[float] = None
-        # (stencil, chiral halves) on this window, one per PotentialSet
+        # (stencil, split) on this window, one per PotentialSet
         # (`potential_stencil`)
         self._stencils: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -135,15 +135,15 @@ def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
 class TruncatedDiracOperator:
     """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix.
 
-    `halves` is None, or the pair of (dim, dim/2) bases I_m x U_plus and
-    I_m x U_minus in which the fiber splits into its chiral halves.
+    `split` says whether the fiber is block diagonal in its even and odd
+    rows, its two chiral halves.
     """
 
     modes: ModeSet
     fiber: FiberPoint
     pot: PotentialSet
     sparse: sp.csc_array
-    halves: Optional[tuple]
+    split: bool
 
     @property
     def dim(self) -> int:
@@ -160,12 +160,10 @@ class TruncatedDiracOperator:
 
     @cached_property
     def blocks(self) -> tuple:
-        """The diagonal blocks the solvers take: P^H D P for each of the
-        two `halves`, or the whole fiber when it does not split."""
-        if self.halves is None:
-            return (self.sparse,)
-        return tuple((P.conj().T @ self.sparse @ P).tocsc()
-                     for P in self.halves)
+        """The diagonal blocks the solvers take: the even and the odd rows
+        and columns when the fiber is `split`, else the whole fiber."""
+        D = self.sparse
+        return (D[0::2, 0::2], D[1::2, 1::2]) if self.split else (D,)
 
     def dense(self, block) -> np.ndarray:
         """Dense view of one of `blocks`, refused while the whole fiber is
@@ -180,18 +178,19 @@ class TruncatedDiracOperator:
 
 
 def potential_stencil(modes: ModeSet, pot: PotentialSet
-                      ) -> tuple[sp.csc_array, Optional[tuple]]:
-    """(stencil, halves) of every fiber on the window, built once per potential.
+                      ) -> tuple[sp.csc_array, bool]:
+    """(stencil, split) of every fiber on the window, built once per potential.
 
     Block (i, j) of the stencil is the composite coefficient V(N_i - N_j).
     Each required coefficient is materialised once and copied into every
-    block it serves, so equal offsets give bit-identical blocks.  `halves`
-    are the bases I_m x U_plus, I_m x U_minus when n is even and every
-    coefficient commutes exactly with the chirality (no tolerance: a dropped
-    coupling would give a wrong spectrum), else None.  A scan builds both
-    before its `pmap`, so that forked workers inherit them.  The window must
-    lie on the potential's lattice.  Building warns, naming the cutoff, when
-    some coefficients connect no two window modes: they are clipped.
+    block it serves, so equal offsets give bit-identical blocks.  `split`
+    holds when n is even and no coefficient has an entry between an even and
+    an odd spin index, that is when each commutes with the diagonal
+    chirality (no tolerance: a dropped coupling would give a wrong
+    spectrum).  A scan builds both before its `pmap`, so that forked
+    workers inherit them.  The window must lie on the potential's lattice.
+    Building warns, naming the cutoff, when some coefficients connect no
+    two window modes: they are clipped.
     """
     built = modes._stencils.get(pot)
     if built is None:
@@ -225,14 +224,9 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet
             (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
             shape=(dim, dim))
         stencil.eliminate_zeros()
-        halves = None
-        if rep.n % 2 == 0:
-            omega, bases = chirality(rep)
-            if all(np.array_equal(omega @ B, B @ omega)
-                   for B in coeffs.values()):
-                halves = tuple(sp.kron(sp.eye_array(m), U, format="csc")
-                               for U in bases)
-        built = modes._stencils[pot] = (stencil, halves)
+        split = rep.n % 2 == 0 and not any(
+            B[::2, 1::2].any() or B[1::2, ::2].any() for B in coeffs.values())
+        built = modes._stencils[pot] = (stencil, split)
     return built
 
 
@@ -246,7 +240,7 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     coefficient, so the dense view has the bits of a dense assembly.  The
     stencil checks the window against the potential when it is built.
     """
-    stencil, halves = potential_stencil(modes, pot)
+    stencil, split = potential_stencil(modes, pot)
     lattice, rep, m = modes.lattice, pot.rep, len(modes)
     symbols = sp.bsr_array(
         (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
@@ -254,7 +248,7 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
     matrix = (stencil + symbols).tocsc()
     return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
-                                  sparse=matrix, halves=halves)
+                                  sparse=matrix, split=split)
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:

@@ -106,18 +106,8 @@ class FourierField:
 
     # -- basic queries -----------------------------------------------------
 
-    def support(self) -> tuple:
-        return tuple(self.coeffs.keys())
-
     def is_empty(self) -> bool:
         return not self.coeffs
-
-    def support_radius(self) -> float:
-        """max |2 pi N| over the support (0 for the empty field)."""
-        if not self.coeffs:
-            return 0.0
-        vecs = self.lattice.dual_point(np.array(list(self.coeffs), dtype=float))
-        return float(2.0 * math.pi * np.max(np.linalg.norm(vecs, axis=1)))
 
     def _zero_value(self):
         if self.kind == "scalar":
@@ -179,24 +169,18 @@ class FourierField:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binary(self, other: "FourierField", sign: float) -> "FourierField":
+    def __sub__(self, other: "FourierField") -> "FourierField":
         if not isinstance(other, FourierField):
             raise TypeError("can only combine FourierField instances")
         if other.kind != self.kind or not self.lattice.same_as(other.lattice):
             raise ValueError("fields must share kind and lattice")
         out = {}
         for key in sorted(set(self.coeffs) | set(other.coeffs)):
-            out[key] = np.asarray(self.coeff(key)) + sign * np.asarray(other.coeff(key))
+            out[key] = np.asarray(self.coeff(key)) - np.asarray(other.coeff(key))
         return FourierField(self.lattice, self.kind, out,
                             real=self.real and other.real,
                             hermitian=self.hermitian and other.hermitian,
                             dim=self.dim)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
 
 
 def zero_field(lattice: Lattice, kind: str, dim: Optional[int] = None
@@ -399,10 +383,6 @@ class PotentialSet:
                 val -= a[j] * rep.alphas[j]
             out[key] = val
         return FourierField(self.lattice, "matrix", out, dim=rep.M)
-
-    def support_radius(self) -> float:
-        return max(self.A.support_radius(), self.V0.support_radius(),
-                   self.V1.support_radius())
 
 
 def coefficient_sum(field: FourierField) -> float:

@@ -98,7 +98,7 @@ def test_split_sweep_matches_whole_fiber(n, cutoff, rng):
     assert sheet.band_count == len(modes) * rep.M
     for xi, row in zip(sheet.xis, sheet.energies):
         op = assemble(modes, FiberPoint(k=k0 + xi * e, e=e), pot)
-        assert op.halves is not None
+        assert op.split
         want = np.linalg.eigvalsh(op.matrix)
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -1,15 +1,17 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from diracband import (build_clifford, class_flags, clifford_contraction,
                        projector)
-from diracband.clifford import anticommutator, chirality
+from diracband.clifford import anticommutator
 from diracband.util import complete_orthonormal
 
 TOL = 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_generators_anticommute_exactly(n):
     rep = build_clifford(n)
     assert len(rep.alphas) == n + 1
@@ -23,30 +25,19 @@ def test_generators_anticommute_exactly(n):
             assert np.array_equal(ac, want)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_chirality_commutes_and_splits(n):
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_even_n_chirality_is_diagonal(n):
+    # Omega = alpha_1 ... alpha_{n+1} is a unit phase times
+    # diag(1, -1, 1, -1, ...): the chiral halves are the even and odd rows
     rep = build_clifford(n)
-    omega, (up, um) = chirality(rep)
-    eye = np.eye(rep.M)
-    assert np.array_equal(omega @ omega, eye)
+    omega = reduce(np.matmul, rep.alphas)
+    omega = np.conj(omega[0, 0]) * omega
+    assert np.array_equal(omega, np.diag([1.0, -1.0] * (rep.M // 2)))
     for a in rep.alphas:
         assert np.array_equal(omega @ a, a @ omega)
-    # +1 and -1 eigenbases of half the dimension each, together unitary
-    assert up.shape == um.shape == (rep.M, rep.M // 2)
-    assert np.max(np.abs(omega @ up - up)) < TOL
-    assert np.max(np.abs(omega @ um + um)) < TOL
-    both = np.hstack([up, um])
-    assert np.max(np.abs(both.conj().T @ both - eye)) < TOL
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_chirality_refuses_odd_n(n):
-    # the product of an even number of generators anticommutes with each
-    with pytest.raises(ValueError):
-        chirality(build_clifford(n))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8])
 def test_generators_hermitian_with_exact_entries(n):
     rep = build_clifford(n)
     allowed = {0, 1, -1, 1j, -1j}

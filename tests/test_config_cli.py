@@ -29,7 +29,18 @@ def write_config(tmp_path, payload):
 # raw JSON layer
 # ---------------------------------------------------------------------------
 
-def test_loads_rejects_duplicates_and_nonfinite():
+def overflowing_bands_configs():
+    """(pointer, config text) pairs whose numbers do not fit a float."""
+    bands = json.loads(open(config_path("free_bands.json")).read())
+    big_int = json.dumps(bands).replace('"cutoff": 9.0',
+                                        '"cutoff": ' + "1" * 401)
+    bands["lattice"] = {"basis": [["1" + "0" * 400 + "/1", 0, 0],
+                                  [0, 1, 0], [0, 0, 1]]}
+    return [("/bands/cutoff", big_int),
+            ("/lattice/basis/0/0", json.dumps(bands))]
+
+
+def test_loads_rejects_duplicates_and_nonfinite(tmp_path):
     with pytest.raises(cfg.ConfigError, match="duplicate key"):
         cfg.loads('{"a": 1, "a": 2}')
     with pytest.raises(cfg.ConfigError, match="non-finite"):
@@ -40,6 +51,17 @@ def test_loads_rejects_duplicates_and_nonfinite():
         cfg.loads('[1, 2]')
     with pytest.raises(cfg.ConfigError, match="invalid JSON"):
         cfg.loads('{"a": ')
+    # an integer over Python's 4,300-digit conversion limit
+    with pytest.raises(cfg.ConfigError, match="invalid JSON"):
+        cfg.loads('{"a": ' + "1" * 4301 + "}")
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"a": "\xff"}')
+    with pytest.raises(cfg.ConfigError, match="not UTF-8"):
+        cfg.load_file(str(latin))
+    for pointer, text in overflowing_bands_configs():
+        with pytest.raises(cfg.ConfigError) as err:
+            cfg.parse_bands(cfg.loads(text))
+        assert err.value.path == pointer
 
 
 def test_canonical_dumps_is_idempotent():
@@ -380,6 +402,17 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
 
     assert main(["bands", "--config", str(tmp_path / "missing.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+    bad.write_bytes(b'{"lattice": {"cubic": 3}, "a": "\xff"}')
+    assert main(["bands", "--config", str(bad)]) == 1
+    assert "config error at /: not UTF-8" in capsys.readouterr().err
+    bad.write_text('{"a": ' + "1" * 4301 + "}", encoding="utf-8")
+    assert main(["bands", "--config", str(bad)]) == 1
+    assert "config error at /: invalid JSON" in capsys.readouterr().err
+    for pointer, text in overflowing_bands_configs():
+        bad.write_text(text, encoding="utf-8")
+        assert main(["bands", "--config", str(bad)]) == 1
+        assert f"config error at {pointer}:" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from diracband import build_clifford, config, fiber
-from diracband.clifford import PAULI_Z, chirality
+from diracband.clifford import PAULI_X, PAULI_Z
 from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
                              g_factors, sigma_min, sigma_min_probe, symbol,
                              weighted_sigma_min)
@@ -268,7 +269,7 @@ def test_split_weighted_sigma_min_matches_whole_fiber(rng):
     lat4, rep4 = Lattice.cubic(4), build_clifford(4)
     modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
     op = assemble(modes, shifted_fiber4(rng), chiral_potential(lat4, rep4, rng))
-    assert op.halves is not None
+    assert op.split
     assert [b.shape[0] for b in op.blocks] == [op.dim // 2] * 2
     for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
         scale = np.repeat(1.0 / w, rep4.M)
@@ -280,26 +281,52 @@ def test_split_weighted_sigma_min_matches_whole_fiber(rng):
 
 
 def test_even_n_potential_off_the_chirality_takes_whole_fiber(rng):
-    # I x I x Z commutes with alpha_1..alpha_4, so it is a valid V0, but
-    # not with the chirality I x I x X: the halves would drop a coupling
+    # I x I x X commutes with alpha_1..alpha_4, so it is a valid V0, but
+    # not with the chirality, a phase times I x I x Z: the halves would drop
+    # a coupling
     lat4, rep4 = Lattice.cubic(4), build_clifford(4)
-    omega = chirality(rep4)[0]
-    zz = np.kron(np.eye(4), PAULI_Z)
-    assert not np.array_equal(omega @ zz, zz @ omega)
+    omega = reduce(np.matmul, rep4.alphas)
+    xx = np.kron(np.eye(4), PAULI_X)
+    assert not np.array_equal(omega @ xx, xx @ omega)
     chiral = chiral_potential(lat4, rep4, rng)
-    v0 = FourierField(lat4, "matrix", {(1, 0, 0, 0): 0.2 * zz,
-                                       (-1, 0, 0, 0): 0.2 * zz},
+    v0 = FourierField(lat4, "matrix", {(1, 0, 0, 0): 0.2 * xx,
+                                       (-1, 0, 0, 0): 0.2 * xx},
                       dim=rep4.M, hermitian=True)
     pot = PotentialSet(chiral.A, v0, chiral.V1, rep4)
     modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
     fib = shifted_fiber4(rng)
     op = assemble(modes, fib, pot)
-    assert op.halves is None and op.blocks == (op.sparse,)
+    assert not op.split and op.blocks == (op.sparse,)
     want = float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
     assert sigma_min(op, method="dense") == want
     assert abs(sigma_min(op) - want) <= 1e-12 * want
     flat = assemble(modes, FiberPoint(k=fib.k, e=fib.e), pot)
     assert np.array_equal(eigenvalues(flat), np.linalg.eigvalsh(flat.matrix))
+
+
+def test_even_n_mass_convention_keeps_spectrum(rng):
+    # V1 = mass alpha_5 = mass Z x Z x Z splits the fiber; the explicit
+    # V1 = mass Z x Z x X, which the same unitary on the last factor maps
+    # to it while fixing alpha_1..alpha_4, takes the whole fiber
+    lat4, rep4 = Lattice.cubic(4), build_clifford(4)
+    mass = 0.2
+    chiral = chiral_potential(lat4, rep4, rng, mass=mass)
+    zzx = reduce(np.kron, [PAULI_Z, PAULI_Z, PAULI_X])
+    v1 = FourierField(lat4, "matrix", {(0, 0, 0, 0): mass * zzx},
+                      dim=rep4.M, hermitian=True)
+    whole_pot = PotentialSet(chiral.A, chiral.V0, v1, rep4)
+    modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
+    fib = shifted_fiber4(rng)
+    flat = FiberPoint(k=fib.k, e=fib.e)
+    split, whole = (assemble(modes, flat, p) for p in (chiral, whole_pot))
+    assert split.split and not whole.split
+    want = eigenvalues(whole)
+    assert np.max(np.abs(eigenvalues(split) - want)) <= (
+        1e-12 * np.max(np.abs(want)))
+    split, whole = (assemble(modes, fib, p) for p in (chiral, whole_pot))
+    for method in ("auto", "dense"):
+        want = sigma_min(whole, method)
+        assert abs(sigma_min(split, method) - want) <= 1e-12 * want
 
 
 def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):

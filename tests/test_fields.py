@@ -50,7 +50,7 @@ def test_constructor_rejects_bad_input(lat3):
 def test_support_sorted_and_defaults(lat3):
     f = FourierField(lat3, "scalar", {(1, 0, 0): 2.0, (-1, 0, 0): 2.0,
                                       (0, 1, 0): 1.0})
-    assert f.support() == ((-1, 0, 0), (0, 1, 0), (1, 0, 0))
+    assert tuple(f.coeffs) == ((-1, 0, 0), (0, 1, 0), (1, 0, 0))
     assert f.coeff((5, 5, 5)) == 0.0
     assert f.mean() == 0.0
     g = FourierField(lat3, "scalar", {(0, 0, 0): 3.0})
@@ -93,19 +93,13 @@ def test_field_arithmetic(lat3):
     a = FourierField(lat3, "scalar", {(1, 0, 0): 1.0, (-1, 0, 0): 1.0},
                      real=True)
     b = FourierField(lat3, "scalar", {(1, 0, 0): 2.0j, (0, 1, 0): 1.0})
-    s = a + b
-    assert s.coeff((1, 0, 0)) == 1.0 + 2.0j
-    assert s.coeff((0, 1, 0)) == 1.0
-    assert not s.real  # one summand lacks the symmetry
-    d = s - b
-    for key in a.support():
-        assert d.coeff(key) == a.coeff(key)
-
-
-def test_support_radius(lat3):
-    f = FourierField(lat3, "scalar", {(2, 1, 0): 1.0})
-    assert abs(f.support_radius() - 2.0 * math.pi * math.sqrt(5.0)) < 1e-12
-    assert zero_field(lat3, "scalar").support_radius() == 0.0
+    s = a - b
+    assert s.coeff((1, 0, 0)) == 1.0 - 2.0j
+    assert s.coeff((0, 1, 0)) == -1.0
+    assert not s.real  # one operand lacks the symmetry
+    d = a - s
+    for key in b.coeffs:
+        assert d.coeff(key) == b.coeff(key)
 
 
 # -- smoothing measures ------------------------------------------------------
@@ -284,7 +278,6 @@ def test_composite_and_w_norm(lat3, rep3):
 
     expect = 3 * 2 * float(np.linalg.norm(avec)) + 2 * 0.2 + 0.3
     assert abs(w_norm(pot) - expect) < 1e-12
-    assert abs(pot.support_radius() - 2.0 * math.pi) < 1e-12
 
 
 def test_sup_norm_brackets(lat3, rng):
