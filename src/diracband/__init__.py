@@ -16,13 +16,12 @@ from .fiber import (FiberPoint, ModeSet, TruncatedDiracOperator, assemble,
 from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, sup_norm, w_norm,
                      zero_field)
-from .gauge import (EtaSpec, KernelConstantReport, bessel_kernel_constant,
-                    build_phi, damping_factor, default_kernel_constant,
-                    gauge_bound_check, radial_kernel)
+from .gauge import (EtaSpec, bessel_kernel_constant, build_phi,
+                    damping_factor, default_kernel_constant, gauge_bound_check,
+                    radial_kernel)
 from .lattice import (GammaCertificate, Lattice, SphereMeasure, check_gamma,
                       enumerate_points, find_gamma, reciprocal_basis)
-from .verify import (ThomasBoundReport, WeightedSplitReport,
-                     condition_chain_pipeline, k_face_grid,
+from .verify import (condition_chain_pipeline, k_face_grid,
                      sobolev_direction_measure, verify_thomas_bound,
                      verify_weighted_split, weighted_floor)
 
@@ -38,13 +37,11 @@ __all__ = [
     "ConditionValue", "FourierField", "MeasureSpec", "PotentialSet",
     "averaged_potential", "condition_value", "sup_norm", "w_norm",
     "zero_field",
-    "EtaSpec", "KernelConstantReport", "bessel_kernel_constant", "build_phi",
-    "damping_factor", "default_kernel_constant", "gauge_bound_check",
-    "radial_kernel",
+    "EtaSpec", "bessel_kernel_constant", "build_phi", "damping_factor",
+    "default_kernel_constant", "gauge_bound_check", "radial_kernel",
     "GammaCertificate", "Lattice", "SphereMeasure", "check_gamma",
     "enumerate_points", "find_gamma", "reciprocal_basis",
-    "ThomasBoundReport", "WeightedSplitReport", "condition_chain_pipeline",
-    "k_face_grid", "sobolev_direction_measure", "verify_thomas_bound",
-    "verify_weighted_split", "weighted_floor",
+    "condition_chain_pipeline", "k_face_grid", "sobolev_direction_measure",
+    "verify_thomas_bound", "verify_weighted_split", "weighted_floor",
     "__version__",
 ]

@@ -5,7 +5,10 @@ Subcommands wrap the library's sweeps and checks, read a strict JSON config
 keys and CSV tables with 17-significant-digit floats.  Without --out the
 JSON report goes to stdout; CSV side tables are written only under --out.
 Each subcommand is declared once, in `_COMMANDS`: its runner returns the
-report, the verdict and the side tables, and `main` writes them.
+report, the verdict and the side tables, and `main` writes them.  The
+library's checks already return their reports as JSON-ready dicts; a runner
+adds at most the config echo it wants in the report, and builds the CSV
+tables from the report's own keys.
 
 Exit codes: 0 when the run's checks pass, 2 when the run completed but some
 empirical check failed (reports are still written), 1 for usage or config
@@ -120,10 +123,12 @@ def _run_verify_thomas(parsed, threads):
         refine_factor=parsed["refine_factor"],
         probe_count=parsed["probe_count"], seed=parsed["seed"],
         sphere_samples=parsed["sphere_samples"], threads=threads)
+    bound = report["bound"]
     margins = _csv(["k_index", "kappa", "sigma_min", "bound", "margin"],
-                   [[r["k_index"], r["kappa"], r["sigma_min"], r["bound"],
-                     r["margin"]] for r in report.margin_rows()])
-    return report.to_dict(), report.holds, {"margins.csv": margins}
+                   [[i, kappa, sigma, bound, sigma - bound]
+                    for i, row in enumerate(report["sigma_table"])
+                    for kappa, sigma in zip(report["kappas"], row)])
+    return report, report["holds"], {"margins.csv": margins}
 
 
 def _run_verify_weighted(parsed, threads):
@@ -135,7 +140,7 @@ def _run_verify_weighted(parsed, threads):
             k_points_per_axis=parsed["k_points_per_axis"],
             cutoff=parsed["cutoff"], sphere_samples=parsed["sphere_samples"],
             threads=threads)
-        return {"mode": "split", **report.to_dict()}, report.holds, {}
+        return {"mode": "split", **report}, report["holds"], {}
     result = weighted_floor(
         parsed["pot"], parsed["gamma"], parsed["kappas"],
         k_points_per_axis=parsed["k_points_per_axis"],
@@ -162,8 +167,7 @@ def _run_kernel_constant(parsed, threads):
     result = bessel_kernel_constant(eta, sample_step=parsed["sample_step"],
                                     radial_tol=parsed["radial_tol"],
                                     cross_check=parsed["cross_check"])
-    return ({"passes": result.passes, **dataclasses.asdict(result)},
-            result.passes, {})
+    return result, result["passes"], {}
 
 
 # name: (runner, JSON report file, flags beyond --config, --out and --threads)

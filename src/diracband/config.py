@@ -175,8 +175,11 @@ def _complex_entry(node, path) -> complex:
 
 
 def _int_tuple(node, path, length) -> tuple:
+    """Integer coordinates of at most 2^20 in size: every int64 pairing of
+    two such n-vectors, n <= 8, stays below 2^43."""
     _list(node, path, length=length)
-    return tuple(_integer(v, _join(path, i)) for i, v in enumerate(node))
+    return tuple(_integer(v, _join(path, i), ge=-2 ** 20, le=2 ** 20)
+                 for i, v in enumerate(node))
 
 
 def _float_vector(node, path, length) -> np.ndarray:

@@ -472,10 +472,6 @@ class ConditionValue:
         return self.theta_hi < 1.0
 
 
-def _mean_size(A: FourierField) -> float:
-    return _coeff_norm(A.kind, A.mean())
-
-
 def orthogonal_modes(A: FourierField, gc: np.ndarray) -> list:
     """Nonzero keys N with (N, gamma) = 0, in stored (sorted) order.
 
@@ -516,7 +512,7 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     """
     if A.kind != "vector":
         raise ValueError("condition_value applies to vector fields")
-    if _mean_size(A) > 1e-13:
+    if _coeff_norm(A.kind, A.mean()) > 1e-13:
         raise ValueError("the field must have zero mean")
     lattice = A.lattice
     n = lattice.n

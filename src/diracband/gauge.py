@@ -33,7 +33,7 @@ from .fields import (FourierField, MeasureSpec, averaged_potential,
                      coefficient_sum, sup_norm)
 from .util import check_unit, gauss_legendre_edges, gauss_legendre_panels
 
-# bessel_kernel_constant(cross_check=False).constant for EtaSpec(), with
+# bessel_kernel_constant(cross_check=False)["constant"] for EtaSpec(), with
 # numpy 2.4.6 and scipy 1.17.1; test_gauge checks it against the function
 DEFAULT_KERNEL_CONSTANT = 1.705846011870747
 
@@ -191,29 +191,10 @@ def radial_kernel(eta: EtaSpec, r: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KernelConstantReport:
-    constant: float
-    norm_l1: float
-    norm_l1_2d: Optional[float]
-    cross_residual: Optional[float]
-    rmax: float
-    tail_estimate: float
-    zero_count: int
-    tau_lo: float
-    tau_hi: float
-    sample_step: float
-
-    @property
-    def passes(self) -> bool:
-        """The two routes agree to 1e-4 relative (true without the cross route)."""
-        return self.cross_residual is None or self.cross_residual <= 1e-4
-
-
 def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
                            sample_step: float = 0.01,
                            radial_tol: float = 1e-7,
-                           cross_check: bool = True) -> KernelConstantReport:
+                           cross_check: bool = True) -> dict:
     """Kernel constant (2/pi) * L1(G) for the gauge-pair bound.
 
     Polar route: with G(x, y) = cos(phi) * g(r) / r in polar coordinates and
@@ -228,7 +209,9 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     surrogate of g through the samples (spacing sample_step) that the zeros
     were bracketed on.  It never reduces to the radial integral.  The relative
     difference of the two routes is reported; at the default sample_step the
-    spline's interpolation error, about 3e-9, is most of it.
+    spline's interpolation error, about 3e-9, is most of it.  `passes` says
+    the routes agree to 1e-4 relative; without the cross route `norm_l1_2d`
+    and `cross_residual` are None and `passes` is true.
     """
     from scipy import optimize
 
@@ -267,18 +250,19 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
                                        np.array(zeros), rmax)
         residual = abs(norm_2d - norm_polar) / norm_polar
 
-    return KernelConstantReport(
-        constant=(2.0 / math.pi) * norm_polar,
-        norm_l1=norm_polar,
-        norm_l1_2d=norm_2d,
-        cross_residual=residual,
-        rmax=rmax,
-        tail_estimate=tail,
-        zero_count=len(zeros),
-        tau_lo=eta.tau_lo,
-        tau_hi=eta.tau_hi,
-        sample_step=sample_step,
-    )
+    return {
+        "constant": (2.0 / math.pi) * norm_polar,
+        "norm_l1": norm_polar,
+        "norm_l1_2d": norm_2d,
+        "cross_residual": residual,
+        "passes": residual is None or residual <= 1e-4,
+        "rmax": rmax,
+        "tail_estimate": tail,
+        "zero_count": len(zeros),
+        "tau_lo": eta.tau_lo,
+        "tau_hi": eta.tau_hi,
+        "sample_step": sample_step,
+    }
 
 
 def _quadrant_norm(profile, zeros: np.ndarray, rmax: float) -> float:
@@ -321,7 +305,7 @@ def default_kernel_constant() -> float:
     """The kernel constant of the default cutoff EtaSpec(), a module literal.
 
     DEFAULT_KERNEL_CONSTANT holds the bits `bessel_kernel_constant(
-    cross_check=False).constant` gives with numpy 2.4.6 and scipy 1.17.1, so
+    cross_check=False)["constant"]` gives with numpy 2.4.6 and scipy 1.17.1, so
     no process recomputes it and the reports that read it carry the same
     constant on every machine and library version.  Elsewhere the function's
     last bits may differ from the literal; the two agree to `radial_tol`

@@ -59,11 +59,6 @@ def orthonormal_complement(e: np.ndarray) -> np.ndarray:
     return full[1:]
 
 
-def transverse_directions(e: np.ndarray, count: int, rng) -> np.ndarray:
-    """All `count` rows of `transverse_blocks(e, count, rng, chunk)` at once."""
-    return next(transverse_blocks(e, count, rng, count))[1]
-
-
 def transverse_blocks(e: np.ndarray, count: int, rng, chunk: int):
     """`count` unit vectors orthogonal to the unit vector `e`, in blocks.
 

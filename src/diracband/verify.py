@@ -5,9 +5,10 @@ truncations of the fiber operators on explicit mode windows and
 quasimomentum grids, never proofs.  Smallest singular values take the
 "auto" route of `fiber.sigma_min`: the closed form for potential-free
 fibers, sparse LU plus Lanczos otherwise; dense LAPACK is the reference it
-is tested against.  Reports carry the truncation metadata (cutoff, mode
-count, grids) and, where asked for, a randomized lower-bound probe and a
-cutoff refinement.
+is tested against.  Every check returns its report as a JSON-ready dict,
+the keys the CLI writes, with an EMPIRICAL verdict.  Reports carry the
+truncation metadata (cutoff, mode count, grids) and, where asked for, a
+randomized lower-bound probe and a cutoff refinement.
 
 The three checks:
 
@@ -29,7 +30,7 @@ Cauchy-Schwarz split) at every sampled transverse direction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -38,12 +39,12 @@ import numpy as np
 from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
                     potential_stencil, sigma_min, sigma_min_probe,
                     weighted_sigma_min)
-from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
-                     averaged_potential, condition_value, orthogonal_modes,
-                     sup_norm, w_norm)
+from .fields import (GRID_LIMIT, ConditionValue, FourierField, MeasureSpec,
+                     PotentialSet, averaged_potential, condition_value,
+                     orthogonal_modes, sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
 from .lattice import Lattice, SphereMeasure, annulus_mask, find_gamma
-from .util import pmap, transverse_directions, unit_grid
+from .util import pmap, transverse_blocks, unit_grid
 
 
 def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
@@ -53,12 +54,19 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     Anchored at pi gamma / |gamma|^2 and spanned by the projections of the
     scaled reciprocal basis vectors onto the orthogonal complement of gamma
     (a greedy deterministic choice of n-1 independent projections).
+    Refuses a grid of more than GRID_LIMIT coordinates before building it.
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be positive")
+    n = lattice.n
+    size = points_per_axis ** (n - 1) * n
+    if size > GRID_LIMIT:
+        raise ValueError(
+            f"a face grid of {points_per_axis}^{n - 1} points in {n} "
+            f"dimensions needs {size} coordinates, over the limit "
+            f"{GRID_LIMIT}; use a smaller k_points_per_axis")
     _, gvec, gnorm, e = lattice.direction(gamma_coeffs)
     base = math.pi * gvec / gnorm ** 2
-    n = lattice.n
 
     spans: list[np.ndarray] = []
     accepted: list[np.ndarray] = []
@@ -147,51 +155,6 @@ class _Face:
         return modes, np.array(values).reshape(shape)
 
 
-@dataclass
-class ThomasBoundReport:
-    gamma_coeffs: tuple
-    gamma_norm: float
-    theta: float
-    condition: ConditionValue
-    damping: float
-    bound: float
-    kappas: list
-    k_points: list
-    sigma: np.ndarray  # (len k, len kappas)
-    kappa_star: Optional[float]
-    cutoff: float
-    mode_count: int
-    dim: int
-    w_bound: float
-    kernel_constant: float
-    probe: Optional[dict] = None
-    refinement: Optional[dict] = None
-
-    @property
-    def holds(self) -> bool:
-        return self.kappa_star is not None
-
-    def margin_rows(self) -> list:
-        rows = []
-        for i, k in enumerate(self.k_points):
-            for j, kap in enumerate(self.kappas):
-                rows.append({"k_index": i, "kappa": kap,
-                             "sigma_min": float(self.sigma[i, j]),
-                             "bound": self.bound,
-                             "margin": float(self.sigma[i, j]) - self.bound})
-        return rows
-
-    def to_dict(self) -> dict:
-        """`asdict` with `sigma` as sigma_table, verdict and holds added and
-        the absent optional blocks left out."""
-        out = asdict(self)
-        out["sigma_table"] = out.pop("sigma")
-        for key in ("probe", "refinement"):
-            if out[key] is None:
-                del out[key]
-        return {**out, "verdict": "EMPIRICAL", "holds": self.holds}
-
-
 def _kappa_star(sigma: np.ndarray, kappas, bound: float) -> Optional[float]:
     ok = np.min(sigma, axis=0) >= bound  # per kappa, worst k
     star = None
@@ -209,13 +172,15 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
                         refine_factor: Optional[float] = None,
                         probe_count: int = 0, seed: int = 0,
                         sphere_samples: int = 4096,
-                        threads: int = 1) -> ThomasBoundReport:
+                        threads: int = 1) -> dict:
     """Scan the shifted fibers on the face (k, gamma) = pi against the bound.
 
     The bound is theta * pi / |gamma| * damping_factor(A).  Preconditions:
     the smallness bracket must stay below 1 and theta must fit inside
     (0, 1 - theta_hi).  kappa_star is the smallest scanned shift from which
-    the bound holds at every grid node for all larger scanned shifts.
+    the bound holds at every grid node for all larger scanned shifts, and
+    `holds` says there is one.  `sigma_table` is indexed [k][kappa]; the
+    `probe` and `refinement` blocks are present only when asked for.
     """
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
     cond, const, damping = face.damping(measure, sphere_samples, "bound")
@@ -231,33 +196,46 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
     cutoff = face.cutoff(cutoff, kappas)
 
     modes, sigma = face.scan(kappas, cutoff, threads)
-    report = ThomasBoundReport(
-        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
-        theta=theta, condition=cond, damping=damping, bound=bound,
-        kappas=kappas, k_points=[tuple(float(c) for c in k) for k in face.ks],
-        sigma=sigma, kappa_star=_kappa_star(sigma, kappas, bound),
-        cutoff=cutoff, mode_count=len(modes), dim=len(modes) * pot.rep.M,
-        w_bound=face.w_bound, kernel_constant=const)
+    kappa_star = _kappa_star(sigma, kappas, bound)
+    report = {
+        "verdict": "EMPIRICAL",
+        "gamma_coeffs": [int(c) for c in face.gc],
+        "gamma_norm": face.gnorm,
+        "theta": theta,
+        "condition": asdict(cond),
+        "damping": damping,
+        "bound": bound,
+        "kappas": kappas,
+        "k_points": face.ks.tolist(),
+        "sigma_table": sigma.tolist(),
+        "kappa_star": kappa_star,
+        "holds": kappa_star is not None,
+        "cutoff": cutoff,
+        "mode_count": len(modes),
+        "dim": len(modes) * pot.rep.M,
+        "w_bound": face.w_bound,
+        "kernel_constant": const,
+    }
     if probe_count > 0:
         i, j = np.unravel_index(int(np.argmin(sigma)), sigma.shape)
         fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
         op = assemble(modes, fiber, pot)
         probe_val = sigma_min_probe(op, count=probe_count, seed=seed)
-        report.probe = {"k_index": int(i), "kappa": float(kappas[j]),
-                        "count": probe_count, "seed": seed,
-                        "probe_min": probe_val,
-                        "consistent": bool(probe_val >= sigma[i, j] - 1e-9)}
+        report["probe"] = {"k_index": int(i), "kappa": float(kappas[j]),
+                           "count": probe_count, "seed": seed,
+                           "probe_min": probe_val,
+                           "consistent": bool(probe_val >= sigma[i, j] - 1e-9)}
     if refine_factor is not None:
         fine_cutoff = cutoff * float(refine_factor)
         fine_modes, fine_sigma = face.scan(kappas, fine_cutoff, threads)
         rel = np.abs(fine_sigma - sigma) / np.maximum(np.abs(fine_sigma), 1e-300)
-        report.refinement = {
+        report["refinement"] = {
             "cutoff": fine_cutoff,
             "mode_count": len(fine_modes),
             "dim": len(fine_modes) * pot.rep.M,
             "max_rel_change": float(np.max(rel)),
             "kappa_star": _kappa_star(fine_sigma, kappas, bound),
-            "sigma_table": [[float(s) for s in row] for row in fine_sigma],
+            "sigma_table": fine_sigma.tolist(),
         }
     return report
 
@@ -266,41 +244,19 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
 # weighted bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeightedSplitReport:
-    gamma_coeffs: tuple
-    gamma_norm: float
-    delta: float
-    beta: float
-    condition: ConditionValue
-    damping: float
-    floor: float
-    rows: list
-    one_minus_delta_star: float
-    cutoff: float
-    mode_count: int
-    kernel_constant: float
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.rows) and all(r["passes"] for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "verdict": "EMPIRICAL", "holds": self.holds}
-
-
 def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
                           measure: MeasureSpec, delta: float, beta: float,
                           kappas, k_points_per_axis: int = 3,
                           cutoff: Optional[float] = None,
                           sphere_samples: int = 4096,
-                          threads: int = 1) -> WeightedSplitReport:
+                          threads: int = 1) -> dict:
     """Two-zone weighted lower bound on the face (k, gamma) = pi.
 
     Per node, modes in the critical annulus (half-width beta) get the damped
     floor, damping * (1 - theta_hi) * pi / |gamma|, as weight and the rest
     their free factor g_minus; the check is whether the squared weighted
-    minimum stays above 1 - delta.  Requires every kappa > beta.
+    minimum stays above 1 - delta.  Requires every kappa > beta.  `holds`
+    says every node passes.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -329,11 +285,22 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
                      "annulus_modes": int(np.sum(mask)),
                      "ratio_sq": value * value,
                      "passes": bool(value * value >= 1.0 - delta)})
-    return WeightedSplitReport(
-        gamma_coeffs=tuple(int(c) for c in face.gc), gamma_norm=face.gnorm,
-        delta=delta, beta=beta, condition=cond, damping=damping, floor=floor,
-        rows=rows, one_minus_delta_star=min(r["ratio_sq"] for r in rows),
-        cutoff=cutoff, mode_count=len(modes), kernel_constant=const)
+    return {
+        "verdict": "EMPIRICAL",
+        "gamma_coeffs": [int(c) for c in face.gc],
+        "gamma_norm": face.gnorm,
+        "delta": delta,
+        "beta": beta,
+        "condition": asdict(cond),
+        "damping": damping,
+        "floor": floor,
+        "rows": rows,
+        "one_minus_delta_star": min(r["ratio_sq"] for r in rows),
+        "holds": all(r["passes"] for r in rows),
+        "cutoff": cutoff,
+        "mode_count": len(modes),
+        "kernel_constant": const,
+    }
 
 
 def weighted_floor(pot: PotentialSet, gamma_coeffs, kappas,
@@ -441,7 +408,8 @@ def condition_chain_pipeline(A: FourierField, q: float, h: float, h1: float,
             orth.append((key, float(np.linalg.norm(nvec)), nvec,
                          float(np.linalg.norm(np.asarray(A.coeffs[key])))))
         right_sq = sum(r ** (2.0 * q) * a * a for _, r, _, a in orth)
-        ets = transverse_directions(e, et_samples, np.random.default_rng(seed))
+        _, ets = next(transverse_blocks(e, et_samples,
+                                        np.random.default_rng(seed), et_samples))
 
         per_et = []
         chain_ok = True

@@ -161,9 +161,10 @@ def test_04_gauge_identities(lat3):
 @criterion(5, "kernel constant routes and the sup-norm bound, zero failures")
 def test_05_kernel_constant_and_bound(lat3):
     report = bessel_kernel_constant(EtaSpec(), cross_check=True)
-    assert report.cross_residual is not None
-    assert report.cross_residual <= 1e-4
-    assert report.constant == pytest.approx(1.7058460118707472, abs=1e-7)
+    assert report["cross_residual"] is not None
+    assert report["cross_residual"] <= 1e-4
+    assert report["passes"] is True
+    assert report["constant"] == pytest.approx(1.7058460118707472, abs=1e-7)
 
     rng = np.random.default_rng(5)
     gammas = [(1, 0, 0), (0, 0, 1), (1, 1, 0), (2, -1, 1)]
@@ -242,28 +243,28 @@ def test_08_thomas_documented(lat3, rep3):
         k_points_per_axis=parsed["k_points_per_axis"],
         cutoff=parsed["cutoff"], probe_count=parsed["probe_count"],
         refine_factor=1.25, threads=4)
-    assert report.condition.theta_hi <= 0.3
-    assert report.w_bound <= 1.0
-    assert report.holds
-    assert report.kappa_star == math.pi
-    assert report.bound == pytest.approx(0.7939334007045397, abs=1e-12)
-    assert report.probe["consistent"]
-    assert report.refinement["kappa_star"] == report.kappa_star
-    assert report.refinement["max_rel_change"] < 0.10
+    assert report["condition"]["theta_hi"] <= 0.3
+    assert report["w_bound"] <= 1.0
+    assert report["holds"]
+    assert report["kappa_star"] == math.pi
+    assert report["bound"] == pytest.approx(0.7939334007045397, abs=1e-12)
+    assert report["probe"]["consistent"]
+    assert report["refinement"]["kappa_star"] == report["kappa_star"]
+    assert report["refinement"]["max_rel_change"] < 0.10
 
     # the free scan's closed form against the dense SVD at every node
     zero = PotentialSet.zero(lat3, rep3)
     free = verify_thomas_bound(
         zero, parsed["gamma"], MeasureSpec.dirac(), 0.5,
         kappas=parsed["kappas"], k_points_per_axis=5, cutoff=12.0, threads=4)
-    modes = ModeSet.from_cutoff(lat3, free.cutoff)
+    modes = ModeSet.from_cutoff(lat3, free["cutoff"])
     e = lat3.direction(parsed["gamma"])[3]
-    for i, k in enumerate(free.k_points):
-        for j, kappa in enumerate(free.kappas):
+    for i, k in enumerate(free["k_points"]):
+        for j, kappa in enumerate(free["kappas"]):
             op = assemble(modes, FiberPoint(k=np.array(k), e=e, kappa=kappa),
                           zero)
             dense = sigma_min(op, method="dense")
-            assert abs(free.sigma[i, j] - dense) <= 1e-10
+            assert abs(free["sigma_table"][i][j] - dense) <= 1e-10
 
 
 @criterion(9, "weighted floor: exactly 1 free, perturbation bound held")

@@ -1,4 +1,5 @@
-"""The package's public names all resolve, and importing the CLI stays light."""
+"""The package's public names all resolve, importing the CLI stays light, and
+the README's quickstart runs."""
 
 import os
 import subprocess
@@ -6,6 +7,17 @@ import sys
 from pathlib import Path
 
 import diracband
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env() -> dict:
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_all_names_resolve():
@@ -23,7 +35,7 @@ def test_traced_names_resolve():
     import importlib
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -40,12 +52,17 @@ def test_traced_names_resolve():
 def test_cli_import_leaves_scipy_solvers_unloaded():
     # brentq, quadrature and splines serve only the kernel constant's own
     # command and the plateau norm; they load inside those functions
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules if m in "
             "('scipy.optimize', 'scipy.integrate', 'scipy.interpolate')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], env=_src_env(),
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert proc.stdout.splitlines() == ["(21, 76)", "True 4.0"]

@@ -30,14 +30,18 @@ def write_config(tmp_path, payload):
 # ---------------------------------------------------------------------------
 
 def overflowing_bands_configs():
-    """(pointer, config text) pairs whose numbers do not fit a float."""
+    """(pointer, config text) pairs whose numbers do not fit a float, or
+    whose mode coordinates do not fit an int64."""
     bands = json.loads(open(config_path("free_bands.json")).read())
     big_int = json.dumps(bands).replace('"cutoff": 9.0',
                                         '"cutoff": ' + "1" * 401)
+    big_mode = {**bands, "potential": {"A": {"modes": [
+        {"coeffs": [2 ** 63, 0, 0], "value": [0.0, 0.0, 0.0]}]}}}
     bands["lattice"] = {"basis": [["1" + "0" * 400 + "/1", 0, 0],
                                   [0, 1, 0], [0, 0, 1]]}
     return [("/bands/cutoff", big_int),
-            ("/lattice/basis/0/0", json.dumps(bands))]
+            ("/lattice/basis/0/0", json.dumps(bands)),
+            ("/potential/A/modes/0/coeffs/0", json.dumps(big_mode))]
 
 
 def test_loads_rejects_duplicates_and_nonfinite(tmp_path):
@@ -413,6 +417,11 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
         bad.write_text(text, encoding="utf-8")
         assert main(["bands", "--config", str(bad)]) == 1
         assert f"config error at {pointer}:" in capsys.readouterr().err
+    weighted = json.loads(open(config_path("weighted_split.json")).read())
+    weighted["weighted"]["gamma"] = [2 ** 63, 0, 0]
+    bad.write_text(json.dumps(weighted), encoding="utf-8")
+    assert main(["verify-weighted", "--config", str(bad)]) == 1
+    assert "config error at /weighted/gamma/0:" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_one(tmp_path, capsys):
@@ -446,6 +455,25 @@ def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 1
     assert "cell grid of 512^3 points" in capsys.readouterr().err
+    assert peak < 50e6
+
+
+def test_cli_oversized_face_grid_exits_one(tmp_path, capsys):
+    # 64 points per axis on the 7-dimensional face of the 8-cube would take
+    # 32 TiB of coordinates
+    path = write_config(tmp_path, {
+        "lattice": {"cubic": 8},
+        "weighted": {"mode": "floor", "gamma": [1, 0, 0, 0, 0, 0, 0, 0],
+                     "kappas": [4.0], "k_points_per_axis": 64}})
+    tracemalloc.start()
+    try:
+        code = main(["verify-weighted", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "face grid of 64^7 points" in err and "k_points_per_axis" in err
     assert peak < 50e6
 
 
