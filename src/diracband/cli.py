@@ -34,22 +34,6 @@ from .verify import condition_chain_pipeline, verify_thomas_bound, \
     verify_weighted_split, weighted_floor
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
-
-
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
@@ -245,8 +229,7 @@ def main(argv=None) -> int:
     runner, report_name, _ = _COMMANDS[args.command]
     try:
         report, passes, tables = runner(parsed, args.threads)
-        text = cfg.canonical_dumps(
-            _jsonable({"command": args.command, **report}))
+        text = cfg.canonical_dumps({"command": args.command, **report})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

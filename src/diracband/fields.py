@@ -27,15 +27,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clifford import CliffordRep, class_flags
-from .lattice import Lattice
+from .lattice import GRID_LIMIT, Lattice
 from .util import (check_unit, gauss_legendre_panels, golden_max,
                    orthonormal_complement, transverse_blocks, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
-
-# Largest phase table (rows x grid points) a cell grid may build: 2^27
-# complex entries, 2 GiB.
-GRID_LIMIT = 2 ** 27
 
 
 def _coeff_norm(kind: str, value) -> float:

@@ -9,6 +9,11 @@ arithmetic on the coefficient vectors, whatever the basis entries are.
 The searcher at the bottom scores candidate directions gamma by how little
 mass an atomic sphere measure leaves near the hyperplane orthogonal to
 gamma, which is the quantity controlling the averaged-potential bounds.
+It scores all candidates in one numpy pass, in blocks of bounded size, and
+builds a certificate for the winner alone.  Wherever a key can decide the
+winner, the pass reproduces the bits of the one-candidate `_certificate`
+(the rules are in `find_gamma`), so the winner and its report are those of
+a loop over all candidates.
 """
 
 from __future__ import annotations
@@ -18,6 +23,13 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+
+# Largest table a cell grid (phase entries), a face grid or a lattice
+# enumeration (coordinates) may build: 2^27 entries, 2 GiB as complex.
+# Checked before allocating.
+GRID_LIMIT = 2 ** 27
+# Entries per block of the candidate scoring temporaries (512 KiB of float64).
+_BLOCK = 2 ** 16
 
 
 def reciprocal_basis(basis: np.ndarray) -> np.ndarray:
@@ -97,6 +109,8 @@ def enumerate_points(basis: np.ndarray, radius: float
 
     Returns (coeffs, vectors) sorted by (|v|, lexicographic coefficients).
     Completeness comes from the coefficient bound |m_j| <= radius * |E*_j|.
+    Refuses a coefficient box of more than GRID_LIMIT coordinates before
+    building it.
     """
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
@@ -105,6 +119,13 @@ def enumerate_points(basis: np.ndarray, radius: float
     dual = reciprocal_basis(basis)
     bounds = [int(math.floor(radius * float(np.linalg.norm(dual[j])) + 1e-9))
               for j in range(n)]
+    size = math.prod(2 * b + 1 for b in bounds) * n
+    if size > GRID_LIMIT:
+        raise ValueError(
+            f"lattice points within radius {radius:g} need a coefficient box "
+            f"of {' x '.join(str(2 * b + 1) for b in bounds)} points, "
+            f"{size} coordinates, over the limit {GRID_LIMIT}; use a smaller "
+            f"R0, window or cutoff")
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     nonzero = np.any(coeffs != 0, axis=1)
@@ -185,9 +206,24 @@ def _default_window(lattice: Lattice, R0: float, n: int, scale: float) -> float:
 
 def _dual_window(lattice: Lattice, window: float
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and norms of the nonzero reciprocal vectors within `window`."""
+    """Coefficients and norms of the nonzero reciprocal vectors within
+    `window`, sorted by norm."""
     dual_coeffs, dual_vecs = lattice.points_in_ball(window, dual=True)
-    return dual_coeffs, np.linalg.norm(dual_vecs, axis=1)
+    norms = np.linalg.norm(dual_vecs, axis=1)
+    # enumerate_points already orders by these norms; the stable sort makes
+    # it certain, since _min_orth_raw relies on it
+    order = np.argsort(norms, kind="stable")
+    return dual_coeffs[order], norms[order]
+
+
+def _slab_ratio(slab, total: float, gnorm, h: float, R0: float, n: int):
+    """(slab / total) / (|gamma|^-1 max(h, R0^(-1/(n-1)))), 0 for no mass.
+
+    Elementwise on arrays with the bits of the scalar expression.
+    """
+    if total <= 0.0:
+        return 0.0 * gnorm
+    return (slab / total) / ((1.0 / gnorm) * max(h, R0 ** (-1.0 / (n - 1))))
 
 
 def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
@@ -205,8 +241,6 @@ def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
 
     slab = measure.slab_mass(gvec, h)
     total = measure.total_mass
-    denom = (1.0 / gnorm) * max(h, R0 ** (-1.0 / (n - 1)))
-    slab_ratio = (slab / total) / denom if total > 0.0 else 0.0
     return GammaCertificate(
         gamma_coeffs=tuple(int(c) for c in gc),
         gamma=tuple(float(g) for g in gvec),
@@ -215,7 +249,7 @@ def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
         h=float(h),
         slab_mass=slab,
         total_mass=total,
-        slab_ratio=slab_ratio,
+        slab_ratio=_slab_ratio(slab, total, gnorm, h, R0, n),
         min_orth_raw=min_orth_raw,
         min_orth=min_orth,
         window=float(window),
@@ -248,35 +282,115 @@ def check_gamma(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
     return (cond1 and cond2 and cond3), cert
 
 
+def _candidate_keys(lattice: Lattice, coeffs: np.ndarray,
+                    measure: SphereMeasure, h: float, R0: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """slab_ratio and |gamma| of every candidate row, as `_certificate` has them.
+
+    Exact on an integral basis, apart from candidates re-scored one at a
+    time: those with an atom within rounding of the slab edge, and on any
+    other basis those within rounding of the smallest ratio.  So every key
+    that can decide the winner is exact.
+    """
+    n = lattice.n
+    gvecs = coeffs.astype(float) @ lattice.basis
+    gnorm = np.sqrt(np.einsum("ij,ij->i", gvecs, gvecs))
+    # far above the rounding gap between the block products here and the
+    # one-candidate products, for (gamma, e') with |e'| = 1 and for |gamma|
+    gap = 1e-12 * (1.0 + np.sum(np.abs(coeffs) @ np.abs(lattice.basis), axis=1))
+    total = measure.total_mass
+    slab = np.zeros(coeffs.shape[0])
+    edge = np.zeros(coeffs.shape[0], dtype=bool)
+    m = measure.points.shape[0]
+    if m and total > 0.0:
+        step = max(1, _BLOCK // m)
+        for lo in range(0, coeffs.shape[0], step):
+            dots = np.abs(gvecs[lo:lo + step] @ measure.points.T)
+            edge[lo:lo + step] = np.any(
+                np.abs(dots - h) <= gap[lo:lo + step, None], axis=1)
+            mask = dots <= h
+            # each distinct slab summed as slab_mass sums it, so its bits
+            # match; a row-wise sum of the masked weights groups differently
+            _, first, which = np.unique(np.packbits(mask, axis=1), axis=0,
+                                        return_index=True, return_inverse=True)
+            masses = np.array([np.sum(measure.weights[mask[k]]) for k in first])
+            slab[lo:lo + step] = masses[which.reshape(-1)]
+    ratio = _slab_ratio(slab, total, gnorm, h, R0, n)
+
+    def rescore(rows):
+        for i in rows:
+            _, gvec, gnorm[i], _ = lattice.direction(coeffs[i])
+            ratio[i] = _slab_ratio(measure.slab_mass(gvec, h), total, gnorm[i],
+                                   h, R0, n)
+
+    rescore(np.flatnonzero(edge))
+    if not np.array_equal(lattice.basis, np.round(lattice.basis)):
+        # off an integral basis |gamma| may differ in its last bits
+        near = ratio <= ratio.min() * (1.0 + np.max(gap / gnorm))
+        rescore(np.flatnonzero(near & ~edge))
+    return ratio, gnorm
+
+
+def _min_orth_raw(gcs: np.ndarray, dual: tuple[np.ndarray, np.ndarray]
+                  ) -> np.ndarray:
+    """Shortest dual-window norm orthogonal to each row of `gcs`; inf if none.
+
+    The window is sorted by norm, so the first orthogonal row is the
+    shortest: rows are paired in blocks, and a candidate leaves the search
+    at its first orthogonal row.
+    """
+    dual_coeffs, dual_norms = dual
+    out = np.full(gcs.shape[0], np.inf)
+    todo = np.arange(gcs.shape[0])
+    lo = 0
+    while todo.size and lo < dual_norms.shape[0]:
+        hi = lo + max(1, _BLOCK // todo.size)
+        orth = (dual_coeffs[lo:hi] @ gcs[todo].T) == 0  # exact integers
+        hit = np.any(orth, axis=0)
+        out[todo[hit]] = dual_norms[lo + np.argmax(orth[:, hit], axis=0)]
+        todo, lo = todo[~hit], hi
+    return out
+
+
 def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
                search_window: Optional[float] = None) -> GammaCertificate:
     """Best direction with |gamma| <= R0 under the slab objective.
 
-    Minimises slab_ratio; ties broken by larger min_orth, then smaller
-    |gamma|, then lexicographic coefficients.  The winner's certificate
-    reports the achieved constants: the orthogonality condition holds for any
-    floor below min_orth and the slab condition for any cap at or above
-    slab_ratio.  The dual search window is enumerated once per call and
-    every candidate is scored against it; `check_gamma` enumerates afresh.
+    Minimises slab_ratio; ties broken by larger min_orth (no orthogonal
+    vector in the window beats any), then smaller |gamma|, then
+    lexicographic coefficients.  The winner's certificate reports the
+    achieved constants: the orthogonality condition holds for any floor
+    below min_orth and the slab condition for any cap at or above
+    slab_ratio.
+
+    Every candidate is scored in one numpy pass, in blocks of bounded size,
+    with the keys one `_certificate` per candidate would give: each distinct
+    slab (a row of the candidates x atoms mask) is summed as `slab_mass`
+    sums it.  A candidate with an atom within rounding (1e-12 times the
+    summed |coefficient| x |basis entry| products) of the slab edge is
+    re-scored one at a time, and so, on a non-integral basis, is every
+    candidate within that rounding of the smallest ratio.  min_orth is
+    computed only for the candidates tied at the smallest ratio, from the
+    exact integer pairing with the dual window, which is enumerated once
+    per call.  The winner's certificate comes from `_certificate`;
+    `check_gamma` enumerates afresh.
     """
     if h < 0 or R0 <= 0:
         raise ValueError("h must be >= 0 and R0 positive")
     n = lattice.n
     if search_window is None:
         search_window = _default_window(lattice, R0, n, 1.0)
-    coeffs, vecs = lattice.points_in_ball(R0)
+    coeffs, _ = lattice.points_in_ball(R0)
     if coeffs.shape[0] == 0:
         raise ValueError("no lattice vectors inside |gamma| <= R0")
     dual = _dual_window(lattice, search_window)
-    best = None
-    best_key = None
-    for row in coeffs:
-        cert = _certificate(lattice, row, measure, h, R0, search_window, dual)
-        orth_key = -cert.min_orth if cert.min_orth is not None else -math.inf
-        key = (cert.slab_ratio, orth_key, cert.gamma_norm, cert.gamma_coeffs)
-        if best_key is None or key < best_key:
-            best, best_key = cert, key
-    return best
+    ratio, gnorm = _candidate_keys(lattice, coeffs, measure, h, R0)
+    tied = np.flatnonzero(ratio == ratio.min())
+    orth_key = -(_min_orth_raw(coeffs[tied], dual) / R0 ** (1.0 / (n - 1)))
+    order = np.lexsort(tuple(coeffs[tied, j] for j in range(n - 1, -1, -1))
+                       + (gnorm[tied], orth_key))
+    return _certificate(lattice, coeffs[tied[order[0]]], measure, h, R0,
+                        search_window, dual)
 
 
 def annulus_mask(vectors: np.ndarray, k: np.ndarray, e: np.ndarray,

@@ -5,12 +5,14 @@ The oracles here recompute library quantities through a different route
 tests compare two genuinely independent computations.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from diracband import FourierField, MeasureSpec, PotentialSet
+from diracband import FourierField, Lattice, MeasureSpec, PotentialSet
 from diracband.util import gauss_legendre_panels
+from diracband.verify import sobolev_direction_measure
 
 
 def random_real_vector_field(lattice, rng, pairs=4, span=2, scale=0.05):
@@ -179,3 +181,19 @@ def brute_force_gamma(lattice, measure, h, R0, window):
         if best_key is None or key < best_key:
             best_key, best = key, mc
     return best, best_key
+
+
+def pipeline_measure(seed, q=0.75):
+    """Sobolev direction measure (26 atoms) of a zero-mean real A on all
+    modes of {-1, 0, 1}^3, drawn as perfbench's direction_search draws the
+    first operation of a run with `seed`."""
+    rng = np.random.default_rng([seed, 0])
+    coeffs = {}
+    for key in itertools.product((-1, 0, 1), repeat=3):
+        nonzero = [c for c in key if c]
+        if nonzero and nonzero[0] > 0:
+            val = 0.03 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            coeffs[key] = val
+            coeffs[tuple(-c for c in key)] = np.conj(val)
+    A = FourierField(Lattice.cubic(3), "vector", coeffs, real=True)
+    return sobolev_direction_measure(A, q)

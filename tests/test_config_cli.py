@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diracband import config as cfg
-from diracband.cli import main
+from diracband.cli import _COMMANDS, main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -475,6 +475,85 @@ def test_cli_oversized_face_grid_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "face grid of 64^7 points" in err and "k_points_per_axis" in err
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("command,name,pointer,value,flags,radius", [
+    ("find-gamma", "find_gamma_atoms.json", "/search/R0", 300, [], "300"),
+    ("find-gamma", "find_gamma_atoms.json", "/search/window", 1000, [],
+     "1000"),
+    ("find-gamma", "pipeline_documented.json", "/pipeline/R0_list", [2, 300],
+     [], "300"),
+    # cutoff 5000 is dual radius 5000 / (2 pi)
+    ("bands", "free_bands.json", None, None, ["--cutoff", "5000"], "795.775"),
+])
+def test_cli_oversized_enumeration_exits_one(tmp_path, capsys, command, name,
+                                             pointer, value, flags, radius):
+    # the coefficient boxes would take from 1.6 GiB (R0 300: 601^3 int64)
+    # to 60 GiB (window 1000) before any point is kept
+    raw = cfg.load_file(config_path(name))
+    if pointer is not None:
+        _set(raw, pointer, value)
+    path = write_config(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", path, *flags])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"lattice points within radius {radius} need a coefficient box" in err
+    assert "over the limit" in err
+    assert peak < 50e6
+
+
+def _assert_json_native(node, path=""):
+    """Only str keys, and no numpy scalar or array, anywhere in a report."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            assert type(key) is str, f"{path}: key {key!r}"
+            _assert_json_native(val, f"{path}/{key}")
+    elif isinstance(node, (list, tuple)):
+        for k, val in enumerate(node):
+            _assert_json_native(val, f"{path}/{k}")
+    else:
+        assert type(node) in (str, int, float, bool, type(None)), \
+            f"{path}: {type(node).__name__}"
+
+
+@pytest.mark.parametrize("command,name,edits", [
+    # an empty measure: every candidate ties at slab ratio 0
+    ("find-gamma", "find_gamma_atoms.json", {"/search/atoms": []}),
+    # no dual vector orthogonal to the winner inside the window
+    ("find-gamma", "find_gamma_atoms.json",
+     {"/search/atoms": [], "/search/R0": 2, "/search/window": 1.0}),
+    # every atom on the slab edge: |(e', gamma)| = 1 = h for gamma = e_j
+    ("find-gamma", "find_gamma_atoms.json", {"/search/h": 1.0}),
+    # no band inside the energy window
+    ("bands", "free_bands.json", {"/bands/energy_window": [100, 101],
+                                  "/bands/cutoff": 3.0}),
+    # every band flagged flat, over two samples
+    ("bands", "free_bands.json", {"/bands/threshold": 1e9, "/bands/samples": 2,
+                                  "/bands/cutoff": 3.0}),
+])
+def test_cli_reports_are_json_native(tmp_path, capsys, command, name, edits):
+    # main writes the runner's report as it is, with no conversion walk
+    raw = cfg.load_file(config_path(name))
+    for pointer, value in edits.items():
+        _set(raw, pointer, value)
+    report, _, _ = _COMMANDS[command][0](cfg.PARSERS[command](raw), 1)
+    _assert_json_native(report)
+    if command == "find-gamma" and not raw["search"]["atoms"]:
+        assert report["slab_ratio"] == 0.0
+        assert report["orthogonal_found"] is ("window" not in raw["search"])
+    if command == "bands":
+        assert report["bands_in_window"] == len(report["rows"])
+        assert report["suspect_flat_bands"] == (
+            [] if "energy_window" in raw["bands"]
+            else [row["band"] for row in report["rows"]])
+    assert main([command, "--config", write_config(tmp_path, raw)]) in (0, 2)
+    assert capsys.readouterr().out == cfg.canonical_dumps(
+        {"command": command, **report})
 
 
 def test_cli_usage_errors_exit_one(capsys):

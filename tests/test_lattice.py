@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from diracband import lattice as lattice_module
 from diracband import (Lattice, SphereMeasure, check_gamma, enumerate_points,
                        find_gamma, reciprocal_basis)
 from diracband.lattice import annulus_mask
-from helpers import brute_force_gamma
+from helpers import brute_force_gamma, pipeline_measure
 
 
 def test_reciprocal_pairing_is_kronecker(rng):
@@ -165,6 +166,93 @@ def test_find_gamma_atom_permutation_stable(lat3):
     b = find_gamma(lat3, SphereMeasure(points=pts[perm], weights=wts[perm]),
                    0.05, 5.0)
     assert a.gamma_coeffs == b.gamma_coeffs
+
+
+def _scalar_search(lat, mu, h, R0, window):
+    """The one-candidate loop: every candidate's certificate and the winner."""
+    coeffs, _ = lat.points_in_ball(R0)
+    dual = lattice_module._dual_window(lat, window)
+    certs = [lattice_module._certificate(lat, row, mu, h, R0, window, dual)
+             for row in coeffs]
+    best = min(certs, key=lambda c: (
+        c.slab_ratio, -math.inf if c.min_orth is None else -c.min_orth,
+        c.gamma_norm, c.gamma_coeffs))
+    return coeffs, dual, certs, best
+
+
+def _atoms(rng, lat, m, along_dual=False):
+    """m unit atoms; along_dual puts them on reciprocal lattice directions,
+    so that some lie exactly in the plane orthogonal to a candidate."""
+    if along_dual:
+        pts = rng.integers(-2, 3, size=(m, lat.n))
+        pts[~pts.any(axis=1), 0] = 1
+        pts = pts @ lat.reciprocal
+    else:
+        pts = rng.standard_normal((m, lat.n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return SphereMeasure(points=pts, weights=rng.uniform(0.1, 2.0, size=m))
+
+
+SCORING_CASES = {
+    # name: (basis, measure builder, h, R0, window)
+    **{f"pipeline-seed{s}-R{r}": (np.eye(3), lambda rng, lat, s=s:
+                                  pipeline_measure(s), 0.4, float(r), None)
+       for s in (1, 2, 3) for r in (2, 4, 8)},
+    "12-atoms": (np.eye(3), lambda rng, lat: _atoms(rng, lat, 12), 0.2, 3.0,
+                 None),
+    # 5,000 atoms split the candidates into blocks of 13
+    "5000-atoms": (np.eye(3), lambda rng, lat: _atoms(rng, lat, 5000), 0.1,
+                   3.0, None),
+    "skewed": (SKEWED3, lambda rng, lat: _atoms(rng, lat, 12), 0.2, 3.0, None),
+    "random-basis": (np.eye(3) + 0.3 * np.random.default_rng(5).standard_normal(
+        (3, 3)), lambda rng, lat: _atoms(rng, lat, 9), 0.3, 2.5, None),
+    "h0-cubic": (np.eye(3), lambda rng, lat: _atoms(rng, lat, 10, True), 0.0,
+                 3.0, None),
+    "h0-skewed": (SKEWED3, lambda rng, lat: _atoms(rng, lat, 10, True), 0.0,
+                  3.0, None),
+    "empty": (np.eye(3), lambda rng, lat: _atoms(rng, lat, 0), 0.1, 3.0, None),
+    # inside |N| <= 1 only +-e_j: (1, 1, 1) and its kin have no orthogonal
+    # dual vector, and with no mass that wins
+    "no-orthogonal": (np.eye(3), lambda rng, lat: _atoms(rng, lat, 0), 0.1,
+                      2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORING_CASES))
+def test_vectorised_keys_match_certificates(name, rng):
+    basis, build, h, R0, window = SCORING_CASES[name]
+    lat = Lattice(basis)
+    mu = build(rng, lat)
+    if window is None:
+        window = lattice_module._default_window(lat, R0, lat.n, 1.0)
+    coeffs, dual, certs, best = _scalar_search(lat, mu, h, R0, window)
+    ratio, gnorm = lattice_module._candidate_keys(lat, coeffs, mu, h, R0)
+    raw = lattice_module._min_orth_raw(coeffs, dual)
+    integral = np.array_equal(lat.basis, np.round(lat.basis))
+    low = min(c.slab_ratio for c in certs)
+    for c, r, g, o in zip(certs, ratio, gnorm, raw):
+        assert o == (math.inf if c.min_orth_raw is None else c.min_orth_raw)
+        if integral or c.slab_ratio == low:
+            assert (r, g) == (c.slab_ratio, c.gamma_norm)
+        else:  # only |gamma|'s last bits may differ, far from the winner
+            assert r == pytest.approx(c.slab_ratio, rel=1e-14, abs=0.0)
+            assert g == pytest.approx(c.gamma_norm, rel=1e-14, abs=0.0)
+    assert find_gamma(lat, mu, h, R0, window) == best
+    if name == "no-orthogonal":
+        assert best.min_orth is None and not best.to_dict()["orthogonal_found"]
+
+
+def test_find_gamma_peak_memory():
+    # the scoring temporaries are blocked: an unblocked (tied candidates x
+    # dual window) product alone would take about 22 MB here
+    mu = pipeline_measure(1)
+    tracemalloc.start()
+    try:
+        find_gamma(Lattice.cubic(3), mu, 0.4, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_k_beta_membership(lat3):
