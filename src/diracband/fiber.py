@@ -21,17 +21,24 @@ each with multiplicity M/2.  These factors also drive the weighted
 lower-bound checks.  The smallest singular value has two routes:
 method="auto" takes the closed form when the potential is empty (the fiber
 is block diagonal) and otherwise sparse LU plus Lanczos (ARPACK) on the
-inverse Gram operator; method="dense" is the LAPACK SVD of the dense view,
-the reference the other routes are checked against.
+inverse Gram operator, or the LAPACK SVD for a diagonal block (below) of
+at most DENSE_BLOCK_ROWS rows; method="dense" is the LAPACK SVD of every
+block, the reference the other routes are checked against.
 
-For even n the chirality Omega = alpha_1 ... alpha_{n+1} commutes with every
-generator, and `build_clifford` makes it diagonal: +-diag(1, -1, 1, -1, ...).
-When every composite potential coefficient commutes with it too, as scalar
-V0 and V1 = mass alpha_{n+1} do, no coefficient couples an even spin index
-to an odd one, so each fiber is block diagonal in Omega's eigenspaces
-(Lawson and Michelsohn, Spin Geometry, ch. I.5): its even and odd rows and
-columns are two chiral halves of dimension m M/2, solved apart for about a
-quarter of the dense eigensolver flops.  Any other fiber is one block.
+Two modes couple only when N - N' is a key of the potential, and two spin
+indices only through the generators or a coefficient entry, so a fiber is
+the exact direct sum of its diagonal blocks over the connected components
+of that pattern: the stencil's nonzeros and I_m (x) the union of the
+nonzero patterns of alpha_1 .. alpha_n.  The pattern is the same for every
+fiber on a window.  The modes split by the cosets of the sublattice
+the keys span (each mode alone for a potential mean), and for even n the
+diagonal chirality of `build_clifford`, +-diag(1, -1, 1, -1, ...), splits the
+spins whenever every coefficient commutes with it (Lawson and Michelsohn,
+Spin Geometry, ch. I.5): such components hold only even or only odd rows.
+Every solver works on these blocks: the eigenvalues are the sorted union of
+theirs and sigma_min the smallest of theirs.  Dense solves set numpy's
+OpenBLAS to one thread, for the rest of the process, so their bits do not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ LANCZOS_NCV = 40
 # (ARPACK's default, 10 times the dimension, lets a stalled node run for
 # thousands of matvecs); no node of the shipped scans needs more than 10
 LANCZOS_MAXITER = 100
+# Largest diagonal block the auto route solves by dense SVD rather than by
+# the sparse route.  On thomas_documented.json's blocks at cutoffs 20 to 26,
+# with one BLAS thread, the dense SVD took 4.6, 7.1 and 12.2 ms at 148, 180
+# and 228 rows, and the sparse route 7.5, 8.3 and 9.0 ms
+DENSE_BLOCK_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,7 @@ class ModeSet:
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
         self.cutoff: Optional[float] = None
-        # (stencil, split) on this window, one per PotentialSet
+        # (stencil, components) on this window, one per PotentialSet
         # (`potential_stencil`)
         self._stencils: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -135,15 +147,15 @@ def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
 class TruncatedDiracOperator:
     """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix.
 
-    `split` says whether the fiber is block diagonal in its even and odd
-    rows, its two chiral halves.
+    `components` are the row sets of its diagonal blocks (see
+    `potential_stencil`): the fiber has no entry outside them.
     """
 
     modes: ModeSet
     fiber: FiberPoint
     pot: PotentialSet
     sparse: sp.csc_array
-    split: bool
+    components: tuple
 
     @property
     def dim(self) -> int:
@@ -158,18 +170,42 @@ class TruncatedDiracOperator:
         check_dense_dim(self.dim)
         return self.sparse.toarray()
 
-    @cached_property
-    def blocks(self) -> tuple:
-        """The diagonal blocks the solvers take: the even and the odd rows
-        and columns when the fiber is `split`, else the whole fiber."""
-        D = self.sparse
-        return (D[0::2, 0::2], D[1::2, 1::2]) if self.split else (D,)
+    def block(self, rows: np.ndarray) -> sp.csc_array:
+        """The sparse diagonal block on the ascending `rows`, one of
+        `components`; the fiber itself when it has a single component."""
+        if len(rows) == self.dim:
+            return self.sparse
+        return self.sparse[rows][:, rows].tocsc()
 
-    def dense(self, block) -> np.ndarray:
-        """Dense view of one of `blocks`, refused while the whole fiber is
-        over DENSE_LIMIT."""
+    def dense_blocks(self, components) -> list:
+        """Dense diagonal blocks on the given `components`, stacked by size.
+
+        Returns (rows, stack) pairs: rows[i] are the rows of stack[i], a
+        (count, size, size) array whose entries are copied from the sparse
+        fiber, so a single block has the bits of the dense view.  Refused
+        while the whole fiber is over DENSE_LIMIT.  Sets numpy's BLAS to one
+        thread, for the solve that follows and for the rest of the process.
+        """
+        if not components:
+            return []
         check_dense_dim(self.dim)
-        return self.matrix if block is self.sparse else block.toarray()
+        blas_single_threaded("numpy")
+        coo = self.sparse.tocoo()
+        by_size: dict = {}
+        for rows in components:
+            by_size.setdefault(len(rows), []).append(rows)
+        out = []
+        for size, members in by_size.items():
+            rows = np.stack(members)
+            # stack row of each fiber row, -1 outside the chosen blocks
+            pos = np.full(self.dim, -1, dtype=np.int64)
+            pos[rows.reshape(-1)] = np.arange(rows.size)
+            keep = pos[coo.row] >= 0
+            stack = np.zeros(rows.size * size, dtype=complex)
+            stack[pos[coo.row[keep]] * size + pos[coo.col[keep]] % size] = (
+                coo.data[keep])
+            out.append((rows, stack.reshape(len(members), size, size)))
+        return out
 
     def mode_g_factors(self) -> np.ndarray:
         """(m, 2) array of closed-form (g_minus, g_plus) per window mode."""
@@ -178,16 +214,20 @@ class TruncatedDiracOperator:
 
 
 def potential_stencil(modes: ModeSet, pot: PotentialSet
-                      ) -> tuple[sp.csc_array, bool]:
-    """(stencil, split) of every fiber on the window, built once per potential.
+                      ) -> tuple[sp.csc_array, tuple]:
+    """(stencil, components) of every fiber on the window, built once per
+    potential.
 
     Block (i, j) of the stencil is the composite coefficient V(N_i - N_j).
     Each required coefficient is materialised once and copied into every
-    block it serves, so equal offsets give bit-identical blocks.  `split`
-    holds when n is even and no coefficient has an entry between an even and
-    an odd spin index, that is when each commutes with the diagonal
-    chirality (no tolerance: a dropped coupling would give a wrong
-    spectrum).  A scan builds both before its `pmap`, so that forked
+    block it serves, so equal offsets give bit-identical blocks.
+    `components` are the connected components of the pattern every fiber on
+    the window shares: the stencil's nonzeros and I_m (x) the union of the
+    nonzero patterns of alpha_1 .. alpha_n (the symbols); a row with neither
+    is a component by itself.
+    Exact zeros only, no tolerance: a dropped coupling would give a wrong
+    spectrum.  Each is an array of ascending rows, and they are ordered by
+    their first row.  A scan builds both before its `pmap`, so that forked
     workers inherit them.  The window must lie on the potential's lattice.
     Building warns, naming the cutoff, when some coefficients connect no
     two window modes: they are clipped.
@@ -224,10 +264,26 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet
             (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
             shape=(dim, dim))
         stencil.eliminate_zeros()
-        split = rep.n % 2 == 0 and not any(
-            B[::2, 1::2].any() or B[1::2, ::2].any() for B in coeffs.values())
-        built = modes._stencils[pot] = (stencil, split)
+        spins = sp.csr_array(np.any([a != 0 for a in rep.alphas[:rep.n]],
+                                    axis=0).astype(float))
+        # abs: a coefficient entry of -1 must not cancel a symbol entry
+        pattern = abs(stencil) + sp.kron(sp.eye_array(m), spins)
+        built = modes._stencils[pot] = (stencil, _components(pattern))
     return built
+
+
+def _components(pattern: sp.sparray) -> tuple:
+    """Connected components of a symmetric sparsity pattern, as arrays of
+    ascending rows ordered by their first row."""
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(pattern, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    labels = rank[labels]
+    rows = np.argsort(labels, kind="stable")
+    return tuple(np.split(rows, np.cumsum(np.bincount(labels))[:-1]))
 
 
 def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
@@ -240,7 +296,7 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     coefficient, so the dense view has the bits of a dense assembly.  The
     stencil checks the window against the potential when it is built.
     """
-    stencil, split = potential_stencil(modes, pot)
+    stencil, components = potential_stencil(modes, pot)
     lattice, rep, m = modes.lattice, pot.rep, len(modes)
     symbols = sp.bsr_array(
         (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
@@ -248,7 +304,7 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
     matrix = (stencil + symbols).tocsc()
     return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
-                                  sparse=matrix, split=split)
+                                  sparse=matrix, components=components)
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
@@ -257,7 +313,9 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     Raises for shifted or non-Hermitian fibers; those carry spectral
     information through sigma_min instead.  The Hermitian check reads the
     sparse fiber; the spectrum is the sorted union of the dense eigenvalues
-    of its `blocks`, so fibers over DENSE_LIMIT are refused.
+    of its diagonal blocks, one stacked call per block size, so fibers over
+    DENSE_LIMIT are refused.  The first call sets numpy's OpenBLAS to one
+    thread for the rest of the process (`TruncatedDiracOperator.dense_blocks`).
     """
     if op.fiber.kappa != 0.0:
         raise ValueError("shifted fibers are not Hermitian; use sigma_min")
@@ -268,7 +326,8 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
         raise ValueError("fiber matrix is not Hermitian within tolerance; "
                          "use sigma_min")
     return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(op.dense(block)) for block in op.blocks]))
+        [np.linalg.eigvalsh(stack).reshape(-1)
+         for _, stack in op.dense_blocks(op.components)]))
 
 
 def check_dense_dim(dim: int) -> None:
@@ -325,9 +384,9 @@ def sigma_min(op: TruncatedDiracOperator, method: str = "auto") -> float:
     """Smallest singular value of the truncated fiber.
 
     `weighted_sigma_min` with unit weights, which leave every route's bits
-    unchanged: the closed form when the potential is empty, sparse LU plus
-    Lanczos otherwise (method="auto"), or the dense LAPACK reference
-    (method="dense").
+    unchanged: the closed form when the potential is empty, otherwise the
+    dense SVD or sparse LU plus Lanczos per diagonal block, by its size
+    (method="auto"), or the dense LAPACK reference (method="dense").
     """
     return weighted_sigma_min(op, np.ones(len(op.modes)), method)
 
@@ -338,14 +397,17 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
 
     Equivalently the smallest singular value of D W^{-1} (W is the diagonal
     weight, one positive entry per mode, repeated across the M spin
-    components).  method="auto" uses the exact per-block factors,
-    min g_minus / weight, when the potential is empty (the matrix is block
-    diagonal) and sparse LU plus Lanczos on the column-scaled D W^{-1}
-    otherwise, falling back to the dense SVD when that route cannot vouch
-    for its value (see `_lanczos_sigma_min`).  method="dense" forces the
-    LAPACK SVD of the dense view, the reference route.  Either route takes
-    the minimum over the fiber's `blocks`, which W commutes with.  Dense
-    work is refused over DENSE_LIMIT.
+    components).  Every route takes the minimum over the fiber's diagonal
+    blocks, which W commutes with.  method="auto" uses the exact per-mode
+    factors, min g_minus / weight, when the potential is empty; otherwise it
+    takes one stacked LAPACK SVD per size for the blocks of at most
+    DENSE_BLOCK_ROWS rows, and sparse LU plus Lanczos on the column-scaled
+    block of D W^{-1} for the larger ones, falling back to the dense SVD
+    when that route cannot vouch for its value (see `_lanczos_sigma_min`).
+    method="dense" forces the LAPACK SVD of every block, the reference
+    route.  Dense work is refused over DENSE_LIMIT, and sets numpy's
+    OpenBLAS to one thread for the rest of the process, as the sparse route
+    does scipy's.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -356,16 +418,22 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("method must be 'auto' or 'dense'")
     if method == "auto" and op.pot.is_empty:
         return float(np.min(op.mode_g_factors()[:, 0] / weights))
+    scale = np.repeat(1.0 / weights, op.pot.rep.M)
     best = math.inf
-    for block in op.blocks:
-        scale = np.repeat(1.0 / weights, block.shape[0] // len(op.modes))
+    dense = []
+    for rows in op.components:
         sigma = None
-        if method == "auto":
-            sigma = _lanczos_sigma_min((block @ sp.diags_array(scale)).tocsc())
+        if method == "auto" and len(rows) > DENSE_BLOCK_ROWS:
+            sigma = _lanczos_sigma_min(
+                (op.block(rows) @ sp.diags_array(scale[rows])).tocsc())
         if sigma is None:
-            sigma = float(np.linalg.svd(op.dense(block) * scale[None, :],
-                                        compute_uv=False)[-1])
-        best = min(best, sigma)
+            dense.append(rows)
+        else:
+            best = min(best, sigma)
+    for rows, stack in op.dense_blocks(dense):
+        sigmas = np.linalg.svd(stack * scale[rows][:, None, :],
+                               compute_uv=False)[:, -1]
+        best = min(best, float(np.min(sigmas)))
     return best
 
 

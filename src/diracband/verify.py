@@ -132,9 +132,10 @@ class _Face:
 
         Without `weights` each node gives sigma_min(D); otherwise
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
-        closed-form route; any other the sparse route, whose fallback is
-        dense, so its size is checked against the dense limit before the
-        first fiber is assembled.  The window's potential stencil is built
+        closed-form route; any other the dense or the sparse route per
+        diagonal block, and the sparse route falls back to dense, so its size
+        is checked against the dense limit before the first fiber is
+        assembled.  The window's potential stencil is built
         here, before the nodes fan out to `pmap`'s workers.
         """
         modes = ModeSet.from_cutoff(self.pot.lattice, cutoff)

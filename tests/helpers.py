@@ -33,7 +33,7 @@ def chiral_potential(lattice, rep, rng, mass=0.2):
     """Random real A on +-e_2, scalar V0 on +-e_1 plus a mean, V1 = mass alpha_{n+1}.
 
     Every composite coefficient commutes with the chirality, so for even n
-    the fibers split into their two halves.
+    no diagonal block of a fiber mixes its even and odd rows.
     """
     n, eye = lattice.n, np.eye(rep.M, dtype=complex)
     e1, e2 = (tuple(int(j == i) for j in range(n)) for i in (0, 1))

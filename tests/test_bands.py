@@ -86,8 +86,8 @@ def test_bands_are_lipschitz_in_xi(lat3, rep3, rng):
 @pytest.mark.parametrize("n, cutoff", [(4, 2.0 * math.pi * 1.45),
                                        (6, 2.0 * math.pi)])
 def test_split_sweep_matches_whole_fiber(n, cutoff, rng):
-    # even n: each fiber is solved as its two chiral halves; the sorted
-    # union must be the spectrum of the whole fiber
+    # even n: each fiber is solved as its diagonal blocks, each inside one
+    # chiral half; the sorted union must be the spectrum of the whole fiber
     lat, rep = Lattice.cubic(n), build_clifford(n)
     pot = chiral_potential(lat, rep, rng)
     k0 = rng.uniform(-0.5, 0.5, size=n)
@@ -98,7 +98,8 @@ def test_split_sweep_matches_whole_fiber(n, cutoff, rng):
     assert sheet.band_count == len(modes) * rep.M
     for xi, row in zip(sheet.xis, sheet.energies):
         op = assemble(modes, FiberPoint(k=k0 + xi * e, e=e), pot)
-        assert op.split
+        assert all(len(set((rows % 2).tolist())) == 1
+                   for rows in op.components)
         want = np.linalg.eigvalsh(op.matrix)
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 

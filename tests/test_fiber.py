@@ -1,5 +1,6 @@
 """Truncated fiber assembly, closed-form factors, and singular-value routes."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -259,6 +260,18 @@ def test_weighted_sigma_min(lat3, rep3, rng):
         weighted_sigma_min(op, 0.0 * w)
 
 
+def blocks(op):
+    """The sparse diagonal blocks of `op`, one per component."""
+    return [op.block(rows) for rows in op.components]
+
+
+def block_parities(op):
+    """The set of row parities of each diagonal block of `op`."""
+    assert np.array_equal(np.sort(np.concatenate(op.components)),
+                          np.arange(op.dim))
+    return [set((rows % 2).tolist()) for rows in op.components]
+
+
 def shifted_fiber4(rng):
     e = rng.standard_normal(4)
     return FiberPoint(k=rng.uniform(-0.5, 0.5, size=4), e=e / np.linalg.norm(e),
@@ -269,8 +282,8 @@ def test_split_weighted_sigma_min_matches_whole_fiber(rng):
     lat4, rep4 = Lattice.cubic(4), build_clifford(4)
     modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
     op = assemble(modes, shifted_fiber4(rng), chiral_potential(lat4, rep4, rng))
-    assert op.split
-    assert [b.shape[0] for b in op.blocks] == [op.dim // 2] * 2
+    # every block lies in one chiral half
+    assert all(len(p) == 1 for p in block_parities(op))
     for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
         scale = np.repeat(1.0 / w, rep4.M)
         want = float(np.linalg.svd(op.matrix * scale[None, :],
@@ -280,10 +293,10 @@ def test_split_weighted_sigma_min_matches_whole_fiber(rng):
             assert abs(got - want) <= 1e-12 * want
 
 
-def test_even_n_potential_off_the_chirality_takes_whole_fiber(rng):
+def test_even_n_potential_off_the_chirality_couples_parities(rng):
     # I x I x X commutes with alpha_1..alpha_4, so it is a valid V0, but
-    # not with the chirality, a phase times I x I x Z: the halves would drop
-    # a coupling
+    # not with the chirality, a phase times I x I x Z: the chiral halves
+    # would drop a coupling, so some block must hold even and odd rows
     lat4, rep4 = Lattice.cubic(4), build_clifford(4)
     omega = reduce(np.matmul, rep4.alphas)
     xx = np.kron(np.eye(4), PAULI_X)
@@ -296,12 +309,20 @@ def test_even_n_potential_off_the_chirality_takes_whole_fiber(rng):
     modes = ModeSet.from_cutoff(lat4, 2.0 * math.pi * 1.45)
     fib = shifted_fiber4(rng)
     op = assemble(modes, fib, pot)
-    assert not op.split and op.blocks == (op.sparse,)
+    assert any(len(p) == 2 for p in block_parities(op))
+    # the dense route is one LAPACK call per block, stacked or not
+    assert sigma_min(op, method="dense") == min(
+        float(np.linalg.svd(b.toarray(), compute_uv=False)[-1])
+        for b in blocks(op))
     want = float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
-    assert sigma_min(op, method="dense") == want
-    assert abs(sigma_min(op) - want) <= 1e-12 * want
+    for method in ("auto", "dense"):
+        assert abs(sigma_min(op, method) - want) <= 1e-12 * want
     flat = assemble(modes, FiberPoint(k=fib.k, e=fib.e), pot)
-    assert np.array_equal(eigenvalues(flat), np.linalg.eigvalsh(flat.matrix))
+    got = eigenvalues(flat)
+    assert np.array_equal(got, np.sort(np.concatenate(
+        [np.linalg.eigvalsh(b.toarray()) for b in blocks(flat)])))
+    want = np.linalg.eigvalsh(flat.matrix)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_even_n_mass_convention_keeps_spectrum(rng):
@@ -319,7 +340,8 @@ def test_even_n_mass_convention_keeps_spectrum(rng):
     fib = shifted_fiber4(rng)
     flat = FiberPoint(k=fib.k, e=fib.e)
     split, whole = (assemble(modes, flat, p) for p in (chiral, whole_pot))
-    assert split.split and not whole.split
+    assert all(len(p) == 1 for p in block_parities(split))
+    assert any(len(p) == 2 for p in block_parities(whole))
     want = eigenvalues(whole)
     assert np.max(np.abs(eigenvalues(split) - want)) <= (
         1e-12 * np.max(np.abs(want)))
@@ -329,7 +351,84 @@ def test_even_n_mass_convention_keeps_spectrum(rng):
         assert abs(sigma_min(split, method) - want) <= 1e-12 * want
 
 
+# mode windows of 27, 33, 11 and 13 modes (dims 108, 264, 88, 208)
+COMPONENT_CUTOFFS = {3: 2.0 * math.pi * 1.75, 4: 2.0 * math.pi * 1.45,
+                     5: 2.0 * math.pi * 1.05, 6: 2.0 * math.pi * 1.05}
+
+
+def keyed_potential(lat, rep, rng, keys):
+    """Random real A and scalar V0 on the keys and their negatives, plus a
+    scalar V0 mean and V1 = 0.2 alpha_{n+1}; all commute with the chirality."""
+    n, eye = lat.n, np.eye(rep.M, dtype=complex)
+    a_modes, v0_modes = {}, {(0,) * n: 0.1 * eye}
+    for key in keys:
+        neg = tuple(-x for x in key)
+        a = 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        c = 0.1 * complex(rng.uniform(0.5, 1.0), rng.uniform(-0.5, 0.5))
+        a_modes.update({key: a, neg: np.conj(a)})
+        v0_modes.update({key: c * eye, neg: np.conj(c) * eye})
+    return PotentialSet(
+        FourierField(lat, "vector", a_modes, real=True),
+        FourierField(lat, "matrix", v0_modes, dim=rep.M, hermitian=True),
+        FourierField(lat, "matrix", {(0,) * n: 0.2 * rep.alphas[n]},
+                     dim=rep.M, hermitian=True), rep)
+
+
+@pytest.mark.parametrize("dense_rows", [fiber.DENSE_BLOCK_ROWS, 0])
+@pytest.mark.parametrize("span", ["lattice", "plane", "index2", "mean"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_component_routes_match_whole_fiber(n, span, dense_rows, rng,
+                                            monkeypatch):
+    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", dense_rows)
+    lat, rep = Lattice.cubic(n), build_clifford(n)
+    axes = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    keys = {"lattice": axes, "plane": axes[:2],
+            "index2": [tuple(2 * x for x in axes[0])] + axes[1:],
+            "mean": []}[span]
+    pot = keyed_potential(lat, rep, rng, keys)
+    modes = ModeSet.from_cutoff(lat, COMPONENT_CUTOFFS[n])
+    e = rng.standard_normal(n)
+    e /= np.linalg.norm(e)
+    k = rng.uniform(-0.5, 0.5, size=n)
+    op = assemble(modes, FiberPoint(k=k, e=e, kappa=2.5), pot)
+
+    # the blocks partition the rows and hold every entry of the fiber;
+    # each lies in one chiral half for even n
+    parities = block_parities(op)
+    assert sum(b.nnz for b in blocks(op)) == op.sparse.nnz
+    halves = 2 if n % 2 == 0 else 1
+    if halves == 2:
+        assert all(len(p) == 1 for p in parities)
+    block_modes = [modes.coords[np.unique(rows // rep.M)]
+                   for rows in op.components]
+    if span == "lattice":
+        assert len(op.components) == halves
+    elif span == "plane":  # one block per value of (N_3, ..., N_n)
+        assert all(len(np.unique(c[:, 2:], axis=0)) == 1 for c in block_modes)
+        assert len(op.components) == halves * len(
+            np.unique(modes.coords[:, 2:], axis=0))
+    elif span == "index2":  # one block per parity of N_1
+        assert all(len(np.unique(c[:, 0] % 2)) == 1 for c in block_modes)
+        assert len(op.components) == 2 * halves
+    else:  # one block per mode or half-mode
+        assert all(len(c) == 1 for c in block_modes)
+        assert len(op.components) == halves * len(modes)
+
+    for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
+        scale = np.repeat(1.0 / w, rep.M)
+        want = float(np.linalg.svd(op.matrix * scale[None, :],
+                                   compute_uv=False)[-1])
+        for method in ("auto", "dense"):
+            got = weighted_sigma_min(op, w, method)
+            assert abs(got - want) <= 1e-12 * want, method
+    flat = assemble(modes, FiberPoint(k=k, e=e), pot)
+    want = np.linalg.eigvalsh(flat.matrix)
+    got = eigenvalues(flat)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
+    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", 0)  # every block sparse
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
     op = assemble(modes, random_fiber(rng, kappa=3.0),
                   small_potential(lat3, rep3, rng))
@@ -361,16 +460,20 @@ def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
             del calls[:]
             assert sigma_min(op) == dense
             assert weighted_sigma_min(op, w) == dense_w
-            assert len(calls) == 2
+            # one failed sparse attempt per block and call
+            assert len(calls) == 2 * len(op.components)
             # the fallback is dense, so it keeps the dense limit
             m.setattr(fiber, "DENSE_LIMIT", 4)
             with pytest.raises(ValueError, match="exceeds the dense limit"):
                 sigma_min(op)
 
 
-def test_sparse_route_repeats_its_bits():
+def test_sparse_route_repeats_its_bits(monkeypatch):
     # a weighted-floor node of the shipped config whose ARPACK iterates
-    # depended on the thread count of scipy's BLAS: reruns give one value
+    # depended on the thread count of scipy's BLAS: reruns give one value.
+    # Its potential is a mean, so its own blocks are one mode each and go
+    # to the dense SVD; it is solved here as one block, which the auto
+    # route sends to ARPACK
     root = Path(__file__).resolve().parents[1]
     p = config.parse_verify_weighted(
         config.load_file(str(root / "configs" / "weighted_floor.json")))
@@ -381,14 +484,28 @@ def test_sparse_route_repeats_its_bits():
     op = assemble(modes,
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][1]),
                   p["pot"])
+    op = dataclasses.replace(op, components=(np.arange(op.dim),))
+    assert op.dim > fiber.DENSE_BLOCK_ROWS
+    real_lanczos = fiber._lanczos_sigma_min
+    lanczos = []
+
+    def recording(D):
+        lanczos.append(real_lanczos(D))
+        return lanczos[-1]
+
+    monkeypatch.setattr(fiber, "_lanczos_sigma_min", recording)
     w = op.mode_g_factors()[:, 0]
     assert len({repr(weighted_sigma_min(op, w)) for _ in range(4)}) == 1
+    # every value came from ARPACK, none from the dense fallback
+    assert len(lanczos) == 4 and None not in lanczos
 
 
 def test_sparse_route_caps_arpack_restarts(monkeypatch):
     # a thomas_documented.json node whose Lanczos run does not settle with
-    # ARPACK's default basis of 20: after LANCZOS_MAXITER restarts the route
-    # gives up and returns the dense value
+    # ARPACK's default basis of 20 on the whole fiber: after LANCZOS_MAXITER
+    # restarts the route gives up and returns the dense value.  The fiber's
+    # own blocks each settle, so it is solved here as one block of 588 rows,
+    # which the auto route sends to ARPACK
     root = Path(__file__).resolve().parents[1]
     p = config.parse_verify_thomas(
         config.load_file(str(root / "configs" / "thomas_documented.json")))
@@ -398,6 +515,8 @@ def test_sparse_route_caps_arpack_restarts(monkeypatch):
     op = assemble(ModeSet.from_cutoff(lat, p["cutoff"]),
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][2]),
                   p["pot"])
+    op = dataclasses.replace(op, components=(np.arange(op.dim),))
+    assert op.dim > fiber.DENSE_BLOCK_ROWS
     real_splu = fiber.splu
     solves = []
 

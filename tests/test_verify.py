@@ -116,22 +116,30 @@ def test_thomas_scan_probe_and_refinement(lat3, rep3, rng):
 
 
 def test_potential_stencil_built_once_per_window(lat3, rep3, rng, monkeypatch):
-    # every node and the probe of a scan share one stencil per mode window:
-    # one composite for the scan window and one for the refined window
+    # every node and the probe of a scan share one stencil and one set of
+    # block components per mode window: one composite and one component
+    # labelling for the scan window, and one each for the refined window
     pot = tiny_potential(lat3, rep3, rng)
-    calls = []
+    calls, labellings = [], []
     composite = PotentialSet.composite
+    components = fiber._components
 
     def counted(self):
         calls.append(self)
         return composite(self)
 
+    def counted_components(pattern):
+        labellings.append(pattern.shape)
+        return components(pattern)
+
     monkeypatch.setattr(PotentialSet, "composite", counted)
+    monkeypatch.setattr(fiber, "_components", counted_components)
     verify_thomas_bound(pot, GAMMA, MeasureSpec.dirac(), theta=0.5,
                         kappas=[4.0, 8.0], k_points_per_axis=2,
                         cutoff=SMALL_CUTOFF, sphere_samples=256, probe_count=10, refine_factor=1.4,
                         threads=2)
     assert len(calls) == 2
+    assert len(labellings) == 2 and labellings[0] != labellings[1]
 
 
 def test_refinement_scan_warns_for_each_clipped_window():
@@ -247,16 +255,27 @@ def test_free_scan_allocates_no_dense_fiber():
 
 def test_auto_matches_dense_on_shipped_scans(tmp_path, monkeypatch):
     # every node of the shipped shifted-fiber configs: the sparse route
-    # against the dense LAPACK reference, with the scans' own weights
-    rel = []
+    # against the dense LAPACK reference, with the scans' own weights.
+    # Their blocks are all small enough for the dense SVD, so the row
+    # limit is 0 here and every block of every node goes to ARPACK
+    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", 0)
+    real_lanczos = fiber._lanczos_sigma_min
+    rel, lanczos, block_count = [], [], []
+
+    def recording(D):
+        lanczos.append(real_lanczos(D))
+        return lanczos[-1]
 
     def against_dense(route):
         def solve(op, *args):
+            block_count.append(len(op.components))
             got = route(op, *args)
             want = route(op, *args, method="dense")
             rel.append(abs(got - want) / want)
             return got
         return solve
+
+    monkeypatch.setattr(fiber, "_lanczos_sigma_min", recording)
 
     monkeypatch.setattr(verify, "sigma_min", against_dense(fiber.sigma_min))
     monkeypatch.setattr(verify, "weighted_sigma_min",
@@ -269,6 +288,10 @@ def test_auto_matches_dense_on_shipped_scans(tmp_path, monkeypatch):
                   "--out", str(tmp_path / name)])
     assert len(rel) == 75 + 18 + 18
     assert max(rel) <= 1e-12
+    # one ARPACK solve per block, each vouched for, none sent to the
+    # dense fallback
+    assert len(lanczos) == sum(block_count)
+    assert None not in lanczos
 
 
 def test_weighted_split_free_is_exact(lat3, rep3):
