@@ -18,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import CliffordRep, build_clifford
-from .fields import FourierField, MeasureSpec, PotentialSet, zero_field
+from .fields import (PLATEAU_H1_MAX, FourierField, MeasureSpec, PotentialSet,
+                     zero_field)
+from .gauge import SAMPLE_STEP_MIN
 from .lattice import Lattice, SphereMeasure
 
 
@@ -242,7 +244,7 @@ def build_measure(node, path) -> MeasureSpec:
         if key not in node:
             raise ConfigError(path, f"plateau measure needs '{key}'")
     h = _number(node["h"], _join(path, "h"), gt=0.0)
-    h1 = _number(node["h1"], _join(path, "h1"), gt=h)
+    h1 = _number(node["h1"], _join(path, "h1"), gt=h, le=PLATEAU_H1_MAX)
     return MeasureSpec.plateau(h, h1)
 
 
@@ -462,7 +464,7 @@ def parse_find_gamma(raw) -> dict:
         **out, "mode": "pipeline", "A": _vector_potential(raw, pot),
         "q": _number(node["q"], "/pipeline/q", gt=0.0),
         "h": h,
-        "h1": _number(node["h1"], "/pipeline/h1", gt=h),
+        "h1": _number(node["h1"], "/pipeline/h1", gt=h, le=PLATEAU_H1_MAX),
         "R0_list": r0s,
         "et_samples": _integer(node.get("et_samples", 16),
                                "/pipeline/et_samples", ge=1, le=4096),
@@ -568,7 +570,8 @@ def parse_kernel_constant(raw) -> dict:
     return {
         "tau_lo": tau_lo, "tau_hi": tau_hi,
         "sample_step": _number(node.get("sample_step", 0.01),
-                               "/kernel/sample_step", gt=0.0, le=1.0),
+                               "/kernel/sample_step", ge=SAMPLE_STEP_MIN,
+                               le=1.0),
         "radial_tol": _number(node.get("radial_tol", 1e-7),
                               "/kernel/radial_tol", gt=0.0, le=1e-2),
         "cross_check": _boolean(node.get("cross_check", True),

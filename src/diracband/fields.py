@@ -32,6 +32,10 @@ from .util import (check_unit, gauss_legendre_panels, golden_max,
                    orthonormal_complement, transverse_blocks, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
+# Largest plateau h1.  `_plateau_norm` finds the density's sign changes on a
+# grid of spacing 1/64 once h1 >= 2, and the density's shortest period is
+# 1/h1: the grid keeps at least 4 samples per period only up to h1 = 16.
+PLATEAU_H1_MAX = 16.0
 
 
 def _coeff_norm(kind: str, value) -> float:
@@ -233,6 +237,9 @@ class MeasureSpec:
     def plateau(h: float, h1: float) -> "MeasureSpec":
         if not (0.0 < h < h1):
             raise ValueError("need 0 < h < h1")
+        if h1 > PLATEAU_H1_MAX:
+            raise ValueError(f"need h1 <= {PLATEAU_H1_MAX}, the plateau norm's "
+                             f"sign grid resolves no finer density")
         norm = _plateau_norm(float(h), float(h1))
         return MeasureSpec(kind="plateau", h=float(h), h1=float(h1),
                            norm_bound=norm)

@@ -10,10 +10,11 @@ The searcher at the bottom scores candidate directions gamma by how little
 mass an atomic sphere measure leaves near the hyperplane orthogonal to
 gamma, which is the quantity controlling the averaged-potential bounds.
 It scores all candidates in one numpy pass, in blocks of bounded size, and
-builds a certificate for the winner alone.  Wherever a key can decide the
-winner, the pass reproduces the bits of the one-candidate `_certificate`
-(the rules are in `find_gamma`), so the winner and its report are those of
-a loop over all candidates.
+builds a certificate for the winner alone.  Both take their keys from
+`_candidate_keys`, which is batch-invariant by construction: its products
+are elementwise multiply-and-adds summed axis by axis, so a row's keys have
+the same bits alone as in any block, and the winner and its report are
+those of a loop over all candidates.
 """
 
 from __future__ import annotations
@@ -162,15 +163,6 @@ class SphereMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def slab_mass(self, direction: np.ndarray, h: float) -> float:
-        """Mass of {e' : |(e', direction)| <= h}; `direction` is not normalised."""
-        if h < 0:
-            raise ValueError("slab half-width must be nonnegative")
-        if self.points.shape[0] == 0:
-            return 0.0
-        dots = np.abs(self.points @ np.asarray(direction, dtype=float))
-        return float(np.sum(self.weights[dots <= h]))
-
 
 @dataclass(frozen=True)
 class GammaCertificate:
@@ -209,11 +201,7 @@ def _dual_window(lattice: Lattice, window: float
     """Coefficients and norms of the nonzero reciprocal vectors within
     `window`, sorted by norm."""
     dual_coeffs, dual_vecs = lattice.points_in_ball(window, dual=True)
-    norms = np.linalg.norm(dual_vecs, axis=1)
-    # enumerate_points already orders by these norms; the stable sort makes
-    # it certain, since _min_orth_raw relies on it
-    order = np.argsort(norms, kind="stable")
-    return dual_coeffs[order], norms[order]
+    return dual_coeffs, np.linalg.norm(dual_vecs, axis=1)
 
 
 def _slab_ratio(slab, total: float, gnorm, h: float, R0: float, n: int):
@@ -231,19 +219,19 @@ def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
                  dual: tuple[np.ndarray, np.ndarray]) -> GammaCertificate:
     """Score gamma against `dual`, the `_dual_window` of `window`."""
     n = lattice.n
-    gc, gvec, gnorm, _ = lattice.direction(gamma_coeffs)
-
-    dual_coeffs, dual_norms = dual
-    orth = (dual_coeffs @ gc) == 0  # exact: integer pairing of the lattices
-    min_orth_raw = float(np.min(dual_norms[orth])) if np.any(orth) else None
+    gc = np.asarray(gamma_coeffs, dtype=np.int64).reshape(1, n)
+    gvecs, gnorms, slabs = _candidate_keys(lattice, gc, measure, h)
+    gnorm, slab = float(gnorms[0]), float(slabs[0])
+    if gnorm == 0.0:
+        raise ValueError("gamma must be nonzero")
+    raw = float(_min_orth_raw(gc, dual)[0])
+    min_orth_raw = None if math.isinf(raw) else raw
     scale1 = R0 ** (1.0 / (n - 1))
     min_orth = None if min_orth_raw is None else min_orth_raw / scale1
-
-    slab = measure.slab_mass(gvec, h)
     total = measure.total_mass
     return GammaCertificate(
-        gamma_coeffs=tuple(int(c) for c in gc),
-        gamma=tuple(float(g) for g in gvec),
+        gamma_coeffs=tuple(int(c) for c in gc[0]),
+        gamma=tuple(float(g) for g in gvecs[0]),
         gamma_norm=gnorm,
         R0=float(R0),
         h=float(h),
@@ -282,53 +270,38 @@ def check_gamma(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
     return (cond1 and cond2 and cond3), cert
 
 
-def _candidate_keys(lattice: Lattice, coeffs: np.ndarray,
-                    measure: SphereMeasure, h: float, R0: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """slab_ratio and |gamma| of every candidate row, as `_certificate` has them.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, broadcast, added axis by axis: each
+    entry is rounded alone, with the same bits whatever else the arrays hold."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
 
-    Exact on an integral basis, apart from candidates re-scored one at a
-    time: those with an atom within rounding of the slab edge, and on any
-    other basis those within rounding of the smallest ratio.  So every key
-    that can decide the winner is exact.
+
+def _candidate_keys(lattice: Lattice, coeffs: np.ndarray,
+                    measure: SphereMeasure, h: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma, |gamma| and slab mass of every candidate row of `coeffs`.
+
+    Batch-invariant by construction: every product is a `_dot`, and each
+    distinct slab (a row of the candidates x atoms mask) is summed once over
+    its masked weights, so a row's keys have the same bits alone as in any
+    block.
     """
-    n = lattice.n
-    gvecs = coeffs.astype(float) @ lattice.basis
-    gnorm = np.sqrt(np.einsum("ij,ij->i", gvecs, gvecs))
-    # far above the rounding gap between the block products here and the
-    # one-candidate products, for (gamma, e') with |e'| = 1 and for |gamma|
-    gap = 1e-12 * (1.0 + np.sum(np.abs(coeffs) @ np.abs(lattice.basis), axis=1))
-    total = measure.total_mass
+    gvecs = _dot(coeffs[:, None, :].astype(float), lattice.basis.T)
+    gnorm = np.sqrt(_dot(gvecs, gvecs))
     slab = np.zeros(coeffs.shape[0])
-    edge = np.zeros(coeffs.shape[0], dtype=bool)
-    m = measure.points.shape[0]
-    if m and total > 0.0:
-        step = max(1, _BLOCK // m)
+    pts = measure.points
+    if pts.shape[0]:
+        step = max(1, _BLOCK // pts.shape[0])
         for lo in range(0, coeffs.shape[0], step):
-            dots = np.abs(gvecs[lo:lo + step] @ measure.points.T)
-            edge[lo:lo + step] = np.any(
-                np.abs(dots - h) <= gap[lo:lo + step, None], axis=1)
-            mask = dots <= h
-            # each distinct slab summed as slab_mass sums it, so its bits
-            # match; a row-wise sum of the masked weights groups differently
+            mask = np.abs(_dot(gvecs[lo:lo + step, None, :], pts)) <= h
             _, first, which = np.unique(np.packbits(mask, axis=1), axis=0,
                                         return_index=True, return_inverse=True)
-            masses = np.array([np.sum(measure.weights[mask[k]]) for k in first])
+            masses = np.array([np.sum(measure.weights[mask[i]]) for i in first])
             slab[lo:lo + step] = masses[which.reshape(-1)]
-    ratio = _slab_ratio(slab, total, gnorm, h, R0, n)
-
-    def rescore(rows):
-        for i in rows:
-            _, gvec, gnorm[i], _ = lattice.direction(coeffs[i])
-            ratio[i] = _slab_ratio(measure.slab_mass(gvec, h), total, gnorm[i],
-                                   h, R0, n)
-
-    rescore(np.flatnonzero(edge))
-    if not np.array_equal(lattice.basis, np.round(lattice.basis)):
-        # off an integral basis |gamma| may differ in its last bits
-        near = ratio <= ratio.min() * (1.0 + np.max(gap / gnorm))
-        rescore(np.flatnonzero(near & ~edge))
-    return ratio, gnorm
+    return gvecs, gnorm, slab
 
 
 def _min_orth_raw(gcs: np.ndarray, dual: tuple[np.ndarray, np.ndarray]
@@ -364,12 +337,8 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     slab_ratio.
 
     Every candidate is scored in one numpy pass, in blocks of bounded size,
-    with the keys one `_certificate` per candidate would give: each distinct
-    slab (a row of the candidates x atoms mask) is summed as `slab_mass`
-    sums it.  A candidate with an atom within rounding (1e-12 times the
-    summed |coefficient| x |basis entry| products) of the slab edge is
-    re-scored one at a time, and so, on a non-integral basis, is every
-    candidate within that rounding of the smallest ratio.  min_orth is
+    by `_candidate_keys`, whose keys are batch-invariant by construction:
+    they are the bits one `_certificate` per candidate gives.  min_orth is
     computed only for the candidates tied at the smallest ratio, from the
     exact integer pairing with the dual window, which is enumerated once
     per call.  The winner's certificate comes from `_certificate`;
@@ -384,7 +353,8 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     if coeffs.shape[0] == 0:
         raise ValueError("no lattice vectors inside |gamma| <= R0")
     dual = _dual_window(lattice, search_window)
-    ratio, gnorm = _candidate_keys(lattice, coeffs, measure, h, R0)
+    _, gnorm, slab = _candidate_keys(lattice, coeffs, measure, h)
+    ratio = _slab_ratio(slab, measure.total_mass, gnorm, h, R0, n)
     tied = np.flatnonzero(ratio == ratio.min())
     orth_key = -(_min_orth_raw(coeffs[tied], dual) / R0 ** (1.0 / (n - 1)))
     order = np.lexsort(tuple(coeffs[tied, j] for j in range(n - 1, -1, -1))

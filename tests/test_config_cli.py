@@ -507,6 +507,36 @@ def test_cli_oversized_enumeration_exits_one(tmp_path, capsys, command, name,
     assert peak < 50e6
 
 
+@pytest.mark.parametrize("command,name,pointer,value,message", [
+    # past h1 = 16 the plateau norm's sign grid is too coarse; 1e300 crashed
+    # in np.linspace and 1e4 ran for minutes
+    ("check-condition", "condition.json", "/measure/h1", 1e300, "<= 16.0"),
+    ("check-condition", "condition.json", "/measure/h1", 17, "<= 16.0"),
+    ("find-gamma", "pipeline_documented.json", "/pipeline/h1", 1e300,
+     "<= 16.0"),
+    ("find-gamma", "pipeline_documented.json", "/pipeline/h1", 17, "<= 16.0"),
+    # 1e-8 would ask for a 14.9 GiB radial sample
+    ("kernel-constant", "kernel.json", "/kernel/sample_step", 1e-8,
+     ">= 0.001"),
+])
+def test_cli_oversized_resolution_exits_one(tmp_path, capsys, command, name,
+                                            pointer, value, message):
+    raw = cfg.load_file(config_path(name))
+    _set(raw, pointer, value)
+    path = write_config(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"config error at {pointer}: must be {message}" in err
+    assert "Traceback" not in err
+    assert peak < 50e6
+
+
 def _assert_json_native(node, path=""):
     """Only str keys, and no numpy scalar or array, anywhere in a report."""
     if isinstance(node, dict):

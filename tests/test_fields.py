@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from diracband import fields
 from diracband.fields import (ConditionValue, FourierField, MeasureSpec,
                               PotentialSet, _grid_phases, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
@@ -116,6 +117,20 @@ def test_measure_validation():
     assert mu.to_dict()["h"] is None
     with pytest.raises(ValueError):
         mu.density(0.0)
+
+
+def test_plateau_h1_is_bounded_before_the_norm_is_computed(monkeypatch):
+    # past h1 = 16 the norm's sign grid samples the density too coarsely
+    # (1.00013 against 1.16668 at h1 = 256), and at 1e300 its linspace fails
+    calls = []
+    monkeypatch.setattr(fields, "_plateau_norm",
+                        lambda h, h1: calls.append(h1) or 1.0)
+    for h1 in (17.0, 1e300):
+        with pytest.raises(ValueError, match="h1 <= 16.0"):
+            MeasureSpec.plateau(0.5, h1)
+    assert calls == []
+    monkeypatch.undo()
+    assert MeasureSpec.plateau(0.5, 16.0).norm_bound > 1.0
 
 
 def test_measure_refuses_nonpositive_h_however_built():

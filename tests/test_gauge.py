@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,18 @@ def test_kernel_constant_frozen(polar_report, monkeypatch):
         crossed = bessel_kernel_constant(**coarse)
         assert crossed["cross_residual"] == pytest.approx(residual, rel=1e-9)
         assert crossed["passes"] is passes
+
+
+def test_kernel_sample_step_is_bounded_before_allocating():
+    # 1e-8 would ask for a 14.9 GiB radial sample at rmax = 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sample_step must be >= 0.001"):
+            bessel_kernel_constant(sample_step=1e-8, cross_check=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_default_kernel_constant_is_the_polar_value(polar_report):

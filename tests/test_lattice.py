@@ -66,11 +66,16 @@ def test_sphere_measure_validation_and_slab():
         SphereMeasure(points=np.array([[1.0, 0.0, 0.0]]), weights=-np.ones(1))
     mu = SphereMeasure(points=np.eye(3), weights=np.array([1.0, 2.0, 4.0]))
     assert mu.total_mass == 7.0
+
+    def slab_mass(gamma, h):
+        return check_gamma(Lattice.cubic(3), gamma, mu, h, R0=3.0,
+                           orth_floor=1.0, slab_cap=1.0)[1].slab_mass
+
     # slab around the plane orthogonal to gamma=(1,0,0): only atoms with
     # |(p, gamma)| <= h survive
-    assert mu.slab_mass(np.array([1.0, 0.0, 0.0]), 0.1) == 6.0
-    assert mu.slab_mass(np.array([1.0, 0.0, 0.0]), 1.0) == 7.0
-    assert mu.slab_mass(np.array([2.0, 0.0, 0.0]), 1.0) == 6.0
+    assert slab_mass((1, 0, 0), 0.1) == 6.0
+    assert slab_mass((1, 0, 0), 1.0) == 7.0
+    assert slab_mass((2, 0, 0), 1.0) == 6.0
 
 
 def test_check_gamma_single_atom_cases(lat3):
@@ -226,17 +231,14 @@ def test_vectorised_keys_match_certificates(name, rng):
     if window is None:
         window = lattice_module._default_window(lat, R0, lat.n, 1.0)
     coeffs, dual, certs, best = _scalar_search(lat, mu, h, R0, window)
-    ratio, gnorm = lattice_module._candidate_keys(lat, coeffs, mu, h, R0)
+    # the block pass and the one-row certificates round alike: every
+    # key of every candidate has the same bits
+    _, gnorm, slab = lattice_module._candidate_keys(lat, coeffs, mu, h)
+    ratio = lattice_module._slab_ratio(slab, mu.total_mass, gnorm, h, R0, lat.n)
     raw = lattice_module._min_orth_raw(coeffs, dual)
-    integral = np.array_equal(lat.basis, np.round(lat.basis))
-    low = min(c.slab_ratio for c in certs)
     for c, r, g, o in zip(certs, ratio, gnorm, raw):
-        assert o == (math.inf if c.min_orth_raw is None else c.min_orth_raw)
-        if integral or c.slab_ratio == low:
-            assert (r, g) == (c.slab_ratio, c.gamma_norm)
-        else:  # only |gamma|'s last bits may differ, far from the winner
-            assert r == pytest.approx(c.slab_ratio, rel=1e-14, abs=0.0)
-            assert g == pytest.approx(c.gamma_norm, rel=1e-14, abs=0.0)
+        orth = math.inf if c.min_orth_raw is None else c.min_orth_raw
+        assert (r, g, o) == (c.slab_ratio, c.gamma_norm, orth)
     assert find_gamma(lat, mu, h, R0, window) == best
     if name == "no-orthogonal":
         assert best.min_orth is None and not best.to_dict()["orthogonal_found"]
