@@ -13,14 +13,14 @@ from .clifford import (CliffordRep, build_clifford, class_flags,
 from .fiber import (FiberPoint, ModeSet, TruncatedDiracOperator, assemble,
                     eigenvalues, g_factors, sigma_min, sigma_min_probe, symbol,
                     weighted_sigma_min)
-from .fields import (ConditionValue, FourierField, MeasureSpec, PotentialSet,
+from .fields import (FourierField, MeasureSpec, PotentialSet,
                      averaged_potential, condition_value, sup_norm, w_norm,
                      zero_field)
 from .gauge import (EtaSpec, bessel_kernel_constant, build_phi,
                     damping_factor, default_kernel_constant, gauge_bound_check,
                     radial_kernel)
-from .lattice import (GammaCertificate, Lattice, SphereMeasure, check_gamma,
-                      enumerate_points, find_gamma, reciprocal_basis)
+from .lattice import (Lattice, SphereMeasure, check_gamma, enumerate_points,
+                      find_gamma, reciprocal_basis)
 from .verify import (condition_chain_pipeline, k_face_grid,
                      sobolev_direction_measure, verify_thomas_bound,
                      verify_weighted_split, weighted_floor)
@@ -34,12 +34,12 @@ __all__ = [
     "FiberPoint", "ModeSet", "TruncatedDiracOperator", "assemble",
     "eigenvalues", "g_factors", "sigma_min", "sigma_min_probe", "symbol",
     "weighted_sigma_min",
-    "ConditionValue", "FourierField", "MeasureSpec", "PotentialSet",
+    "FourierField", "MeasureSpec", "PotentialSet",
     "averaged_potential", "condition_value", "sup_norm", "w_norm",
     "zero_field",
     "EtaSpec", "bessel_kernel_constant", "build_phi", "damping_factor",
     "default_kernel_constant", "gauge_bound_check", "radial_kernel",
-    "GammaCertificate", "Lattice", "SphereMeasure", "check_gamma",
+    "Lattice", "SphereMeasure", "check_gamma",
     "enumerate_points", "find_gamma", "reciprocal_basis",
     "condition_chain_pipeline", "k_face_grid", "sobolev_direction_measure",
     "verify_thomas_bound", "verify_weighted_split", "weighted_floor",

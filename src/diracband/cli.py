@@ -18,7 +18,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -79,9 +78,10 @@ def _run_check_condition(parsed, threads):
                          scan_grid=parsed["scan_grid"],
                          refine_grid=parsed["refine_grid"],
                          rng=np.random.default_rng(parsed["seed"]))
+    passes = cv["theta_hi"] < 1.0
     return ({"gamma": list(parsed["gamma"]),
              "measure": parsed["measure"].to_dict(),
-             "passes": cv.holds, **dataclasses.asdict(cv)}, cv.holds, {})
+             "passes": passes, **cv}, passes, {})
 
 
 def _run_find_gamma(parsed, threads):
@@ -89,7 +89,7 @@ def _run_find_gamma(parsed, threads):
     if parsed["mode"] == "search":
         cert = find_gamma(parsed["lattice"], parsed["measure"], parsed["h"],
                           parsed["R0"], parsed["window"])
-        return {"mode": "search", **cert.to_dict()}, True, {}
+        return {"mode": "search", **cert}, True, {}
     result = condition_chain_pipeline(
         parsed["A"], parsed["q"], parsed["h"], parsed["h1"],
         parsed["R0_list"], et_samples=parsed["et_samples"],

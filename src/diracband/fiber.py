@@ -85,7 +85,10 @@ class FiberPoint:
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
-        e = check_unit(np.asarray(self.e, dtype=float), "direction e", tol=1e-12)
+        e = np.asarray(self.e, dtype=float)
+        if k.ndim != 1 or e.shape != k.shape:
+            raise ValueError("k and e must be vectors of one length")
+        e = check_unit(e, "direction e", tol=1e-12)
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
         object.__setattr__(self, "k", k)
@@ -102,7 +105,6 @@ class ModeSet:
         self.lattice = lattice
         self.coords = arr.copy()
         self.coords.flags.writeable = False
-        self.vectors = arr @ lattice.reciprocal
         self.index = {tuple(int(c) for c in row): i for i, row in enumerate(arr)}
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
@@ -124,23 +126,48 @@ class ModeSet:
         return self.coords.shape[0]
 
 
+def _momentum(lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
+    """x = k + 2 pi N, refused unless the fiber has the lattice's dimension."""
+    if fiber.k.shape != (lattice.n,):
+        raise ValueError(f"a fiber in {fiber.k.shape[0]} dimensions on a "
+                         f"lattice in {lattice.n}")
+    return fiber.k + 2.0 * math.pi * lattice.dual_point(np.asarray(N, dtype=float))
+
+
 def symbol(rep: CliffordRep, lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
     """The per-mode matrix sum_j (k_j + 2 pi N_j + i kappa e_j) alpha_j."""
-    x = fiber.k + 2.0 * math.pi * lattice.dual_point(np.asarray(N, dtype=float))
+    x = _momentum(lattice, fiber, N)
     return clifford_contraction(rep, x + 1.0j * fiber.kappa * fiber.e)
 
 
-def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
-    """Closed-form extreme singular values (g_minus, g_plus) of one symbol.
+def _axial_transverse(lattice: Lattice, fiber: FiberPoint, N
+                      ) -> tuple[float, float]:
+    """(p, q) of x = k + 2 pi N: its axial part (x, e), its transverse radius.
 
-    p = (x, e) and |x|^2 are correctly rounded sums (`math.fsum`), so the
-    bits do not depend on the BLAS kernel.
+    p and |x|^2 are correctly rounded sums (`math.fsum`), so the bits do not
+    depend on the BLAS kernel.
     """
-    x = fiber.k + 2.0 * math.pi * lattice.dual_point(np.asarray(N, dtype=float))
+    x = _momentum(lattice, fiber, N)
     p = math.fsum((x * fiber.e).tolist())
     q2 = math.fsum((x * x).tolist()) - p * p
-    q = math.sqrt(q2) if q2 > 0.0 else 0.0
+    return p, math.sqrt(q2) if q2 > 0.0 else 0.0
+
+
+def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
+    """Closed-form extreme singular values (g_minus, g_plus) of one symbol."""
+    p, q = _axial_transverse(lattice, fiber, N)
     return math.hypot(p, fiber.kappa - q), math.hypot(p, fiber.kappa + q)
+
+
+def annulus_mask(modes: ModeSet, fiber: FiberPoint, beta: float) -> np.ndarray:
+    """Which window modes N put k + 2 pi N in the critical annulus.
+
+    A mode is selected when its `_axial_transverse` (p, q), the g-factors'
+    own, has |p| < beta and |kappa - q| < beta.
+    """
+    pq = np.array([_axial_transverse(modes.lattice, fiber, N)
+                   for N in modes.coords]).reshape(-1, 2)
+    return (np.abs(pq[:, 0]) < beta) & (np.abs(fiber.kappa - pq[:, 1]) < beta)
 
 
 @dataclass
@@ -294,7 +321,8 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
     fiber, plus the window's potential stencil.  A diagonal entry is the
     symbol plus the potential mean and every other entry a single
     coefficient, so the dense view has the bits of a dense assembly.  The
-    stencil checks the window against the potential when it is built.
+    stencil checks the window against the potential when it is built, and
+    each symbol the fiber against the lattice.
     """
     stencil, components = potential_stencil(modes, pot)
     lattice, rep, m = modes.lattice, pot.rep, len(modes)
@@ -442,10 +470,12 @@ def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
     """Randomized lower-bound companion: min |D phi| over random unit phi.
 
     Always at least sigma_min; used to cross-check reported minima from the
-    inequality side.
+    inequality side.  Needs at least one probe vector.
     """
+    if count < 1:
+        raise ValueError("the probe needs count >= 1")
     rng = np.random.default_rng(seed)
-    block = max(1, min(count, 4096))
+    block = min(count, 4096)
     best = math.inf
     done = 0
     while done < count:

@@ -459,22 +459,6 @@ def averaged_potential(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     return FourierField(lattice, "vector", out, real=A.real)
 
 
-@dataclass(frozen=True)
-class ConditionValue:
-    """Bracket for the averaged-field smallness quantity."""
-
-    theta_lo: float
-    theta_hi: float
-    best_et: tuple
-    f_lo: float
-    f_hi: float
-    samples: int
-
-    @property
-    def holds(self) -> bool:
-        return self.theta_hi < 1.0
-
-
 def orthogonal_modes(A: FourierField, gc: np.ndarray) -> list:
     """Nonzero keys N with (N, gamma) = 0, in stored (sorted) order.
 
@@ -500,7 +484,7 @@ def _grid_phases(karr: np.ndarray, n: int, grid: int) -> np.ndarray:
 
 def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
                     sphere_samples: int = 4096, scan_grid: int = 16,
-                    refine_grid: int = 48, rng=None) -> ConditionValue:
+                    refine_grid: int = 48, rng=None) -> dict:
     """Bracket the smallness quantity theta for a zero-mean vector field.
 
     hi comes from the coefficient sum |gamma| / pi * sum over modes
@@ -511,7 +495,10 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     n = 3, seeded random directions otherwise) and takes grid maxima of
     |(avg A, et) + i (avg A, e)|; the best one is evaluated again on the
     finer refine grid, after a golden-section refinement of its angle when
-    n = 3.
+    n = 3.  Returns the report dict: theta_lo, theta_hi, best_et, the sups
+    f_lo and f_hi (theta = |gamma| f / pi) and the direction count samples,
+    0 when no mode is orthogonal to gamma.  The condition holds when
+    theta_hi < 1.
     """
     if A.kind != "vector":
         raise ValueError("condition_value applies to vector fields")
@@ -538,8 +525,9 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     # sampled lower bound
     if not keys:
         zero_et = orthonormal_complement(e)[0]
-        return ConditionValue(0.0, 0.0, tuple(float(c) for c in zero_et),
-                              0.0, 0.0, 0)
+        return {"theta_lo": 0.0, "theta_hi": 0.0,
+                "best_et": tuple(float(c) for c in zero_et),
+                "f_lo": 0.0, "f_hi": 0.0, "samples": 0}
     karr = np.array(keys, dtype=np.int64)
     vals = np.array([np.asarray(A.coeffs[k]) for k in keys])  # (S, n)
     nvecs = karr @ lattice.reciprocal  # (S, n)
@@ -584,6 +572,6 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         f_best = objective(best_et)
     f_lo = max(f_best, best_val)
     theta_lo = gnorm * f_lo / math.pi
-    return ConditionValue(theta_lo=theta_lo, theta_hi=theta_hi,
-                          best_et=tuple(float(c) for c in best_et),
-                          f_lo=f_lo, f_hi=f_hi, samples=sphere_samples)
+    return {"theta_lo": theta_lo, "theta_hi": theta_hi,
+            "best_et": tuple(float(c) for c in best_et),
+            "f_lo": f_lo, "f_hi": f_hi, "samples": sphere_samples}

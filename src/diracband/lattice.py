@@ -20,7 +20,7 @@ those of a loop over all candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -164,33 +164,6 @@ class SphereMeasure:
         return float(np.sum(self.weights))
 
 
-@dataclass(frozen=True)
-class GammaCertificate:
-    """Scored direction candidate.
-
-    slab_ratio is (slab mass / total mass) divided by
-    |gamma|^(-1) * max(h, R0^(-1/(n-1))): the smallest cap for which the slab
-    condition holds.  min_orth is the shortest reciprocal vector orthogonal
-    to gamma inside the search window, divided by R0^(1/(n-1)): the
-    orthogonality condition holds for every floor below it.
-    """
-
-    gamma_coeffs: tuple
-    gamma: tuple
-    gamma_norm: float
-    R0: float
-    h: float
-    slab_mass: float
-    total_mass: float
-    slab_ratio: float
-    min_orth_raw: Optional[float]
-    min_orth: Optional[float]
-    window: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "orthogonal_found": self.min_orth_raw is not None}
-
-
 def _default_window(lattice: Lattice, R0: float, n: int, scale: float) -> float:
     return max(2.0 * scale * R0 ** (1.0 / (n - 1)),
                10.0 * lattice.shortest_length(dual=True))
@@ -216,8 +189,18 @@ def _slab_ratio(slab, total: float, gnorm, h: float, R0: float, n: int):
 
 def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
                  h: float, R0: float, window: float,
-                 dual: tuple[np.ndarray, np.ndarray]) -> GammaCertificate:
-    """Score gamma against `dual`, the `_dual_window` of `window`."""
+                 dual: tuple[np.ndarray, np.ndarray]) -> dict:
+    """Score gamma against `dual`, the `_dual_window` of `window`.
+
+    The report dict: gamma's coefficients, vector and norm, R0, h, the slab
+    and total masses, and slab_ratio, which is (slab mass / total mass)
+    divided by |gamma|^(-1) * max(h, R0^(-1/(n-1))): the smallest cap for
+    which the slab condition holds.  min_orth_raw is the shortest reciprocal
+    vector orthogonal to gamma inside the search window, and min_orth that
+    length divided by R0^(1/(n-1)): the orthogonality condition holds for
+    every floor below it.  Both are None, and orthogonal_found false, when
+    the window holds no such vector.
+    """
     n = lattice.n
     gc = np.asarray(gamma_coeffs, dtype=np.int64).reshape(1, n)
     gvecs, gnorms, slabs = _candidate_keys(lattice, gc, measure, h)
@@ -229,32 +212,34 @@ def _certificate(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
     scale1 = R0 ** (1.0 / (n - 1))
     min_orth = None if min_orth_raw is None else min_orth_raw / scale1
     total = measure.total_mass
-    return GammaCertificate(
-        gamma_coeffs=tuple(int(c) for c in gc[0]),
-        gamma=tuple(float(g) for g in gvecs[0]),
-        gamma_norm=gnorm,
-        R0=float(R0),
-        h=float(h),
-        slab_mass=slab,
-        total_mass=total,
-        slab_ratio=_slab_ratio(slab, total, gnorm, h, R0, n),
-        min_orth_raw=min_orth_raw,
-        min_orth=min_orth,
-        window=float(window),
-    )
+    return {
+        "gamma_coeffs": tuple(int(c) for c in gc[0]),
+        "gamma": tuple(float(g) for g in gvecs[0]),
+        "gamma_norm": gnorm,
+        "R0": float(R0),
+        "h": float(h),
+        "slab_mass": slab,
+        "total_mass": total,
+        "slab_ratio": _slab_ratio(slab, total, gnorm, h, R0, n),
+        "min_orth_raw": min_orth_raw,
+        "min_orth": min_orth,
+        "window": float(window),
+        "orthogonal_found": min_orth_raw is not None,
+    }
 
 
 def check_gamma(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
                 h: float, R0: float, orth_floor: float, slab_cap: float,
                 window: Optional[float] = None
-                ) -> tuple[bool, GammaCertificate]:
+                ) -> tuple[bool, dict]:
     """Evaluate the three admissibility conditions for a direction gamma.
 
     (1) |gamma| <= R0; (2) every reciprocal vector orthogonal to gamma inside
     the window is longer than orth_floor * R0^(1/(n-1)); (3) the sphere
     measure puts at most slab_cap * |gamma|^(-1) * max(h, R0^(-1/(n-1))) of
     its mass (relative) in the slab |(e', gamma)| <= h.  The window is a
-    search bound, not a proof: vectors beyond it are not examined.
+    search bound, not a proof: vectors beyond it are not examined.  Returns
+    (all three hold, gamma's `_certificate` report).
     """
     if h < 0 or R0 <= 0 or orth_floor <= 0 or slab_cap <= 0:
         raise ValueError("h must be >= 0 and R0, orth_floor, slab_cap positive")
@@ -263,10 +248,10 @@ def check_gamma(lattice: Lattice, gamma_coeffs, measure: SphereMeasure,
         window = _default_window(lattice, R0, n, orth_floor)
     cert = _certificate(lattice, gamma_coeffs, measure, h, R0, window,
                         _dual_window(lattice, window))
-    cond1 = cert.gamma_norm <= R0
-    cond2 = (cert.min_orth_raw is None
-             or cert.min_orth_raw > orth_floor * R0 ** (1.0 / (n - 1)))
-    cond3 = cert.slab_ratio <= slab_cap
+    cond1 = cert["gamma_norm"] <= R0
+    cond2 = (not cert["orthogonal_found"]
+             or cert["min_orth_raw"] > orth_floor * R0 ** (1.0 / (n - 1)))
+    cond3 = cert["slab_ratio"] <= slab_cap
     return (cond1 and cond2 and cond3), cert
 
 
@@ -326,15 +311,15 @@ def _min_orth_raw(gcs: np.ndarray, dual: tuple[np.ndarray, np.ndarray]
 
 
 def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
-               search_window: Optional[float] = None) -> GammaCertificate:
+               search_window: Optional[float] = None) -> dict:
     """Best direction with |gamma| <= R0 under the slab objective.
 
     Minimises slab_ratio; ties broken by larger min_orth (no orthogonal
     vector in the window beats any), then smaller |gamma|, then
-    lexicographic coefficients.  The winner's certificate reports the
-    achieved constants: the orthogonality condition holds for any floor
-    below min_orth and the slab condition for any cap at or above
-    slab_ratio.
+    lexicographic coefficients.  Returns the winner's `_certificate`
+    report, whose keys are the achieved constants: the orthogonality
+    condition holds for any floor below min_orth and the slab condition for
+    any cap at or above slab_ratio.
 
     Every candidate is scored in one numpy pass, in blocks of bounded size,
     by `_candidate_keys`, whose keys are batch-invariant by construction:
@@ -362,16 +347,3 @@ def find_gamma(lattice: Lattice, measure: SphereMeasure, h: float, R0: float,
     return _certificate(lattice, coeffs[tied[order[0]]], measure, h, R0,
                         search_window, dual)
 
-
-def annulus_mask(vectors: np.ndarray, k: np.ndarray, e: np.ndarray,
-                 kappa: float, beta: float) -> np.ndarray:
-    """Which reciprocal vectors N put k + 2 pi N in the critical annulus.
-
-    `vectors` holds the N as rows; a row is selected when the shifted
-    momentum has |axial part along e| < beta and
-    | kappa - |transverse part| | < beta.
-    """
-    xs = k[None, :] + 2.0 * math.pi * vectors
-    axial = xs @ e
-    perp = np.linalg.norm(xs - np.outer(axial, e), axis=1)
-    return (np.abs(axial) < beta) & (np.abs(kappa - perp) < beta)

@@ -4,9 +4,13 @@ Everything in this module produces EMPIRICAL certificates: statements about
 truncations of the fiber operators on explicit mode windows and
 quasimomentum grids, never proofs.  Smallest singular values take the
 "auto" route of `fiber.sigma_min`: the closed form for potential-free
-fibers, sparse LU plus Lanczos otherwise; dense LAPACK is the reference it
-is tested against.  Every check returns its report as a JSON-ready dict,
-the keys the CLI writes, with an EMPIRICAL verdict.  Reports carry the
+fibers; otherwise, per diagonal block, one stacked LAPACK SVD for the blocks
+of at most DENSE_BLOCK_ROWS rows (every block of the shipped configs) and
+sparse LU plus Lanczos for larger ones.  Dense LAPACK on every block is the
+reference it is tested against.  Every check returns its report as a
+JSON-ready dict, the keys the CLI writes, with an EMPIRICAL verdict, and so
+do the searches and brackets they build on (`lattice.find_gamma`,
+`lattice.check_gamma`, `fields.condition_value`).  Reports carry the
 truncation metadata (cutoff, mode count, grids) and, where asked for, a
 randomized lower-bound probe and a cutoff refinement.
 
@@ -30,20 +34,19 @@ Cauchy-Schwarz split) at every sampled transverse direction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
-                    potential_stencil, sigma_min, sigma_min_probe,
-                    weighted_sigma_min)
-from .fields import (GRID_LIMIT, ConditionValue, FourierField, MeasureSpec,
+from .fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
+                    check_dense_dim, potential_stencil, sigma_min,
+                    sigma_min_probe, weighted_sigma_min)
+from .fields import (GRID_LIMIT, FourierField, MeasureSpec,
                      PotentialSet, averaged_potential, condition_value,
                      orthogonal_modes, sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
-from .lattice import Lattice, SphereMeasure, annulus_mask, find_gamma
+from .lattice import Lattice, SphereMeasure, find_gamma
 from .util import pmap, transverse_blocks, unit_grid
 
 
@@ -115,14 +118,14 @@ class _Face:
         return 3.0 * (max(kappas) + self.w_bound) + kmax
 
     def damping(self, measure: MeasureSpec, sphere_samples: int, what: str
-                ) -> tuple[ConditionValue, float, float]:
+                ) -> tuple[dict, float, float]:
         """(condition bracket, kernel constant, damping factor) of A on the face.
 
         Raises when the bracket reaches 1, where `what` is unavailable.
         """
         A = self.pot.A
         cond = condition_value(A, self.gc, measure, sphere_samples=sphere_samples)
-        if cond.theta_hi >= 1.0:
+        if cond["theta_hi"] >= 1.0:
             raise ValueError(f"averaged-field bracket reaches 1; {what} unavailable")
         return cond, default_kernel_constant(), damping_factor(A, self.gc, measure)
 
@@ -181,11 +184,14 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
     (0, 1 - theta_hi).  kappa_star is the smallest scanned shift from which
     the bound holds at every grid node for all larger scanned shifts, and
     `holds` says there is one.  `sigma_table` is indexed [k][kappa]; the
-    `probe` and `refinement` blocks are present only when asked for.
+    `probe` and `refinement` blocks are present only when asked for, the
+    probe by a positive probe_count.
     """
+    if probe_count < 0:
+        raise ValueError("probe_count must be nonnegative")
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
     cond, const, damping = face.damping(measure, sphere_samples, "bound")
-    if not 0.0 < theta < 1.0 - cond.theta_hi:
+    if not 0.0 < theta < 1.0 - cond["theta_hi"]:
         raise ValueError("theta must lie in (0, 1 - theta_hi)")
     bound = theta * math.pi / face.gnorm * damping
 
@@ -203,7 +209,7 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
         "gamma_coeffs": [int(c) for c in face.gc],
         "gamma_norm": face.gnorm,
         "theta": theta,
-        "condition": asdict(cond),
+        "condition": cond,
         "damping": damping,
         "bound": bound,
         "kappas": kappas,
@@ -266,21 +272,19 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
         raise ValueError("every kappa must exceed beta")
     face = _Face(pot, gamma_coeffs, k_points_per_axis)
     cond, const, damping = face.damping(measure, sphere_samples, "floor")
-    floor = damping * (1.0 - cond.theta_hi) * math.pi / face.gnorm
+    floor = damping * (1.0 - cond["theta_hi"]) * math.pi / face.gnorm
     cutoff = face.cutoff(cutoff, kappas)
-
-    def annulus(modes: ModeSet, k: np.ndarray, kappa: float) -> np.ndarray:
-        return annulus_mask(modes.vectors, k, face.e, kappa, beta)
 
     def weights(op) -> np.ndarray:
         w = op.mode_g_factors()[:, 0]  # same floats the auto path uses
-        w[annulus(op.modes, op.fiber.k, op.fiber.kappa)] = floor
+        w[annulus_mask(op.modes, op.fiber, beta)] = floor
         return w
 
     modes, ratio = face.scan(kappas, cutoff, threads, weights)
     rows = []
     for i, j in np.ndindex(ratio.shape):
-        mask = annulus(modes, face.ks[i], kappas[j])
+        fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
+        mask = annulus_mask(modes, fiber, beta)
         value = float(ratio[i, j])
         rows.append({"k_index": i, "kappa": kappas[j],
                      "annulus_modes": int(np.sum(mask)),
@@ -292,7 +296,7 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
         "gamma_norm": face.gnorm,
         "delta": delta,
         "beta": beta,
-        "condition": asdict(cond),
+        "condition": cond,
         "damping": damping,
         "floor": floor,
         "rows": rows,
@@ -401,7 +405,7 @@ def condition_chain_pipeline(A: FourierField, q: float, h: float, h1: float,
     rows = []
     for R0 in R0_list:
         cert = find_gamma(lattice, mu1, h, float(R0), search_window)
-        gc, _, gnorm, e = lattice.direction(cert.gamma_coeffs)
+        gc, _, gnorm, e = lattice.direction(cert["gamma_coeffs"])
 
         orth = []
         for key in orthogonal_modes(A, gc):
@@ -429,7 +433,7 @@ def condition_chain_pipeline(A: FourierField, q: float, h: float, h1: float,
                            "middle": middle, "outer": outer, "ok": bool(ok)})
         rows.append({
             "R0": float(R0),
-            "certificate": cert.to_dict(),
+            "certificate": cert,
             "orthogonal_modes": len(orth),
             "f_lo_max": max(p["f_lo"] for p in per_et),
             "middle_max": max(p["middle"] for p in per_et),

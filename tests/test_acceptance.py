@@ -191,15 +191,15 @@ def test_06_find_gamma_exhaustive(lat3):
         measure = SphereMeasure(points=points,
                                 weights=rng.uniform(0.1, 1.0, size=count))
         cert = find_gamma(lat3, measure, 0.1, R0)
-        best, _ = brute_force_gamma(lat3, measure, 0.1, R0, cert.window)
-        assert cert.gamma_coeffs == best
-        ok, cert2 = check_gamma(lat3, cert.gamma_coeffs, measure, 0.1, R0,
-                                orth_floor=(cert.min_orth or 1.0) * 0.99,
-                                slab_cap=max(cert.slab_ratio, 1e-9),
-                                window=cert.window)
+        best, _ = brute_force_gamma(lat3, measure, 0.1, R0, cert["window"])
+        assert cert["gamma_coeffs"] == best
+        ok, cert2 = check_gamma(lat3, cert["gamma_coeffs"], measure, 0.1, R0,
+                                orth_floor=(cert["min_orth"] or 1.0) * 0.99,
+                                slab_cap=max(cert["slab_ratio"], 1e-9),
+                                window=cert["window"])
         assert ok
-        assert cert2.slab_ratio == cert.slab_ratio
-        assert cert2.min_orth_raw == cert.min_orth_raw
+        assert cert2["slab_ratio"] == cert["slab_ratio"]
+        assert cert2["min_orth_raw"] == cert["min_orth_raw"]
 
 
 @criterion(7, "free bands and the constant-mass shift")

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diracband import check_gamma, condition_value, find_gamma
 from diracband import config as cfg
 from diracband.cli import _COMMANDS, main
 
@@ -584,6 +585,39 @@ def test_cli_reports_are_json_native(tmp_path, capsys, command, name, edits):
     assert main([command, "--config", write_config(tmp_path, raw)]) in (0, 2)
     assert capsys.readouterr().out == cfg.canonical_dumps(
         {"command": command, **report})
+
+
+def test_searches_return_the_dicts_the_cli_writes(capsys):
+    # the bracket and the direction searches return plain dicts that
+    # canonical_dumps writes as they are: the CLI report holds every key
+    p = cfg.parse_check_condition(cfg.load_file(config_path("condition.json")))
+    cv = condition_value(p["A"], p["gamma"], p["measure"],
+                         sphere_samples=p["sphere_samples"],
+                         scan_grid=p["scan_grid"],
+                         refine_grid=p["refine_grid"],
+                         rng=np.random.default_rng(p["seed"]))
+    p = cfg.parse_find_gamma(
+        cfg.load_file(config_path("find_gamma_atoms.json")))
+    cert = find_gamma(p["lattice"], p["measure"], p["h"], p["R0"], p["window"])
+    ok, again = check_gamma(p["lattice"], cert["gamma_coeffs"], p["measure"],
+                            p["h"], p["R0"],
+                            orth_floor=(cert["min_orth"] or 1.0) * 0.99,
+                            slab_cap=max(cert["slab_ratio"], 1e-9),
+                            window=cert["window"])
+    assert ok
+    for command, name, result in (
+            ("check-condition", "condition.json", cv),
+            ("find-gamma", "find_gamma_atoms.json", cert),
+            ("find-gamma", "find_gamma_atoms.json", again)):
+        assert type(result) is dict
+        _assert_json_native(result)
+        assert main([command, "--config", config_path(name)]) in (0, 2)
+        report = json.loads(capsys.readouterr().out)
+        assert json.loads(cfg.canonical_dumps(result)) == {
+            key: report[key] for key in result}
+    assert set(cv) == {"theta_lo", "theta_hi", "best_et", "f_lo", "f_hi",
+                       "samples"}
+    assert again == cert
 
 
 def test_cli_usage_errors_exit_one(capsys):

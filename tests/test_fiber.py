@@ -14,9 +14,9 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from diracband import build_clifford, config, fiber
 from diracband.clifford import PAULI_X, PAULI_Z
-from diracband.fiber import (FiberPoint, ModeSet, assemble, eigenvalues,
-                             g_factors, sigma_min, sigma_min_probe, symbol,
-                             weighted_sigma_min)
+from diracband.fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
+                             eigenvalues, g_factors, sigma_min,
+                             sigma_min_probe, symbol, weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
 from diracband.verify import k_face_grid
@@ -49,6 +49,26 @@ def test_fiber_point_validation():
         FiberPoint(k=np.zeros(3), e=np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         FiberPoint(k=np.zeros(3), e=np.array([1.0, 0.0, 0.0]), kappa=-1.0)
+    # a misshaped k used to broadcast: k = [0.3] or 0.3 gave the bits of
+    # k = (0.3, 0.3, 0.3)
+    for k, e in (([0.3], (1.0, 0.0, 0.0)), (0.3, (1.0, 0.0, 0.0)),
+                 ([[0.3, 0.0, 0.0]], (1.0, 0.0, 0.0)), (np.zeros(3), 1.0)):
+        with pytest.raises(ValueError, match="vectors of one length"):
+            FiberPoint(k=k, e=e)
+
+
+def test_fiber_in_another_dimension_is_refused(lat3, rep3, rng):
+    # a k and e pair of one length is a fiber, but not on a 3-D lattice
+    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi)
+    pot = small_potential(lat3, rep3, rng)
+    for k, e in (([0.3], [1.0]), (np.zeros(4), np.eye(4)[0])):
+        fib = FiberPoint(k=k, e=e, kappa=1.0)
+        for call in (lambda: symbol(rep3, lat3, fib, (0, 1, 0)),
+                     lambda: g_factors(lat3, fib, (0, 1, 0)),
+                     lambda: assemble(modes, fib, pot),
+                     lambda: annulus_mask(modes, fib, 1.0)):
+            with pytest.raises(ValueError, match="lattice in 3"):
+                call()
 
 
 def test_mode_window_enumeration(lat3):
@@ -64,7 +84,7 @@ def test_mode_window_enumeration(lat3):
                     want.add((a, b, c))
     assert set(modes.index) == want
     # sorted by norm after the origin
-    norms = np.linalg.norm(modes.vectors, axis=1)
+    norms = np.linalg.norm(modes.coords @ lat3.reciprocal, axis=1)
     assert np.all(np.diff(norms[1:]) >= -1e-12)
 
     assert len(ModeSet.from_cutoff(lat3, 0.0)) == 1
@@ -543,7 +563,8 @@ def test_g_factors_independent_of_blas_kernel():
     code = "\n".join([
         "import numpy as np",
         "from diracband import config",
-        "from diracband.fiber import FiberPoint, ModeSet, g_factors",
+        "from diracband.fiber import FiberPoint, ModeSet, annulus_mask, "
+        "g_factors",
         "from diracband.verify import k_face_grid",
         "p = config.parse_verify_weighted(config.load_file(%r))"
         % str(root / "configs" / "weighted_split.json"),
@@ -556,6 +577,7 @@ def test_g_factors_independent_of_blas_kernel():
         "        f = FiberPoint(k=k, e=e, kappa=kappa)",
         "        for row in modes.coords:",
         "            print(repr(g_factors(lat, f, row)))",
+        "        print(annulus_mask(modes, f, p['beta']).tolist())",
     ])
     outs = []
     for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
@@ -567,7 +589,7 @@ def test_g_factors_independent_of_blas_kernel():
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         outs.append(proc.stdout.splitlines())
-    assert len(outs[0]) == 9 * 2 * 81
+    assert len(outs[0]) == 9 * 2 * (81 + 1)
     assert outs[0] == outs[1]
 
 
@@ -579,3 +601,7 @@ def test_probe_stays_above_sigma_min(lat3, rep3, rng):
     probe = sigma_min_probe(op, count=2000, seed=7)
     assert probe >= smin - 1e-12
     assert sigma_min_probe(op, count=2000, seed=7) == probe  # seeded
+    # no probe vector gave inf, which claims nothing
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="count >= 1"):
+            sigma_min_probe(op, count=count)

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from diracband import fields
-from diracband.fields import (ConditionValue, FourierField, MeasureSpec,
-                              PotentialSet, _grid_phases, averaged_potential,
+from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
+                              _grid_phases, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
 from diracband.lattice import Lattice
 from helpers import (average_by_quadrature, random_complex_vector_field,
@@ -349,18 +349,18 @@ def test_condition_single_pair_closed_form(lat3):
     A = FourierField(lat3, "vector", {(0, 1, 0): v, (0, -1, 0): v}, real=True)
     cv = condition_value(A, (1, 0, 0), MeasureSpec.dirac(), sphere_samples=1024)
     expect = 2.0 * float(np.linalg.norm(v)) / math.pi
-    assert abs(cv.theta_hi - expect) < 1e-13
-    assert cv.theta_lo <= cv.theta_hi + 1e-12
-    assert abs(cv.theta_lo - expect) < 1e-9 * expect
-    assert cv.holds and cv.theta_lo < 1.0
+    assert abs(cv["theta_hi"] - expect) < 1e-13
+    assert cv["theta_lo"] <= cv["theta_hi"] + 1e-12
+    assert abs(cv["theta_lo"] - expect) < 1e-9 * expect
+    assert cv["theta_hi"] < 1.0 and cv["theta_lo"] < 1.0
 
 
 def test_condition_documented_value(lat3):
     v = np.array([0.0, 0.0, 0.05])
     A = FourierField(lat3, "vector", {(0, 1, 0): v, (0, -1, 0): v}, real=True)
     cv = condition_value(A, (1, 0, 0), MeasureSpec.dirac())
-    assert abs(cv.theta_hi - 0.03183098861837907) < 1e-14
-    assert abs(cv.theta_lo - cv.theta_hi) < 1e-9
+    assert abs(cv["theta_hi"] - 0.03183098861837907) < 1e-14
+    assert abs(cv["theta_lo"] - cv["theta_hi"]) < 1e-9
 
 
 def test_condition_complex_certificate(lat3):
@@ -369,8 +369,8 @@ def test_condition_complex_certificate(lat3):
     cv = condition_value(A, (1, 0, 0), MeasureSpec.dirac(), sphere_samples=512)
     perp = float(np.linalg.norm(v[1:]))
     expect = (perp + abs(v[0])) / math.pi
-    assert abs(cv.theta_hi - expect) < 1e-14
-    assert cv.theta_lo <= cv.theta_hi + 1e-12
+    assert abs(cv["theta_hi"] - expect) < 1e-14
+    assert cv["theta_lo"] <= cv["theta_hi"] + 1e-12
 
 
 def test_condition_edge_cases(lat3):
@@ -378,15 +378,16 @@ def test_condition_edge_cases(lat3):
     v = np.array([0.1, 0.0, 0.0])
     A = FourierField(lat3, "vector", {(1, 0, 0): v, (-1, 0, 0): v}, real=True)
     cv = condition_value(A, (1, 0, 0), MeasureSpec.dirac(), sphere_samples=16)
-    assert cv == ConditionValue(0.0, 0.0, cv.best_et, 0.0, 0.0, 0)
-    assert cv.holds and cv.theta_lo < 1.0
+    assert cv == {"theta_lo": 0.0, "theta_hi": 0.0, "best_et": cv["best_et"],
+                  "f_lo": 0.0, "f_hi": 0.0, "samples": 0}
+    assert cv["theta_hi"] < 1.0 and cv["theta_lo"] < 1.0
 
     big = FourierField(lat3, "vector", {(0, 1, 0): np.array([0.0, 0.0, 2.0]),
                                         (0, -1, 0): np.array([0.0, 0.0, 2.0])},
                        real=True)
     cv2 = condition_value(big, (1, 0, 0), MeasureSpec.dirac(),
                           sphere_samples=512)
-    assert cv2.theta_lo >= 1.0 and not cv2.holds
+    assert cv2["theta_lo"] >= 1.0 and cv2["theta_hi"] >= 1.0
 
     with pytest.raises(ValueError):
         mean = FourierField(lat3, "vector", {(0, 0, 0): v})
@@ -406,8 +407,8 @@ def test_condition_bracket_property(seed, real, plateau):
     mu = MeasureSpec.plateau(0.5, 1.5) if plateau else MeasureSpec.dirac()
     cv = condition_value(A, (1, 0, 0), mu, sphere_samples=256, scan_grid=8,
                          refine_grid=24)
-    assert cv.theta_lo <= cv.theta_hi + 1e-12
-    assert cv.f_lo >= 0.0
+    assert cv["theta_lo"] <= cv["theta_hi"] + 1e-12
+    assert cv["f_lo"] >= 0.0
 
 
 def four_dim_field():
@@ -431,10 +432,10 @@ def test_condition_four_dimensional_scan():
                          scan_grid=8, refine_grid=16)
     expect = {"theta_lo": 0.05463151683720352, "theta_hi": 0.07292448259475144}
     for name, want in expect.items():
-        assert abs(getattr(cv, name) - want) <= 1e-12 * want
+        assert abs(cv[name] - want) <= 1e-12 * want
     want_et = [0.0, 0.6807592104647162, 0.7295872644161706, 0.06534004108649821]
-    assert np.max(np.abs(np.array(cv.best_et) - want_et)) <= 1e-12
-    assert cv.samples == 256 and cv.theta_lo <= cv.theta_hi
+    assert np.max(np.abs(np.array(cv["best_et"]) - want_et)) <= 1e-12
+    assert cv["samples"] == 256 and cv["theta_lo"] <= cv["theta_hi"]
 
 
 def test_condition_scan_memory_is_chunked():
@@ -482,4 +483,4 @@ def test_condition_directions_built_per_block(lat3):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
-    assert cv.samples == 500000 and cv.theta_lo <= cv.theta_hi
+    assert cv["samples"] == 500000 and cv["theta_lo"] <= cv["theta_hi"]

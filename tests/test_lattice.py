@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diracband import lattice as lattice_module
 from diracband import (Lattice, SphereMeasure, check_gamma, enumerate_points,
                        find_gamma, reciprocal_basis)
-from diracband.lattice import annulus_mask
+from diracband.fiber import FiberPoint, ModeSet, annulus_mask
 from helpers import brute_force_gamma, pipeline_measure
 
 
@@ -69,7 +69,7 @@ def test_sphere_measure_validation_and_slab():
 
     def slab_mass(gamma, h):
         return check_gamma(Lattice.cubic(3), gamma, mu, h, R0=3.0,
-                           orth_floor=1.0, slab_cap=1.0)[1].slab_mass
+                           orth_floor=1.0, slab_cap=1.0)[1]["slab_mass"]
 
     # slab around the plane orthogonal to gamma=(1,0,0): only atoms with
     # |(p, gamma)| <= h survive
@@ -83,9 +83,9 @@ def test_check_gamma_single_atom_cases(lat3):
     ok, cert = check_gamma(lat3, (1, 0, 0), mu, h=0.1, R0=2.0,
                            orth_floor=0.5, slab_cap=1.0)
     # atom excluded from the slab since |(e', gamma)| = 1 > 0.1
-    assert cert.slab_mass == 0.0 and cert.slab_ratio == 0.0
+    assert cert["slab_mass"] == 0.0 and cert["slab_ratio"] == 0.0
     # orthogonal dual vectors include (0,1,0): min_orth_raw = 1
-    assert cert.min_orth_raw == 1.0
+    assert cert["min_orth_raw"] == 1.0
     assert ok  # 0.5 * 2^(1/2) < 1
 
     ok2, cert2 = check_gamma(lat3, (1, 0, 0), mu, h=0.1, R0=2.0,
@@ -94,7 +94,7 @@ def test_check_gamma_single_atom_cases(lat3):
 
     full = check_gamma(lat3, (1, 0, 0), mu, h=1.0, R0=2.0,
                        orth_floor=0.5, slab_cap=10.0)
-    assert full[1].slab_mass == 1.0  # |(e', gamma)| = 1 <= h = 1
+    assert full[1]["slab_mass"] == 1.0  # |(e', gamma)| = 1 <= h = 1
 
 
 def test_find_gamma_empty_measure_all_ties(lat3):
@@ -102,12 +102,12 @@ def test_find_gamma_empty_measure_all_ties(lat3):
     # the orthogonal-sparsity tie-break; the oracle must agree
     mu = SphereMeasure(points=np.zeros((0, 3)), weights=np.zeros(0))
     cert = find_gamma(lat3, mu, h=0.1, R0=3.0)
-    assert cert.slab_ratio == 0.0
-    want, _ = brute_force_gamma(lat3, mu, 0.1, 3.0, cert.window)
-    assert cert.gamma_coeffs == want
-    ok, _ = check_gamma(lat3, cert.gamma_coeffs, mu, 0.1, 3.0,
-                        orth_floor=cert.min_orth * 0.99,
-                        slab_cap=max(cert.slab_ratio, 1e-9))
+    assert cert["slab_ratio"] == 0.0
+    want, _ = brute_force_gamma(lat3, mu, 0.1, 3.0, cert["window"])
+    assert cert["gamma_coeffs"] == want
+    ok, _ = check_gamma(lat3, cert["gamma_coeffs"], mu, 0.1, 3.0,
+                        orth_floor=cert["min_orth"] * 0.99,
+                        slab_cap=max(cert["slab_ratio"], 1e-9))
     assert ok
 
 
@@ -119,8 +119,8 @@ def test_find_gamma_matches_brute_force(lat3, rng):
         mu = SphereMeasure(points=pts, weights=rng.uniform(0.1, 2.0, size=m))
         for R0 in (2.0, 3.0):
             cert = find_gamma(lat3, mu, h=0.2, R0=R0)
-            want, _ = brute_force_gamma(lat3, mu, 0.2, R0, cert.window)
-            assert cert.gamma_coeffs == want
+            want, _ = brute_force_gamma(lat3, mu, 0.2, R0, cert["window"])
+            assert cert["gamma_coeffs"] == want
 
 
 SKEWED3 = [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, 0.3, 1.2]]
@@ -138,13 +138,13 @@ def test_find_gamma_noncubic_matches_brute_force(basis, R0, window, rng):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     mu = SphereMeasure(points=pts, weights=rng.uniform(0.1, 2.0, size=5))
     cert = find_gamma(lat, mu, h=0.2, R0=R0, search_window=window)
-    want, _ = brute_force_gamma(lat, mu, 0.2, R0, cert.window)
-    assert cert.gamma_coeffs == want
+    want, _ = brute_force_gamma(lat, mu, 0.2, R0, cert["window"])
+    assert cert["gamma_coeffs"] == want
     # check_gamma enumerates its own window: an independent cross-check
-    _, again = check_gamma(lat, cert.gamma_coeffs, mu, 0.2, R0, orth_floor=1.0,
-                           slab_cap=1.0, window=cert.window)
-    assert again.min_orth_raw == cert.min_orth_raw
-    assert again.slab_ratio == cert.slab_ratio
+    _, again = check_gamma(lat, cert["gamma_coeffs"], mu, 0.2, R0,
+                           orth_floor=1.0, slab_cap=1.0, window=cert["window"])
+    assert again["min_orth_raw"] == cert["min_orth_raw"]
+    assert again["slab_ratio"] == cert["slab_ratio"]
 
 
 def test_find_gamma_enumerates_the_window_once(lat3, monkeypatch):
@@ -170,7 +170,7 @@ def test_find_gamma_atom_permutation_stable(lat3):
     perm = [2, 0, 1]
     b = find_gamma(lat3, SphereMeasure(points=pts[perm], weights=wts[perm]),
                    0.05, 5.0)
-    assert a.gamma_coeffs == b.gamma_coeffs
+    assert a["gamma_coeffs"] == b["gamma_coeffs"]
 
 
 def _scalar_search(lat, mu, h, R0, window):
@@ -180,8 +180,9 @@ def _scalar_search(lat, mu, h, R0, window):
     certs = [lattice_module._certificate(lat, row, mu, h, R0, window, dual)
              for row in coeffs]
     best = min(certs, key=lambda c: (
-        c.slab_ratio, -math.inf if c.min_orth is None else -c.min_orth,
-        c.gamma_norm, c.gamma_coeffs))
+        c["slab_ratio"],
+        -math.inf if c["min_orth"] is None else -c["min_orth"],
+        c["gamma_norm"], c["gamma_coeffs"]))
     return coeffs, dual, certs, best
 
 
@@ -237,11 +238,11 @@ def test_vectorised_keys_match_certificates(name, rng):
     ratio = lattice_module._slab_ratio(slab, mu.total_mass, gnorm, h, R0, lat.n)
     raw = lattice_module._min_orth_raw(coeffs, dual)
     for c, r, g, o in zip(certs, ratio, gnorm, raw):
-        orth = math.inf if c.min_orth_raw is None else c.min_orth_raw
-        assert (r, g, o) == (c.slab_ratio, c.gamma_norm, orth)
+        orth = math.inf if c["min_orth_raw"] is None else c["min_orth_raw"]
+        assert (r, g, o) == (c["slab_ratio"], c["gamma_norm"], orth)
     assert find_gamma(lat, mu, h, R0, window) == best
     if name == "no-orthogonal":
-        assert best.min_orth is None and not best.to_dict()["orthogonal_found"]
+        assert best["min_orth"] is None and not best["orthogonal_found"]
 
 
 def test_find_gamma_peak_memory():
@@ -262,9 +263,10 @@ def test_k_beta_membership(lat3):
     kappa, beta = 2.0 * math.pi, 1.0
     k = np.array([0.5, 0.0, 0.0])
     rows = lat3.mode_window(20.0)
+    modes = ModeSet(lat3, rows)
 
     def selected(k):
-        mask = annulus_mask(rows @ lat3.reciprocal, k, e, kappa, beta)
+        mask = annulus_mask(modes, FiberPoint(k=k, e=e, kappa=kappa), beta)
         return {tuple(int(c) for c in row) for row in rows[mask]}
 
     sel = selected(k)

@@ -183,6 +183,11 @@ def test_thomas_scan_preconditions(lat3, rep3, rng):
         verify_thomas_bound(free, GAMMA, MeasureSpec.dirac(),
                             theta=0.5, kappas=[8.0, 4.0], k_points_per_axis=1,
                             cutoff=SMALL_CUTOFF)
+    # a negative probe count was skipped silently
+    with pytest.raises(ValueError, match="probe_count"):
+        verify_thomas_bound(free, GAMMA, MeasureSpec.dirac(),
+                            theta=0.5, kappas=[4.0], k_points_per_axis=1,
+                            cutoff=SMALL_CUTOFF, probe_count=-1)
     # a large field pushes the smallness bracket past 1
     v = np.array([0.0, 0.0, 10.0])
     big = FourierField(lat3.__class__.cubic(3), "vector",
