@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordRep
-from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
-                    eigenvalues, g_factors, potential_stencil)
+from .fiber import (FiberPoint, ModeSet, assemble, axial_transverse,
+                    check_dense_dim, eigenvalues, g_table, potential_stencil)
 from .fields import PotentialSet
 from .lattice import Lattice
 from .util import check_unit, pmap
@@ -106,6 +106,6 @@ def free_band_values(lattice: Lattice, rep: CliffordRep, k: np.ndarray,
     modes = ModeSet.from_cutoff(lattice, cutoff)
     # unshifted, g_minus = g_plus = |k + 2 pi N| whatever the direction e
     fiber = FiberPoint(k=k, e=np.eye(lattice.n)[0])
-    radii = np.array([g_factors(lattice, fiber, row)[0] for row in modes.coords])
+    radii = g_table(axial_transverse(modes, fiber), fiber.kappa)[:, 0]
     roots = np.hypot(radii, mass)
     return np.sort(np.repeat(np.concatenate([-roots, roots]), rep.M // 2))

@@ -65,8 +65,8 @@ def _run_bands(parsed, threads):
         window = (-half, half)
     report = nonconstancy_report(sheet, window, parsed["threshold"])
     header = ["xi"] + [f"E_{j + 1}" for j in range(sheet.band_count)]
-    rows = [[sheet.xis[i]] + list(sheet.energies[i])
-            for i in range(len(sheet.xis))]
+    rows = [[xi] + energies for xi, energies in
+            zip(sheet.xis.tolist(), sheet.energies.tolist())]
     return (report, not report["suspect_flat_bands"],
             {"bands.csv": _csv(header, rows)})
 

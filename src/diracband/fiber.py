@@ -7,23 +7,7 @@ nonnegative imaginary shift kappa: the per-mode symbol is
 
 On a finite mode window the operator is the block matrix with D_N plus the
 potential mean on the diagonal and the potential coefficients V(N - N') off
-the diagonal (block Toeplitz in the potential part).  It is held as a sparse
-matrix: the potential stencil depends only on the window and the potential,
-so it is built once per pair, and per fiber only the diagonal symbol blocks
-change.  The dense matrix is a view built on demand, never over DENSE_LIMIT.
-
-The singular values of a single symbol block are known in closed form: with
-p the axial component of k + 2 pi N and q the transverse radius,
-
-    g_minus = hypot(p, kappa - q),   g_plus = hypot(p, kappa + q),
-
-each with multiplicity M/2.  These factors also drive the weighted
-lower-bound checks.  The smallest singular value has two routes:
-method="auto" takes the closed form when the potential is empty (the fiber
-is block diagonal) and otherwise sparse LU plus Lanczos (ARPACK) on the
-inverse Gram operator, or the LAPACK SVD for a diagonal block (below) of
-at most DENSE_BLOCK_ROWS rows; method="dense" is the LAPACK SVD of every
-block, the reference the other routes are checked against.
+the diagonal (block Toeplitz in the potential part).
 
 Two modes couple only when N - N' is a key of the potential, and two spin
 indices only through the generators or a coefficient entry, so a fiber is
@@ -35,10 +19,30 @@ the keys span (each mode alone for a potential mean), and for even n the
 diagonal chirality of `build_clifford`, +-diag(1, -1, 1, -1, ...), splits the
 spins whenever every coefficient commutes with it (Lawson and Michelsohn,
 Spin Geometry, ch. I.5): such components hold only even or only odd rows.
-Every solver works on these blocks: the eigenvalues are the sorted union of
-theirs and sigma_min the smallest of theirs.  Dense solves set numpy's
-OpenBLAS to one thread, for the rest of the process, so their bits do not
-depend on the thread count.
+
+A fiber is held as those blocks: one dense (count, size, size) stack per
+block size.  The composite coefficients in the stacks depend only on the
+window and the potential, so `potential_stencil` builds them once per pair,
+and per fiber `assemble` adds the symbols of every mode onto their diagonal
+entries.  The whole (dim, dim) matrix is a view built on demand, never over
+DENSE_LIMIT.
+
+The singular values of a single symbol block are known in closed form: with
+p the axial component of k + 2 pi N and q the transverse radius,
+
+    g_minus = hypot(p, kappa - q),   g_plus = hypot(p, kappa + q),
+
+each with multiplicity M/2.  These factors also drive the weighted
+lower-bound checks.  Every solver works on the blocks: the eigenvalues are
+the sorted union of theirs and sigma_min the smallest of theirs.  The
+smallest singular value has two routes: method="auto" takes the closed form
+when the potential is empty and otherwise the LAPACK SVD of each block of
+at most DENSE_BLOCK_ROWS rows, or sparse LU plus Lanczos (ARPACK) on the
+inverse Gram operator of a larger block; method="dense" is the LAPACK SVD
+of every block, the reference the other routes are checked against.  Only
+that sparse route loads scipy.  Dense solves set numpy's OpenBLAS to one
+thread, for the rest of the process, so their bits do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -51,9 +55,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 splu)
 
 from .clifford import CliffordRep, clifford_contraction
 from .fields import PotentialSet
@@ -69,9 +70,11 @@ LANCZOS_NCV = 40
 # thousands of matvecs); no node of the shipped scans needs more than 10
 LANCZOS_MAXITER = 100
 # Largest diagonal block the auto route solves by dense SVD rather than by
-# the sparse route.  On thomas_documented.json's blocks at cutoffs 20 to 26,
-# with one BLAS thread, the dense SVD took 4.6, 7.1 and 12.2 ms at 148, 180
-# and 228 rows, and the sparse route 7.5, 8.3 and 9.0 ms
+# the sparse route.  On thomas_documented.json's blocks at cutoffs 20, 23,
+# 26 and 30, with one BLAS thread, the dense SVD took 3.4-4.0, 5.1-5.8,
+# 8.1-10.3 and 12.8-16.5 ms at 148, 180, 228 and 276 rows, and the sparse
+# route, CSC conversion of the dense block included, 7.2-8.4, 7.6-7.9,
+# 8.2-9.4 and 9.8-11.9 ms (per-block medians over 18 nodes, 3 runs)
 DENSE_BLOCK_ROWS = 200
 
 
@@ -109,7 +112,7 @@ class ModeSet:
         if len(self.index) != arr.shape[0]:
             raise ValueError("duplicate modes in the window")
         self.cutoff: Optional[float] = None
-        # (stencil, components) on this window, one per PotentialSet
+        # the Stencil of this window, one per PotentialSet
         # (`potential_stencil`)
         self._stencils: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -125,13 +128,36 @@ class ModeSet:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
+    @cached_property
+    def duals(self) -> np.ndarray:
+        """(m, n) reciprocal vectors of the modes, read-only.
 
-def _momentum(lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
-    """x = k + 2 pi N, refused unless the fiber has the lattice's dimension."""
+        One `Lattice.dual_point` call per row, so each row has the bits of
+        the single-mode functions (`symbol`, `g_factors`).
+        """
+        out = np.array([self.lattice.dual_point(row)
+                        for row in self.coords.astype(float)])
+        out = out.reshape(len(self), self.lattice.n)
+        out.flags.writeable = False
+        return out
+
+
+def _check_fiber(lattice: Lattice, fiber: FiberPoint) -> None:
     if fiber.k.shape != (lattice.n,):
         raise ValueError(f"a fiber in {fiber.k.shape[0]} dimensions on a "
                          f"lattice in {lattice.n}")
+
+
+def _momentum(lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
+    """x = k + 2 pi N, refused unless the fiber has the lattice's dimension."""
+    _check_fiber(lattice, fiber)
     return fiber.k + 2.0 * math.pi * lattice.dual_point(np.asarray(N, dtype=float))
+
+
+def _momenta(modes: ModeSet, fiber: FiberPoint) -> np.ndarray:
+    """(m, n) rows x = k + 2 pi N of the window, with `_momentum`'s bits."""
+    _check_fiber(modes.lattice, fiber)
+    return fiber.k + 2.0 * math.pi * modes.duals
 
 
 def symbol(rep: CliffordRep, lattice: Lattice, fiber: FiberPoint, N) -> np.ndarray:
@@ -140,53 +166,103 @@ def symbol(rep: CliffordRep, lattice: Lattice, fiber: FiberPoint, N) -> np.ndarr
     return clifford_contraction(rep, x + 1.0j * fiber.kappa * fiber.e)
 
 
-def _axial_transverse(lattice: Lattice, fiber: FiberPoint, N
-                      ) -> tuple[float, float]:
-    """(p, q) of x = k + 2 pi N: its axial part (x, e), its transverse radius.
+def _symbols(rep: CliffordRep, modes: ModeSet, fiber: FiberPoint
+             ) -> np.ndarray:
+    """(m, M, M) symbols of every window mode in one pass.
 
-    p and |x|^2 are correctly rounded sums (`math.fsum`), so the bits do not
-    depend on the BLAS kernel.
+    The sum runs over j in the order of `clifford_contraction`, so each has
+    the bits of `symbol`.
     """
-    x = _momentum(lattice, fiber, N)
-    p = math.fsum((x * fiber.e).tolist())
-    q2 = math.fsum((x * x).tolist()) - p * p
-    return p, math.sqrt(q2) if q2 > 0.0 else 0.0
+    z = _momenta(modes, fiber) + 1.0j * fiber.kappa * fiber.e
+    out = np.zeros((len(modes), rep.M, rep.M), dtype=complex)
+    for j in range(rep.n):
+        out += z[:, j, None, None] * rep.alphas[j]
+    return out
+
+
+def _pq_rows(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(rows, 2) table of (p, q) for the momenta x: the axial part (x, e)
+    and the transverse radius.
+
+    p and |x|^2 are correctly rounded sums (`math.fsum`) per row, so the
+    bits do not depend on the BLAS kernel.
+    """
+    out = []
+    for xe, xx in zip((x * e).tolist(), (x * x).tolist()):
+        p = math.fsum(xe)
+        q2 = math.fsum(xx) - p * p
+        out.append((p, math.sqrt(q2) if q2 > 0.0 else 0.0))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def axial_transverse(modes: ModeSet, fiber: FiberPoint) -> np.ndarray:
+    """(m, 2) table of (p, q) of x = k + 2 pi N for every window mode."""
+    return _pq_rows(_momenta(modes, fiber), fiber.e)
+
+
+def g_table(pq: np.ndarray, kappa: float) -> np.ndarray:
+    """(rows, 2) closed-form (g_minus, g_plus) of a (p, q) table
+    (`axial_transverse`) at the shift kappa."""
+    return np.array([(math.hypot(p, kappa - q), math.hypot(p, kappa + q))
+                     for p, q in pq.tolist()], dtype=float).reshape(-1, 2)
 
 
 def g_factors(lattice: Lattice, fiber: FiberPoint, N) -> tuple[float, float]:
     """Closed-form extreme singular values (g_minus, g_plus) of one symbol."""
-    p, q = _axial_transverse(lattice, fiber, N)
-    return math.hypot(p, fiber.kappa - q), math.hypot(p, fiber.kappa + q)
+    pq = _pq_rows(_momentum(lattice, fiber, N)[None, :], fiber.e)
+    gm, gp = g_table(pq, fiber.kappa)[0].tolist()
+    return gm, gp
 
 
-def annulus_mask(modes: ModeSet, fiber: FiberPoint, beta: float) -> np.ndarray:
-    """Which window modes N put k + 2 pi N in the critical annulus.
+def annulus_mask(pq: np.ndarray, kappa: float, beta: float) -> np.ndarray:
+    """Which modes of a (p, q) table (`axial_transverse`) put k + 2 pi N in
+    the critical annulus: |p| < beta and |kappa - q| < beta."""
+    return (np.abs(pq[:, 0]) < beta) & (np.abs(kappa - pq[:, 1]) < beta)
 
-    A mode is selected when its `_axial_transverse` (p, q), the g-factors'
-    own, has |p| < beta and |kappa - q| < beta.
+
+@dataclass(frozen=True)
+class Stencil:
+    """What every fiber on one mode window shares, for one potential.
+
+    `flat` holds the stacks of all block sizes end to end, read-only:
+    `layout` gives, per size, the (count, size) rows of a stack and its
+    start in `flat`, and the stack holds the composite coefficients
+    V(N_i - N_j) at its entries.
+    `stack_index` are the positions in `flat` of the modes' diagonal spin
+    entries that lie inside a block, and `symbol_index` the matching
+    positions in the flattened (m, M, M) symbols.
     """
-    pq = np.array([_axial_transverse(modes.lattice, fiber, N)
-                   for N in modes.coords]).reshape(-1, 2)
-    return (np.abs(pq[:, 0]) < beta) & (np.abs(fiber.kappa - pq[:, 1]) < beta)
+
+    layout: tuple
+    flat: np.ndarray
+    stack_index: np.ndarray
+    symbol_index: np.ndarray
+
+    def stacks(self, flat: np.ndarray) -> tuple:
+        """(rows, stack) pairs over `flat`, laid out like `self.flat`."""
+        return tuple((rows, flat[start:start + rows.size * rows.shape[1]]
+                      .reshape(rows.shape[0], rows.shape[1], rows.shape[1]))
+                     for rows, start in self.layout)
 
 
 @dataclass
 class TruncatedDiracOperator:
-    """One fiber on a mode window, held as a sparse (dim, dim) CSC matrix.
+    """One fiber on a mode window, held as its diagonal blocks.
 
-    `components` are the row sets of its diagonal blocks (see
-    `potential_stencil`): the fiber has no entry outside them.
+    `blocks` are (rows, stack) pairs, one per block size: rows[i] are the
+    ascending fiber rows of stack[i], a dense (size, size) block, one per
+    connected component (see `potential_stencil`).  The fiber has no entry
+    outside the blocks.
     """
 
     modes: ModeSet
     fiber: FiberPoint
     pot: PotentialSet
-    sparse: sp.csc_array
-    components: tuple
+    blocks: tuple
 
     @property
     def dim(self) -> int:
-        return self.sparse.shape[0]
+        return len(self.modes) * self.pot.rep.M
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -195,167 +271,182 @@ class TruncatedDiracOperator:
         Refused over DENSE_LIMIT before anything is allocated.
         """
         check_dense_dim(self.dim)
-        return self.sparse.toarray()
-
-    def block(self, rows: np.ndarray) -> sp.csc_array:
-        """The sparse diagonal block on the ascending `rows`, one of
-        `components`; the fiber itself when it has a single component."""
-        if len(rows) == self.dim:
-            return self.sparse
-        return self.sparse[rows][:, rows].tocsc()
-
-    def dense_blocks(self, components) -> list:
-        """Dense diagonal blocks on the given `components`, stacked by size.
-
-        Returns (rows, stack) pairs: rows[i] are the rows of stack[i], a
-        (count, size, size) array whose entries are copied from the sparse
-        fiber, so a single block has the bits of the dense view.  Refused
-        while the whole fiber is over DENSE_LIMIT.  Sets numpy's BLAS to one
-        thread, for the solve that follows and for the rest of the process.
-        """
-        if not components:
-            return []
-        check_dense_dim(self.dim)
-        blas_single_threaded("numpy")
-        coo = self.sparse.tocoo()
-        by_size: dict = {}
-        for rows in components:
-            by_size.setdefault(len(rows), []).append(rows)
-        out = []
-        for size, members in by_size.items():
-            rows = np.stack(members)
-            # stack row of each fiber row, -1 outside the chosen blocks
-            pos = np.full(self.dim, -1, dtype=np.int64)
-            pos[rows.reshape(-1)] = np.arange(rows.size)
-            keep = pos[coo.row] >= 0
-            stack = np.zeros(rows.size * size, dtype=complex)
-            stack[pos[coo.row[keep]] * size + pos[coo.col[keep]] % size] = (
-                coo.data[keep])
-            out.append((rows, stack.reshape(len(members), size, size)))
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, stack in self.blocks:
+            out[rows[:, :, None], rows[:, None, :]] = stack
         return out
+
+    @cached_property
+    def axial_transverse(self) -> np.ndarray:
+        """(m, 2) table of (p, q) per window mode (`axial_transverse`)."""
+        return axial_transverse(self.modes, self.fiber)
 
     def mode_g_factors(self) -> np.ndarray:
         """(m, 2) array of closed-form (g_minus, g_plus) per window mode."""
-        return np.array([g_factors(self.modes.lattice, self.fiber, row)
-                         for row in self.modes.coords])
+        return g_table(self.axial_transverse, self.fiber.kappa)
 
 
-def potential_stencil(modes: ModeSet, pot: PotentialSet
-                      ) -> tuple[sp.csc_array, tuple]:
-    """(stencil, components) of every fiber on the window, built once per
-    potential.
+def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
+    """The `Stencil` of every fiber on the window, built once per potential.
 
-    Block (i, j) of the stencil is the composite coefficient V(N_i - N_j).
-    Each required coefficient is materialised once and copied into every
-    block it serves, so equal offsets give bit-identical blocks.
-    `components` are the connected components of the pattern every fiber on
-    the window shares: the stencil's nonzeros and I_m (x) the union of the
-    nonzero patterns of alpha_1 .. alpha_n (the symbols); a row with neither
-    is a component by itself.
-    Exact zeros only, no tolerance: a dropped coupling would give a wrong
-    spectrum.  Each is an array of ascending rows, and they are ordered by
-    their first row.  A scan builds both before its `pmap`, so that forked
-    workers inherit them.  The window must lie on the potential's lattice.
-    Building warns, naming the cutoff, when some coefficients connect no
-    two window modes: they are clipped.
+    Block (i, j) of the fiber's potential part is the composite coefficient
+    V(N_i - N_j).  Each entry is copied from the coefficient into the stack
+    entry it serves, so equal offsets give bit-identical blocks; exact zeros
+    are left out of the pattern, no tolerance: a dropped coupling would give
+    a wrong spectrum.  The components are those of the pattern every fiber
+    on the window shares: the coefficient entries and I_m (x) the union of
+    the nonzero patterns of alpha_1 .. alpha_n (the symbols); a row with
+    neither is a component by itself.  Refused, before the stacks are
+    allocated, when a block is over DENSE_LIMIT.  A scan builds the stencil
+    before its `pmap`, so that forked workers inherit it.  The window must
+    lie on the potential's lattice.  Building warns, naming the cutoff, when
+    some coefficients connect no two window modes: they are clipped.
     """
     built = modes._stencils.get(pot)
-    if built is None:
-        if not modes.lattice.same_as(pot.lattice):
-            raise ValueError(
-                "mode window and potential are on different lattices")
-        rep, m = pot.rep, len(modes)
-        M, dim = rep.M, rep.M * m
-        coeffs = pot.composite().coeffs
-        bi, bj, blocks = [], [], []
-        clipped = 0
-        for key, block in coeffs.items():
-            targets = modes.coords + np.asarray(key, dtype=np.int64)
-            placed = len(blocks)
-            for j, target in enumerate(targets.tolist()):
-                i = modes.index.get(tuple(target))
-                if i is not None:
-                    bi.append(i)
-                    bj.append(j)
-                    blocks.append(block)
-            clipped += len(blocks) == placed
-        if modes.cutoff is not None and clipped:
-            warnings.warn(f"potential has {clipped} mode(s) beyond the "
-                          f"convolution reach of the window at cutoff "
-                          f"{modes.cutoff!r}; they are clipped",
-                          RuntimeWarning, stacklevel=2)
-        r, c = np.divmod(np.arange(M * M), M)  # block entries, row-major
-        rows = (np.array(bi, dtype=np.int64)[:, None] * M + r).reshape(-1)
-        cols = (np.array(bj, dtype=np.int64)[:, None] * M + c).reshape(-1)
-        stencil = sp.csc_array(
-            (np.array(blocks, dtype=complex).reshape(-1), (rows, cols)),
-            shape=(dim, dim))
-        stencil.eliminate_zeros()
-        spins = sp.csr_array(np.any([a != 0 for a in rep.alphas[:rep.n]],
-                                    axis=0).astype(float))
-        # abs: a coefficient entry of -1 must not cancel a symbol entry
-        pattern = abs(stencil) + sp.kron(sp.eye_array(m), spins)
-        built = modes._stencils[pot] = (stencil, _components(pattern))
+    if built is not None:
+        return built
+    if not modes.lattice.same_as(pot.lattice):
+        raise ValueError("mode window and potential are on different lattices")
+    rep, m = pot.rep, len(modes)
+    M, dim = rep.M, rep.M * m
+    # nonzero coefficient entries, at fiber rows and columns
+    rows, cols, vals = [], [], []
+    clipped = 0
+    for key, block in pot.composite().coeffs.items():
+        targets = modes.coords + np.asarray(key, dtype=np.int64)
+        placed = []
+        for j, target in enumerate(targets.tolist()):
+            i = modes.index.get(tuple(target))
+            if i is not None:
+                placed.append((i, j))
+        clipped += not placed
+        r, c = np.nonzero(block)
+        if placed and r.size:
+            pairs = np.array(placed, dtype=np.int64)
+            rows.append((pairs[:, :1] * M + r).reshape(-1))
+            cols.append((pairs[:, 1:] * M + c).reshape(-1))
+            vals.append(np.broadcast_to(block[r, c], (len(placed), r.size))
+                        .reshape(-1))
+    if modes.cutoff is not None and clipped:
+        warnings.warn(f"potential has {clipped} mode(s) beyond the "
+                      f"convolution reach of the window at cutoff "
+                      f"{modes.cutoff!r}; they are clipped",
+                      RuntimeWarning, stacklevel=2)
+    rows = np.concatenate(rows + [np.zeros(0, dtype=np.int64)])
+    cols = np.concatenate(cols + [np.zeros(0, dtype=np.int64)])
+    vals = np.concatenate(vals + [np.zeros(0, dtype=complex)])
+    # every mode's diagonal spin entries (i M + r, i M + c)
+    r, c = np.divmod(np.arange(M * M), M)
+    diag_rows = (np.arange(m)[:, None] * M + r).reshape(-1)
+    diag_cols = (np.arange(m)[:, None] * M + c).reshape(-1)
+    spins = np.any([a != 0 for a in rep.alphas[:rep.n]], axis=0).reshape(-1)
+    components = _components(
+        np.concatenate([rows, diag_rows[np.tile(spins, m)]]),
+        np.concatenate([cols, diag_cols[np.tile(spins, m)]]), dim)
+    sizes = np.array([len(members) for members in components])
+    if sizes.max() > DENSE_LIMIT:
+        raise ValueError(f"a diagonal block of {sizes.max()} rows exceeds "
+                         f"the dense limit {DENSE_LIMIT}; reduce the cutoff")
+    # stacks by block size, in the order the sizes first occur
+    by_size: dict = {}
+    for b, size in enumerate(sizes.tolist()):
+        by_size.setdefault(size, []).append(b)
+    layout, start = [], 0
+    block_start = np.empty(len(components), dtype=np.int64)
+    for size, members in by_size.items():
+        layout.append((np.stack([components[b] for b in members]), start))
+        block_start[members] = start + size * size * np.arange(len(members))
+        start += size * size * len(members)
+    # block of each row, its place in the block and its first stack entry
+    order = np.concatenate(components)
+    label, local = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    label[order] = np.repeat(np.arange(len(components)), sizes)
+    local[order] = np.arange(dim) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    row_start = block_start[label] + local * sizes[label]
+
+    flat = np.zeros(start, dtype=complex)
+    flat[row_start[rows] + local[cols]] = vals
+    flat.flags.writeable = False
+    inside = label[diag_rows] == label[diag_cols]
+    built = modes._stencils[pot] = Stencil(
+        layout=tuple(layout), flat=flat,
+        stack_index=row_start[diag_rows[inside]] + local[diag_cols[inside]],
+        symbol_index=np.flatnonzero(inside))
     return built
 
 
-def _components(pattern: sp.sparray) -> tuple:
-    """Connected components of a symmetric sparsity pattern, as arrays of
-    ascending rows ordered by their first row."""
-    from scipy.sparse.csgraph import connected_components
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple:
+    """Connected components of the pattern on `dim` rows whose entries
+    (rows, cols) are undirected edges, as arrays of ascending rows ordered
+    by their first row.
 
-    _, labels = connected_components(pattern, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    labels = rank[labels]
-    rows = np.argsort(labels, kind="stable")
-    return tuple(np.split(rows, np.cumsum(np.bincount(labels))[:-1]))
+    Each row points at a root, at first itself.  A pass hooks the larger
+    root of every entry onto the smaller one, then jumps pointers until each
+    row points at a root again; once every entry has one root at both ends,
+    the root of a component is its smallest row.
+    """
+    parent = np.arange(dim)
+    while True:
+        a, b = parent[rows], parent[cols]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+    order = np.argsort(parent, kind="stable")
+    cuts = np.flatnonzero(np.diff(parent[order])) + 1
+    return tuple(np.split(order, cuts))
 
 
 def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
              ) -> TruncatedDiracOperator:
-    """Sparse fiber matrix on the mode window.
+    """The fiber on the mode window, as the diagonal blocks of its stencil.
 
-    The block diagonal of symbols, the only part that changes from fiber to
-    fiber, plus the window's potential stencil.  A diagonal entry is the
-    symbol plus the potential mean and every other entry a single
-    coefficient, so the dense view has the bits of a dense assembly.  The
-    stencil checks the window against the potential when it is built, and
-    each symbol the fiber against the lattice.
+    The symbols of all modes, the only part that changes from fiber to
+    fiber, are added onto a copy of the window's stacks: a diagonal entry is
+    the symbol plus the potential mean and every other entry a single
+    coefficient.  The stencil checks the window against the potential when
+    it is built, and the symbols the fiber against the lattice.
     """
-    stencil, components = potential_stencil(modes, pot)
-    lattice, rep, m = modes.lattice, pot.rep, len(modes)
-    symbols = sp.bsr_array(
-        (np.array([symbol(rep, lattice, fiber, N) for N in modes.coords]),
-         np.arange(m), np.arange(m + 1)), shape=(rep.M * m, rep.M * m))
-    # csc + bsr adds entrywise and drops the zeros inside the symbol blocks
-    matrix = (stencil + symbols).tocsc()
+    stencil = potential_stencil(modes, pot)
+    symbols = _symbols(pot.rep, modes, fiber)
+    flat = stencil.flat.copy()
+    flat[stencil.stack_index] += symbols.reshape(-1)[stencil.symbol_index]
     return TruncatedDiracOperator(modes=modes, fiber=fiber, pot=pot,
-                                  sparse=matrix, components=components)
+                                  blocks=stencil.stacks(flat))
+
+
+def _before_dense_solve(op: TruncatedDiracOperator) -> None:
+    """Refuse a dense solve while the whole fiber is over DENSE_LIMIT, and
+    set numpy's BLAS to one thread, for the solve that follows and for the
+    rest of the process."""
+    check_dense_dim(op.dim)
+    blas_single_threaded("numpy")
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian fiber (kappa = 0 only).
 
     Raises for shifted or non-Hermitian fibers; those carry spectral
-    information through sigma_min instead.  The Hermitian check reads the
-    sparse fiber; the spectrum is the sorted union of the dense eigenvalues
-    of its diagonal blocks, one stacked call per block size, so fibers over
-    DENSE_LIMIT are refused.  The first call sets numpy's OpenBLAS to one
-    thread for the rest of the process (`TruncatedDiracOperator.dense_blocks`).
+    information through sigma_min instead.  The spectrum is the sorted union
+    of the dense eigenvalues of the diagonal blocks, one stacked call per
+    block size, so fibers over DENSE_LIMIT are refused.  The first call sets
+    numpy's OpenBLAS to one thread for the rest of the process.
     """
     if op.fiber.kappa != 0.0:
         raise ValueError("shifted fibers are not Hermitian; use sigma_min")
-    D = op.sparse
-    scale = float(abs(D).max()) or 1.0
-    asym = float(abs(D - D.conj().T).max())
+    scale = max(float(np.max(np.abs(stack))) for _, stack in op.blocks) or 1.0
+    asym = max(float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))))
+               for _, stack in op.blocks)
     if asym > 1e-12 * scale:
         raise ValueError("fiber matrix is not Hermitian within tolerance; "
                          "use sigma_min")
+    _before_dense_solve(op)
     return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(stack).reshape(-1)
-         for _, stack in op.dense_blocks(op.components)]))
+        [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in op.blocks]))
 
 
 def check_dense_dim(dim: int) -> None:
@@ -370,19 +461,29 @@ def check_dense_dim(dim: int) -> None:
             "reduce the cutoff")
 
 
-def _lanczos_sigma_min(D: sp.csc_array) -> Optional[float]:
+def _lanczos_sigma_min(block: np.ndarray, col_scale: np.ndarray
+                       ) -> Optional[float]:
     """sigma_min(D) = lambda_max((D^H D)^{-1})^(-1/2) by sparse LU and ARPACK.
 
-    ARPACK runs on x -> D^{-1} D^{-H} x with k = 1 (sigma_min is
-    degenerate, multiplicity M/2 in the free case), tol = 0, LANCZOS_NCV
-    basis vectors, at most LANCZOS_MAXITER restarts, a fixed start vector,
-    a fixed seed for the vectors ARPACK draws when its Krylov space turns
-    invariant and scipy's BLAS on one thread, so reruns give the same bits.
-    Returns None when `splu` finds D singular, ARPACK does not converge, or
-    the singular triplet (u, sigma, v) with u = Dv / |Dv| misses the
-    residual check |D^H u - sigma v| <= 1e-10 max(sigma, 1).
+    D is the CSC matrix of the dense `block`'s nonzeros with column j
+    multiplied by col_scale[j], the same product per entry as scaling the
+    dense block, without a scaled copy of it.  ARPACK runs on
+    x -> D^{-1} D^{-H} x with k = 1 (sigma_min is degenerate, multiplicity
+    M/2 in the free case), tol = 0, LANCZOS_NCV basis vectors, at most
+    LANCZOS_MAXITER restarts, a fixed start vector, a fixed seed for the
+    vectors ARPACK draws when its Krylov space turns invariant and scipy's
+    BLAS on one thread, so reruns give the same bits.  Returns None when
+    `splu` finds D singular, ARPACK does not converge, or the singular
+    triplet (u, sigma, v) with u = Dv / |Dv| misses the residual check
+    |D^H u - sigma v| <= 1e-10 max(sigma, 1).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh, splu)
+
     blas_single_threaded("scipy")
+    D = sp.csc_array(block)
+    D.data *= np.repeat(col_scale, np.diff(D.indptr))
     try:
         lu = splu(D)
     except RuntimeError:  # exactly singular
@@ -429,11 +530,11 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
     blocks, which W commutes with.  method="auto" uses the exact per-mode
     factors, min g_minus / weight, when the potential is empty; otherwise it
     takes one stacked LAPACK SVD per size for the blocks of at most
-    DENSE_BLOCK_ROWS rows, and sparse LU plus Lanczos on the column-scaled
+    DENSE_BLOCK_ROWS rows, and sparse LU plus Lanczos on each column-scaled
     block of D W^{-1} for the larger ones, falling back to the dense SVD
     when that route cannot vouch for its value (see `_lanczos_sigma_min`).
     method="dense" forces the LAPACK SVD of every block, the reference
-    route.  Dense work is refused over DENSE_LIMIT, and sets numpy's
+    route.  Dense solves are refused over DENSE_LIMIT, and set numpy's
     OpenBLAS to one thread for the rest of the process, as the sparse route
     does scipy's.
     """
@@ -448,20 +549,18 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         return float(np.min(op.mode_g_factors()[:, 0] / weights))
     scale = np.repeat(1.0 / weights, op.pot.rep.M)
     best = math.inf
-    dense = []
-    for rows in op.components:
-        sigma = None
-        if method == "auto" and len(rows) > DENSE_BLOCK_ROWS:
-            sigma = _lanczos_sigma_min(
-                (op.block(rows) @ sp.diags_array(scale[rows])).tocsc())
-        if sigma is None:
-            dense.append(rows)
-        else:
-            best = min(best, sigma)
-    for rows, stack in op.dense_blocks(dense):
-        sigmas = np.linalg.svd(stack * scale[rows][:, None, :],
-                               compute_uv=False)[:, -1]
-        best = min(best, float(np.min(sigmas)))
+    for rows, stack in op.blocks:
+        if method == "auto" and rows.shape[1] > DENSE_BLOCK_ROWS:
+            sigmas = [_lanczos_sigma_min(block, scale[r])
+                      for r, block in zip(rows, stack)]
+            best = min([best] + [s for s in sigmas if s is not None])
+            failed = [s is None for s in sigmas]
+            rows, stack = rows[failed], stack[failed]
+        if len(stack):
+            _before_dense_solve(op)
+            sigmas = np.linalg.svd(stack * scale[rows][:, None, :],
+                                   compute_uv=False)[:, -1]
+            best = min(best, float(np.min(sigmas)))
     return best
 
 

@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .fields import (FourierField, MeasureSpec, averaged_potential,
                      coefficient_sum, sup_norm)
@@ -182,6 +181,8 @@ def radial_kernel(eta: EtaSpec, r: np.ndarray) -> np.ndarray:
     Legendre nodes may round differently); the accuracy of the quadrature,
     not its last bits, is what the callers rely on.
     """
+    from scipy import special
+
     r = np.atleast_1d(np.asarray(r, dtype=float))
     rmax = float(np.max(r)) if r.size else 1.0
     cycles = (eta.tau_hi - eta.tau_lo) * max(rmax, 1.0) / (2.0 * math.pi)

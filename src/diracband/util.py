@@ -8,6 +8,7 @@ import glob
 import importlib
 import math
 import os
+import sys
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -126,18 +127,20 @@ def _pmap_chunk(lo: int, hi: int) -> list:
 
 def _pmap_worker_init() -> None:
     for package in ("numpy", "scipy"):
-        blas_single_threaded(package)
+        if package in sys.modules:  # the sparse route pins scipy's itself
+            blas_single_threaded(package)
 
 
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """Order-preserving map, optionally on forked worker processes.
 
     The pool gets at most one worker per item and per usable core, whatever
-    `threads` asks for, and each worker runs numpy's and scipy's BLAS on one
-    thread.  `fn` and the items reach the workers by fork inheritance, in
-    contiguous chunks of indices, so only the results are pickled; `fn` may
-    be a closure.  Results are collected in input order regardless of
-    completion order, so reports stay deterministic for any worker count.
+    `threads` asks for, and each worker runs numpy's BLAS on one thread, and
+    scipy's where scipy is loaded.  `fn` and the items reach the workers by
+    fork inheritance, in contiguous chunks of indices, so only the results
+    are pickled; `fn` may be a closure.  Results are collected in input
+    order regardless of completion order, so reports stay deterministic for
+    any worker count.
     An exception in a worker is raised here, without waiting for the chunks
     not yet started.  Where the platform cannot fork, the map runs serially.
     The workers are joined before returning.

@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
-                    check_dense_dim, potential_stencil, sigma_min,
-                    sigma_min_probe, weighted_sigma_min)
+                    axial_transverse, check_dense_dim, potential_stencil,
+                    sigma_min, sigma_min_probe, weighted_sigma_min)
 from .fields import (GRID_LIMIT, FourierField, MeasureSpec,
                      PotentialSet, averaged_potential, condition_value,
                      orthogonal_modes, sup_norm, w_norm)
@@ -277,14 +277,14 @@ def verify_weighted_split(pot: PotentialSet, gamma_coeffs,
 
     def weights(op) -> np.ndarray:
         w = op.mode_g_factors()[:, 0]  # same floats the auto path uses
-        w[annulus_mask(op.modes, op.fiber, beta)] = floor
+        w[annulus_mask(op.axial_transverse, op.fiber.kappa, beta)] = floor
         return w
 
     modes, ratio = face.scan(kappas, cutoff, threads, weights)
     rows = []
     for i, j in np.ndindex(ratio.shape):
         fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
-        mask = annulus_mask(modes, fiber, beta)
+        mask = annulus_mask(axial_transverse(modes, fiber), kappas[j], beta)
         value = float(ratio[i, j])
         rows.append({"k_index": i, "kappa": kappas[j],
                      "annulus_modes": int(np.sum(mask)),

@@ -15,6 +15,12 @@ from diracband.util import gauss_legendre_panels
 from diracband.verify import sobolev_direction_measure
 
 
+def block_rows(op):
+    """The row sets of a fiber's diagonal blocks, ordered by their first row."""
+    return sorted((r for rows, _ in op.blocks for r in rows),
+                  key=lambda r: int(r[0]))
+
+
 def random_real_vector_field(lattice, rng, pairs=4, span=2, scale=0.05):
     """Zero-mean real-valued vector field with `pairs` conjugate mode pairs."""
     n = lattice.n

@@ -50,12 +50,34 @@ def test_traced_names_resolve():
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # brentq, quadrature and splines serve only the kernel constant's own
-    # command and the plateau norm; they load inside those functions
-    code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.optimize', 'scipy.integrate', 'scipy.interpolate')))")
+    # scipy serves only the kernel constant, the plateau norm and the
+    # sparse route for blocks over DENSE_BLOCK_ROWS; it loads inside them
+    code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                           capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_dense_commands_load_no_scipy(tmp_path):
+    # every block of these shipped configs is solved dense, so their runs
+    # never load scipy
+    runs = [("bands", "free_bands"), ("verify-thomas", "thomas_documented"),
+            ("verify-weighted", "weighted_split"),
+            ("verify-weighted", "weighted_floor")]
+    code = "\n".join([
+        "import os, sys",
+        "from diracband import cli",
+        f"for command, name in {runs!r}:",
+        f"    config = os.path.join({str(ROOT / 'configs')!r}, name + '.json')",
+        f"    out = os.path.join({str(tmp_path)!r}, name)",
+        "    if cli.main([command, '--config', config, '--out', out]) != 0:",
+        "        sys.exit(name)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
     assert proc.stdout.strip() == "[]"
 
 

@@ -10,7 +10,7 @@ from diracband.bands import (BandSheet, band_sweep, free_band_values,
                              nonconstancy_report)
 from diracband.fiber import FiberPoint, ModeSet, assemble
 from diracband.fields import FourierField, PotentialSet, zero_field
-from helpers import chiral_potential
+from helpers import block_rows, chiral_potential
 
 E_X = np.array([1.0, 0.0, 0.0])
 CUTOFF = 2.0 * math.pi * 1.5
@@ -99,7 +99,7 @@ def test_split_sweep_matches_whole_fiber(n, cutoff, rng):
     for xi, row in zip(sheet.xis, sheet.energies):
         op = assemble(modes, FiberPoint(k=k0 + xi * e, e=e), pot)
         assert all(len(set((rows % 2).tolist())) == 1
-                   for rows in op.components)
+                   for rows in block_rows(op))
         want = np.linalg.eigvalsh(op.matrix)
         assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 

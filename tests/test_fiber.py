@@ -1,6 +1,5 @@
 """Truncated fiber assembly, closed-form factors, and singular-value routes."""
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -10,17 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from diracband import build_clifford, config, fiber
 from diracband.clifford import PAULI_X, PAULI_Z
-from diracband.fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
+from diracband.fiber import (FiberPoint, ModeSet, assemble, axial_transverse,
                              eigenvalues, g_factors, sigma_min,
                              sigma_min_probe, symbol, weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
 from diracband.verify import k_face_grid
-from helpers import chiral_potential, fft_apply_oracle, random_real_vector_field
+from helpers import (block_rows, chiral_potential, fft_apply_oracle,
+                     random_real_vector_field)
 
 
 def random_fiber(rng, kappa=None):
@@ -66,7 +68,7 @@ def test_fiber_in_another_dimension_is_refused(lat3, rep3, rng):
         for call in (lambda: symbol(rep3, lat3, fib, (0, 1, 0)),
                      lambda: g_factors(lat3, fib, (0, 1, 0)),
                      lambda: assemble(modes, fib, pot),
-                     lambda: annulus_mask(modes, fib, 1.0)):
+                     lambda: axial_transverse(modes, fib)):
             with pytest.raises(ValueError, match="lattice in 3"):
                 call()
 
@@ -281,15 +283,15 @@ def test_weighted_sigma_min(lat3, rep3, rng):
 
 
 def blocks(op):
-    """The sparse diagonal blocks of `op`, one per component."""
-    return [op.block(rows) for rows in op.components]
+    """The diagonal blocks of `op`'s dense view, one per component."""
+    return [op.matrix[np.ix_(rows, rows)] for rows in block_rows(op)]
 
 
 def block_parities(op):
     """The set of row parities of each diagonal block of `op`."""
-    assert np.array_equal(np.sort(np.concatenate(op.components)),
+    assert np.array_equal(np.sort(np.concatenate(block_rows(op))),
                           np.arange(op.dim))
-    return [set((rows % 2).tolist()) for rows in op.components]
+    return [set((rows % 2).tolist()) for rows in block_rows(op)]
 
 
 def shifted_fiber4(rng):
@@ -332,15 +334,14 @@ def test_even_n_potential_off_the_chirality_couples_parities(rng):
     assert any(len(p) == 2 for p in block_parities(op))
     # the dense route is one LAPACK call per block, stacked or not
     assert sigma_min(op, method="dense") == min(
-        float(np.linalg.svd(b.toarray(), compute_uv=False)[-1])
-        for b in blocks(op))
+        float(np.linalg.svd(b, compute_uv=False)[-1]) for b in blocks(op))
     want = float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
     for method in ("auto", "dense"):
         assert abs(sigma_min(op, method) - want) <= 1e-12 * want
     flat = assemble(modes, FiberPoint(k=fib.k, e=fib.e), pot)
     got = eigenvalues(flat)
     assert np.array_equal(got, np.sort(np.concatenate(
-        [np.linalg.eigvalsh(b.toarray()) for b in blocks(flat)])))
+        [np.linalg.eigvalsh(b) for b in blocks(flat)])))
     want = np.linalg.eigvalsh(flat.matrix)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -410,29 +411,65 @@ def test_component_routes_match_whole_fiber(n, span, dense_rows, rng,
     e = rng.standard_normal(n)
     e /= np.linalg.norm(e)
     k = rng.uniform(-0.5, 0.5, size=n)
-    op = assemble(modes, FiberPoint(k=k, e=e, kappa=2.5), pot)
+    patterns = []
+    components = fiber._components
+
+    def recording(rows, cols, dim):
+        patterns.append((rows, cols, dim))
+        return components(rows, cols, dim)
+
+    monkeypatch.setattr(fiber, "_components", recording)
+    fib = FiberPoint(k=k, e=e, kappa=2.5)
+    op = assemble(modes, fib, pot)
 
     # the blocks partition the rows and hold every entry of the fiber;
     # each lies in one chiral half for even n
     parities = block_parities(op)
-    assert sum(b.nnz for b in blocks(op)) == op.sparse.nnz
+    outside = op.matrix.copy()
+    for rows, stack in op.blocks:
+        for r, block in zip(rows, stack):
+            assert np.array_equal(block, op.matrix[np.ix_(r, r)])
+            outside[np.ix_(r, r)] = 0.0
+    assert not np.any(outside)
+    # the dense view is a dense assembly, entry for entry: each mode's
+    # symbol plus the potential mean on the diagonal, V(N_i - N_j) off it
+    coeffs, M = pot.composite().coeffs, rep.M
+    want = np.zeros((op.dim, op.dim), dtype=complex)
+    for i, Ni in enumerate(modes.coords):
+        want[i * M:(i + 1) * M, i * M:(i + 1) * M] = symbol(rep, lat, fib, Ni)
+        for j, Nj in enumerate(modes.coords):
+            key = tuple((Ni - Nj).tolist())
+            if key in coeffs:
+                want[i * M:(i + 1) * M, j * M:(j + 1) * M] += coeffs[key]
+    assert np.array_equal(op.matrix, want)
+    # the blocks' row sets, in ascending rows, are the components scipy
+    # finds on the same pattern, which holds every entry of the fiber
+    (rows, cols, dim), = patterns
+    pattern = scipy.sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                                     shape=(dim, dim)).toarray()
+    assert not np.any((op.matrix != 0) & (pattern == 0))
+    count, labels = csgraph.connected_components(pattern, directed=False)
+    comps = block_rows(op)
+    assert len(comps) == count
+    assert len({int(labels[c[0]]) for c in comps}) == count
+    assert all(np.all(labels[c] == labels[c[0]]) for c in comps)
+    assert all(np.all(np.diff(c) > 0) for c in comps)
     halves = 2 if n % 2 == 0 else 1
     if halves == 2:
         assert all(len(p) == 1 for p in parities)
-    block_modes = [modes.coords[np.unique(rows // rep.M)]
-                   for rows in op.components]
+    block_modes = [modes.coords[np.unique(rows // rep.M)] for rows in comps]
     if span == "lattice":
-        assert len(op.components) == halves
+        assert len(comps) == halves
     elif span == "plane":  # one block per value of (N_3, ..., N_n)
         assert all(len(np.unique(c[:, 2:], axis=0)) == 1 for c in block_modes)
-        assert len(op.components) == halves * len(
+        assert len(comps) == halves * len(
             np.unique(modes.coords[:, 2:], axis=0))
     elif span == "index2":  # one block per parity of N_1
         assert all(len(np.unique(c[:, 0] % 2)) == 1 for c in block_modes)
-        assert len(op.components) == 2 * halves
+        assert len(comps) == 2 * halves
     else:  # one block per mode or half-mode
         assert all(len(c) == 1 for c in block_modes)
-        assert len(op.components) == halves * len(modes)
+        assert len(comps) == halves * len(modes)
 
     for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
         scale = np.repeat(1.0 / w, rep.M)
@@ -447,6 +484,19 @@ def test_component_routes_match_whole_fiber(n, span, dense_rows, rng,
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_block_over_dense_limit_is_refused(lat3, rep3, rng, monkeypatch):
+    # the stacks are dense, so a block over DENSE_LIMIT is refused when the
+    # window's stencil is built, before its stacks are allocated
+    monkeypatch.setattr(fiber, "DENSE_LIMIT", 16)
+    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
+    with pytest.raises(ValueError, match="a diagonal block of [0-9]+ rows "
+                       "exceeds the dense limit 16"):
+        assemble(modes, random_fiber(rng), small_potential(lat3, rep3, rng))
+    # without a potential every block is one mode
+    free = assemble(modes, random_fiber(rng), PotentialSet.zero(lat3, rep3))
+    assert max(len(rows) for rows in block_rows(free)) == rep3.M
+
+
 def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
     monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", 0)  # every block sparse
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
@@ -455,7 +505,7 @@ def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
     w = rng.uniform(0.5, 2.0, size=len(modes))
     dense = sigma_min(op, method="dense")
     dense_w = weighted_sigma_min(op, w, method="dense")
-    real_eigsh = fiber.eigsh
+    real_eigsh = scipy.sparse.linalg.eigsh
     calls = []
 
     def singular(*args, **kwargs):
@@ -476,16 +526,21 @@ def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
     for name, fake in (("splu", singular), ("eigsh", no_convergence),
                        ("eigsh", wrong_vector)):
         with monkeypatch.context() as m:
-            m.setattr(fiber, name, fake)
+            m.setattr(scipy.sparse.linalg, name, fake)
             del calls[:]
             assert sigma_min(op) == dense
             assert weighted_sigma_min(op, w) == dense_w
             # one failed sparse attempt per block and call
-            assert len(calls) == 2 * len(op.components)
+            assert len(calls) == 2 * len(block_rows(op))
             # the fallback is dense, so it keeps the dense limit
             m.setattr(fiber, "DENSE_LIMIT", 4)
             with pytest.raises(ValueError, match="exceeds the dense limit"):
                 sigma_min(op)
+
+
+def one_block(rows, cols, dim):
+    """`fiber._components` stand-in that keeps the whole fiber as one block."""
+    return (np.arange(dim),)
 
 
 def test_sparse_route_repeats_its_bits(monkeypatch):
@@ -501,16 +556,16 @@ def test_sparse_route_repeats_its_bits(monkeypatch):
     g = lat.point(gc)
     modes = ModeSet.from_cutoff(lat, p["cutoff"])
     k = k_face_grid(lat, gc, p["k_points_per_axis"])[1]
+    monkeypatch.setattr(fiber, "_components", one_block)
     op = assemble(modes,
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][1]),
                   p["pot"])
-    op = dataclasses.replace(op, components=(np.arange(op.dim),))
-    assert op.dim > fiber.DENSE_BLOCK_ROWS
+    assert len(block_rows(op)) == 1 and op.dim > fiber.DENSE_BLOCK_ROWS
     real_lanczos = fiber._lanczos_sigma_min
     lanczos = []
 
-    def recording(D):
-        lanczos.append(real_lanczos(D))
+    def recording(block, col_scale):
+        lanczos.append(real_lanczos(block, col_scale))
         return lanczos[-1]
 
     monkeypatch.setattr(fiber, "_lanczos_sigma_min", recording)
@@ -532,12 +587,12 @@ def test_sparse_route_caps_arpack_restarts(monkeypatch):
     lat, gc = p["lattice"], p["gamma"]
     g = lat.point(gc)
     k = k_face_grid(lat, gc, p["k_points_per_axis"])[6]
+    monkeypatch.setattr(fiber, "_components", one_block)
     op = assemble(ModeSet.from_cutoff(lat, p["cutoff"]),
                   FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][2]),
                   p["pot"])
-    op = dataclasses.replace(op, components=(np.arange(op.dim),))
-    assert op.dim > fiber.DENSE_BLOCK_ROWS
-    real_splu = fiber.splu
+    assert len(block_rows(op)) == 1 and op.dim > fiber.DENSE_BLOCK_ROWS
+    real_splu = scipy.sparse.linalg.splu
     solves = []
 
     class CountingLU:
@@ -549,7 +604,7 @@ def test_sparse_route_caps_arpack_restarts(monkeypatch):
             return self.lu.solve(x, trans=trans)
 
     monkeypatch.setattr(fiber, "LANCZOS_NCV", 20)
-    monkeypatch.setattr(fiber, "splu", CountingLU)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
     assert sigma_min(op) == sigma_min(op, method="dense")
     # two solves per matvec, at most 20 matvecs for the start and for each
     # of the 100 restarts; without the cap this node took 16,426 solves
@@ -564,7 +619,7 @@ def test_g_factors_independent_of_blas_kernel():
         "import numpy as np",
         "from diracband import config",
         "from diracband.fiber import FiberPoint, ModeSet, annulus_mask, "
-        "g_factors",
+        "axial_transverse, g_factors",
         "from diracband.verify import k_face_grid",
         "p = config.parse_verify_weighted(config.load_file(%r))"
         % str(root / "configs" / "weighted_split.json"),
@@ -577,7 +632,8 @@ def test_g_factors_independent_of_blas_kernel():
         "        f = FiberPoint(k=k, e=e, kappa=kappa)",
         "        for row in modes.coords:",
         "            print(repr(g_factors(lat, f, row)))",
-        "        print(annulus_mask(modes, f, p['beta']).tolist())",
+        "        print(annulus_mask(axial_transverse(modes, f), kappa, "
+        "p['beta']).tolist())",
     ])
     outs = []
     for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diracband import lattice as lattice_module
 from diracband import (Lattice, SphereMeasure, check_gamma, enumerate_points,
                        find_gamma, reciprocal_basis)
-from diracband.fiber import FiberPoint, ModeSet, annulus_mask
+from diracband.fiber import FiberPoint, ModeSet, annulus_mask, axial_transverse
 from helpers import brute_force_gamma, pipeline_measure
 
 
@@ -266,7 +266,8 @@ def test_k_beta_membership(lat3):
     modes = ModeSet(lat3, rows)
 
     def selected(k):
-        mask = annulus_mask(modes, FiberPoint(k=k, e=e, kappa=kappa), beta)
+        fib = FiberPoint(k=k, e=e, kappa=kappa)
+        mask = annulus_mask(axial_transverse(modes, fib), kappa, beta)
         return {tuple(int(c) for c in row) for row in rows[mask]}
 
     sel = selected(k)

@@ -17,7 +17,7 @@ from diracband.gauge import default_kernel_constant
 from diracband.verify import (condition_chain_pipeline, k_face_grid,
                               sobolev_direction_measure, verify_thomas_bound,
                               verify_weighted_split, weighted_floor)
-from helpers import random_real_vector_field
+from helpers import block_rows, random_real_vector_field
 
 KERNEL_C = 1.7058460118707472
 GAMMA = (1, 0, 0)
@@ -128,9 +128,9 @@ def test_potential_stencil_built_once_per_window(lat3, rep3, rng, monkeypatch):
         calls.append(self)
         return composite(self)
 
-    def counted_components(pattern):
-        labellings.append(pattern.shape)
-        return components(pattern)
+    def counted_components(rows, cols, dim):
+        labellings.append(dim)
+        return components(rows, cols, dim)
 
     monkeypatch.setattr(PotentialSet, "composite", counted)
     monkeypatch.setattr(fiber, "_components", counted_components)
@@ -210,7 +210,7 @@ def test_dense_limit_checked_before_assembly(monkeypatch):
     pot = PotentialSet(zero_field(lat4, "vector"),
                        zero_field(lat4, "matrix", dim=rep4.M), mass, rep4)
 
-    # the sparse fiber assembles in little memory; its dense view refuses
+    # the fiber's blocks assemble in little memory; its dense view refuses
     fib = FiberPoint(k=np.full(4, 0.1), e=np.array([1.0, 0.0, 0.0, 0.0]))
     tracemalloc.start()
     try:
@@ -267,13 +267,13 @@ def test_auto_matches_dense_on_shipped_scans(tmp_path, monkeypatch):
     real_lanczos = fiber._lanczos_sigma_min
     rel, lanczos, block_count = [], [], []
 
-    def recording(D):
-        lanczos.append(real_lanczos(D))
+    def recording(block, col_scale):
+        lanczos.append(real_lanczos(block, col_scale))
         return lanczos[-1]
 
     def against_dense(route):
         def solve(op, *args):
-            block_count.append(len(op.components))
+            block_count.append(len(block_rows(op)))
             got = route(op, *args)
             want = route(op, *args, method="dense")
             rel.append(abs(got - want) / want)
