@@ -28,7 +28,7 @@ import numpy as np
 
 from .clifford import CliffordRep, class_flags
 from .lattice import GRID_LIMIT, Lattice
-from .util import (check_unit, gauss_legendre_panels, golden_max,
+from .util import (brentq, check_unit, gauss_legendre_panels, golden_max,
                    orthonormal_complement, transverse_blocks, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
@@ -266,14 +266,27 @@ class MeasureSpec:
 
 def _plateau_density(h: float, h1: float, t: np.ndarray) -> np.ndarray:
     hi = 2.0 * math.pi * h1
-    lo = 2.0 * math.pi * h
     # enough panels to resolve the oscillation cos(p t) over [0, hi]
     tmax = float(np.max(np.abs(t))) if t.size else 1.0
     panels = int(max(24, math.ceil(1.5 * hi * max(tmax, 1.0) / (2.0 * math.pi)) + 8))
-    nodes, weights = gauss_legendre_panels(0.0, hi, panels)
-    vals = _bump_ramp((hi - nodes) / (hi - lo))
+    nodes, weighted = _plateau_rule(h, h1, panels)
     # 1/pi * integral of transform * cos(p t) dp
-    return (np.cos(np.outer(t, nodes)) @ (weights * vals)) / math.pi
+    return (np.cos(np.outer(t, nodes)) @ weighted) / math.pi
+
+
+# `_plateau_norm` asks for a few neighbouring panel counts per window as its
+# scan moves out in t, so a short memory serves nearly all of its calls
+@lru_cache(maxsize=16)
+def _plateau_rule(h: float, h1: float, panels: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 2 pi h1] and weights times transform (read-only)."""
+    hi = 2.0 * math.pi * h1
+    lo = 2.0 * math.pi * h
+    nodes, weights = gauss_legendre_panels(0.0, hi, panels)
+    weighted = weights * _bump_ramp((hi - nodes) / (hi - lo))
+    nodes.flags.writeable = False
+    weighted.flags.writeable = False
+    return nodes, weighted
 
 
 @lru_cache(maxsize=32)
@@ -284,8 +297,6 @@ def _plateau_norm(h: float, h1: float) -> float:
     bracketed sign changes and the sign-definite pieces are integrated
     separately.
     """
-    from scipy.optimize import brentq
-
     def point(t: float) -> float:
         return float(_plateau_density(h, h1, np.array([t]))[0])
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from .fields import (FourierField, MeasureSpec, averaged_potential,
                      coefficient_sum, sup_norm)
-from .util import check_unit, gauss_legendre_edges, gauss_legendre_panels
+from .util import (brentq, check_unit, gauss_legendre_edges,
+                   gauss_legendre_panels)
 
 # bessel_kernel_constant(cross_check=False)["constant"] for EtaSpec(), with
 # numpy 2.4.6 and scipy 1.17.1; test_gauge checks it against the function
@@ -221,8 +222,6 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
     """
     if not sample_step >= SAMPLE_STEP_MIN:
         raise ValueError(f"sample_step must be >= {SAMPLE_STEP_MIN}")
-    from scipy import optimize
-
     block = 5.0
     # radial profile, extended until the tail is negligible
     rmax = 4.0 * block
@@ -233,8 +232,8 @@ def bessel_kernel_constant(eta: EtaSpec = EtaSpec(), *,
         zeros = []
         signs = np.sign(gs)
         for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-            z = optimize.brentq(lambda r: float(radial_kernel(eta, np.array([r]))[0]),
-                                rs[i], rs[i + 1], xtol=1e-13)
+            z = brentq(lambda r: float(radial_kernel(eta, np.array([r]))[0]),
+                       rs[i], rs[i + 1], xtol=1e-13)
             zeros.append(z)
         breaks = np.concatenate([[0.0], zeros, [rmax]])
         pieces = []

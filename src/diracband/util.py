@@ -107,6 +107,69 @@ def golden_max(f: Callable[[float], float], a: float, b: float
     return x2, f2
 
 
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 100
+           ) -> float:
+    """A zero of f in the sign-changing bracket [a, b] by Brent's method.
+
+    Brent (1973), ch. 4, in the form of scipy's C `brentq`: the same bracket
+    swap, interpolation and extrapolation tests, step rule and stopping test
+    |half bracket| < (xtol + rtol |x|) / 2, in the same floating-point
+    operations, so it returns scipy's bits.  Raises ValueError when f(a) and
+    f(b) share a sign or f returns NaN, and RuntimeError after `maxiter`
+    steps without convergence.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # a zero denominator makes C's step inf or NaN, which fails the
+        # short-step test below: bisect
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                den = fcur - fpre
+                if den != 0.0:
+                    stry = -fcur * (xcur - xpre) / den
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {maxiter} iterations")
+
+
 def _usable_cores() -> int:
     """CPUs this process may run on (its affinity set where the OS has one)."""
     if hasattr(os, "sched_getaffinity"):

@@ -50,8 +50,8 @@ def test_traced_names_resolve():
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy serves only the kernel constant, the plateau norm and the
-    # sparse route for blocks over DENSE_BLOCK_ROWS; it loads inside them
+    # scipy serves only the kernel constant and the sparse route for blocks
+    # over DENSE_BLOCK_ROWS; it loads inside them
     code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
@@ -59,12 +59,16 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_dense_commands_load_no_scipy(tmp_path):
-    # every block of these shipped configs is solved dense, so their runs
-    # never load scipy
+def test_commands_other_than_kernel_constant_load_no_scipy(tmp_path):
+    # every block of these shipped configs is solved dense, and the plateau
+    # norm finds the density's zeros with util.brentq, so of the shipped
+    # configs only kernel.json loads scipy
     runs = [("bands", "free_bands"), ("verify-thomas", "thomas_documented"),
             ("verify-weighted", "weighted_split"),
-            ("verify-weighted", "weighted_floor")]
+            ("verify-weighted", "weighted_floor"),
+            ("check-condition", "condition"), ("gauge-bound", "gauge_bound"),
+            ("find-gamma", "pipeline_documented"),
+            ("find-gamma", "find_gamma_atoms")]
     code = "\n".join([
         "import os, sys",
         "from diracband import cli",

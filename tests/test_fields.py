@@ -221,6 +221,18 @@ def test_plateau_norm_frozen_and_quadrature():
     assert abs(2.0 * total_signed - 1.0) < 1e-7
 
 
+def test_plateau_rule_cache_is_bounded_and_read_only():
+    # density calls with one panel count share the cached rule's arrays
+    assert fields._plateau_rule.cache_info().maxsize is not None
+    mu = MeasureSpec.plateau(0.5, 1.5)
+    t = np.array([0.3, 7.0])  # ceil(1.5 * h1 * 7) + 8 = 24 panels
+    before = mu.density(t)
+    for arr in fields._plateau_rule(0.5, 1.5, 24):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert np.array_equal(mu.density(t), before)
+
+
 def test_density_transform_pair():
     # density and transform must be Fourier partners at interior points too
     mu = MeasureSpec.plateau(0.5, 1.5)

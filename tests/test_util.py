@@ -1,15 +1,21 @@
-"""Shared helpers: the worker cap, errors and clean exit of the parallel map."""
+"""Shared helpers: the worker cap, errors and clean exit of the parallel map,
+and Brent's root finder against scipy's."""
 
 import concurrent.futures
+import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
-from diracband import util
+from diracband import fields, util
+from golden import regenerate as golden
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -101,3 +107,68 @@ def test_pmap_forks_after_threaded_blas_without_hanging():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def _seeded_brackets(count: int, seed: int = 11) -> list:
+    """(f, a, b): products of 2-7 linear factors, one root inside [a, b]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        roots = rng.uniform(-3.0, 3.0, int(rng.integers(2, 8)))
+        gap = float(np.min(np.abs(roots[1:] - roots[0])))
+        a, b = roots[0] - gap * rng.uniform(0.05, 0.95, 2) * [1.0, -1.0]
+        scale = float(rng.uniform(0.1, 10.0))
+        cases.append((lambda x, r=roots, k=scale: k * float(np.prod(x - r)),
+                      float(a), float(b)))
+    return cases
+
+
+def _plateau_brackets(monkeypatch, h: float, h1: float) -> list:
+    """The (f, a, b) that `_plateau_norm(h, h1)` hands its root finder."""
+    seen = []
+
+    def record(f, a, b, xtol):
+        seen.append((f, a, b))
+        return util.brentq(f, a, b, xtol)
+
+    monkeypatch.setattr(fields, "brentq", record)
+    fields._plateau_norm.__wrapped__(h, h1)
+    monkeypatch.undo()
+    return seen
+
+
+def test_brentq_returns_scipys_root(monkeypatch):
+    # bit for bit where the machine matches the goldens' environment; scipy's
+    # C may be compiled with FMA contraction elsewhere, and there each root
+    # still ends in a bracket of width under xtol + rtol |x| around the zero,
+    # so the two differ by at most twice that
+    with open(Path(golden.HERE) / "ENV.json", encoding="utf-8") as fh:
+        exact = json.load(fh) == golden.environment()
+    cases = [(c, 1e-13) for c in _plateau_brackets(monkeypatch, 0.4, 0.9)]
+    assert len(cases) > 50
+    cases += [(c, xtol) for c in _seeded_brackets(1000)
+              for xtol in (1e-13, 2e-12, 1e-6)]
+    rtol = 4.0 * sys.float_info.epsilon
+    for (f, a, b), xtol in cases:
+        want = scipy_brentq(f, a, b, xtol=xtol)
+        got = util.brentq(f, a, b, xtol)
+        if exact:
+            assert got == want, (a, b, xtol)
+        else:
+            assert abs(got - want) <= 2.0 * (xtol + rtol * abs(want)), (a, b)
+
+
+def test_brentq_refuses_what_scipys_refuses():
+    cases = [
+        # f(a) and f(b) of one sign
+        (ValueError, lambda x: x * x + 1.0, -1.0, 1.0, 100),
+        # a NaN inside the bracket, where the first secant step lands
+        (ValueError, lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5,
+         0.0, 1.0, 100),
+        (RuntimeError, lambda x: x ** 3 - 0.3, 0.0, 1.0, 2),
+    ]
+    for error, f, a, b, maxiter in cases:
+        with pytest.raises(error):
+            scipy_brentq(f, a, b, xtol=1e-12, maxiter=maxiter)
+        with pytest.raises(error):
+            util.brentq(f, a, b, 1e-12, maxiter=maxiter)
