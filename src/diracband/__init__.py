@@ -7,9 +7,9 @@ damped and weighted) together with the gauge and direction-search machinery
 those checks rest on.
 """
 
-from .bands import BandSheet, band_sweep, free_band_values, nonconstancy_report
+from .bands import BandSheet, band_sweep, nonconstancy_report
 from .clifford import (CliffordRep, build_clifford, class_flags,
-                       clifford_contraction, projector)
+                       clifford_contraction)
 from .fiber import (FiberPoint, ModeSet, TruncatedDiracOperator, assemble,
                     eigenvalues, g_factors, sigma_min, sigma_min_probe, symbol,
                     weighted_sigma_min)
@@ -28,9 +28,8 @@ from .verify import (condition_chain_pipeline, k_face_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandSheet", "band_sweep", "free_band_values", "nonconstancy_report",
+    "BandSheet", "band_sweep", "nonconstancy_report",
     "CliffordRep", "build_clifford", "class_flags", "clifford_contraction",
-    "projector",
     "FiberPoint", "ModeSet", "TruncatedDiracOperator", "assemble",
     "eigenvalues", "g_factors", "sigma_min", "sigma_min_probe", "symbol",
     "weighted_sigma_min",

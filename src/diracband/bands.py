@@ -6,11 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordRep
-from .fiber import (FiberPoint, ModeSet, assemble, axial_transverse,
-                    check_dense_dim, eigenvalues, g_table, potential_stencil)
+from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
+                    eigenvalues, potential_stencil)
 from .fields import PotentialSet
-from .lattice import Lattice
 from .util import check_unit, pmap
 
 
@@ -93,19 +91,3 @@ def nonconstancy_report(sheet: BandSheet, energy_window: tuple[float, float],
         "cutoff": sheet.cutoff,
         "mode_count": sheet.mode_count,
     }
-
-
-def free_band_values(lattice: Lattice, rep: CliffordRep, k: np.ndarray,
-                     cutoff: float, mass: float = 0.0) -> np.ndarray:
-    """Closed-form fiber spectrum for zero (or constant-mass) potential.
-
-    Per window mode the eigenvalues are +-sqrt(|k + 2 pi N|^2 + mass^2), each
-    with multiplicity M/2; returned ascending for direct comparison with the
-    dense eigensolver.
-    """
-    modes = ModeSet.from_cutoff(lattice, cutoff)
-    # unshifted, g_minus = g_plus = |k + 2 pi N| whatever the direction e
-    fiber = FiberPoint(k=k, e=np.eye(lattice.n)[0])
-    radii = g_table(axial_transverse(modes, fiber), fiber.kappa)[:, 0]
-    roots = np.hypot(radii, mass)
-    return np.sort(np.repeat(np.concatenate([-roots, roots]), rep.M // 2))

@@ -71,10 +71,6 @@ def build_clifford(n: int) -> CliffordRep:
     return CliffordRep(n=n, M=2 ** m, alphas=alphas)
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def clifford_contraction(rep: CliffordRep, v: np.ndarray) -> np.ndarray:
     """Sum v_j alpha_j over the first n generators; v may be complex."""
     v = np.asarray(v)
@@ -99,24 +95,3 @@ def class_flags(L: np.ndarray, rep: CliffordRep, tol: float = 1e-12
         np.max(np.abs(L @ a + a @ L)) <= tol for a in rep.alphas[: rep.n]
     )
     return commutes, anticommutes
-
-
-def projector(e: np.ndarray, et: np.ndarray, sign: int, rep: CliffordRep
-              ) -> np.ndarray:
-    """Spin projector attached to an orthonormal pair (e, et).
-
-    For sign=+1 returns (I - i a(e) a(et)) / 2 and for sign=-1 the complement,
-    where a(v) is the Clifford contraction of v.  Both are orthogonal
-    projections of rank M/2, and they pinch the free symbol to zero when `et`
-    is the radial direction transverse to `e`.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    e = np.asarray(e, dtype=float)
-    et = np.asarray(et, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-12 or abs(np.linalg.norm(et) - 1.0) > 1e-12:
-        raise ValueError("e and et must be unit vectors")
-    if abs(np.dot(e, et)) > 1e-12:
-        raise ValueError("e and et must be orthogonal")
-    q = 1.0j * clifford_contraction(rep, e) @ clifford_contraction(rep, et)
-    return 0.5 * (rep.identity - sign * q)

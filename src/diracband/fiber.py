@@ -36,13 +36,11 @@ each with multiplicity M/2.  These factors also drive the weighted
 lower-bound checks.  Every solver works on the blocks: the eigenvalues are
 the sorted union of theirs and sigma_min the smallest of theirs.  The
 smallest singular value has two routes: method="auto" takes the closed form
-when the potential is empty and otherwise the LAPACK SVD of each block of
-at most DENSE_BLOCK_ROWS rows, or sparse LU plus Lanczos (ARPACK) on the
-inverse Gram operator of a larger block; method="dense" is the LAPACK SVD
-of every block, the reference the other routes are checked against.  Only
-that sparse route loads scipy.  Dense solves set numpy's OpenBLAS to one
-thread, for the rest of the process, so their bits do not depend on the
-thread count.
+when the potential is empty and otherwise the LAPACK SVD of the blocks, one
+stacked call per block size; method="dense" is the LAPACK SVD of every
+block also for an empty potential, the reference the closed form is checked
+against.  Dense solves set numpy's OpenBLAS to one thread, for the rest of
+the process, so their bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -62,20 +60,6 @@ from .lattice import Lattice
 from .util import blas_single_threaded, check_unit
 
 DENSE_LIMIT = 4096
-# Lanczos basis size of the sparse route: ARPACK's default of 20 stalls on
-# the near-degenerate clusters of sigma_min that shifted fibers have
-LANCZOS_NCV = 40
-# ARPACK restarts before the sparse route gives up and falls back to dense
-# (ARPACK's default, 10 times the dimension, lets a stalled node run for
-# thousands of matvecs); no node of the shipped scans needs more than 10
-LANCZOS_MAXITER = 100
-# Largest diagonal block the auto route solves by dense SVD rather than by
-# the sparse route.  On thomas_documented.json's blocks at cutoffs 20, 23,
-# 26 and 30, with one BLAS thread, the dense SVD took 3.4-4.0, 5.1-5.8,
-# 8.1-10.3 and 12.8-16.5 ms at 148, 180, 228 and 276 rows, and the sparse
-# route, CSC conversion of the dense block included, 7.2-8.4, 7.6-7.9,
-# 8.2-9.4 and 9.8-11.9 ms (per-block medians over 18 nodes, 3 runs)
-DENSE_BLOCK_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -424,7 +408,7 @@ def _before_dense_solve(op: TruncatedDiracOperator) -> None:
     set numpy's BLAS to one thread, for the solve that follows and for the
     rest of the process."""
     check_dense_dim(op.dim)
-    blas_single_threaded("numpy")
+    blas_single_threaded()
 
 
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
@@ -461,61 +445,12 @@ def check_dense_dim(dim: int) -> None:
             "reduce the cutoff")
 
 
-def _lanczos_sigma_min(block: np.ndarray, col_scale: np.ndarray
-                       ) -> Optional[float]:
-    """sigma_min(D) = lambda_max((D^H D)^{-1})^(-1/2) by sparse LU and ARPACK.
-
-    D is the CSC matrix of the dense `block`'s nonzeros with column j
-    multiplied by col_scale[j], the same product per entry as scaling the
-    dense block, without a scaled copy of it.  ARPACK runs on
-    x -> D^{-1} D^{-H} x with k = 1 (sigma_min is degenerate, multiplicity
-    M/2 in the free case), tol = 0, LANCZOS_NCV basis vectors, at most
-    LANCZOS_MAXITER restarts, a fixed start vector, a fixed seed for the
-    vectors ARPACK draws when its Krylov space turns invariant and scipy's
-    BLAS on one thread, so reruns give the same bits.  Returns None when
-    `splu` finds D singular, ARPACK does not converge, or the singular
-    triplet (u, sigma, v) with u = Dv / |Dv| misses the residual check
-    |D^H u - sigma v| <= 1e-10 max(sigma, 1).
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
-                                     eigsh, splu)
-
-    blas_single_threaded("scipy")
-    D = sp.csc_array(block)
-    D.data *= np.repeat(col_scale, np.diff(D.indptr))
-    try:
-        lu = splu(D)
-    except RuntimeError:  # exactly singular
-        return None
-    dim = D.shape[0]
-    inverse_gram = LinearOperator(
-        (dim, dim), dtype=complex,
-        matvec=lambda x: lu.solve(lu.solve(x, trans="H")))
-    try:
-        lam, vecs = eigsh(inverse_gram, k=1, which="LM", tol=0,
-                          v0=np.ones(dim, dtype=complex),
-                          ncv=min(dim, LANCZOS_NCV), maxiter=LANCZOS_MAXITER,
-                          rng=0)
-    except ArpackNoConvergence:
-        return None
-    sigma = float(lam[0]) ** -0.5
-    v = vecs[:, 0]
-    Dv = D @ v
-    u = Dv / np.linalg.norm(Dv)
-    residual = float(np.linalg.norm(D.conj().T @ u - sigma * v))
-    if not residual <= 1e-10 * max(sigma, 1.0):
-        return None
-    return sigma
-
-
 def sigma_min(op: TruncatedDiracOperator, method: str = "auto") -> float:
     """Smallest singular value of the truncated fiber.
 
     `weighted_sigma_min` with unit weights, which leave every route's bits
-    unchanged: the closed form when the potential is empty, otherwise the
-    dense SVD or sparse LU plus Lanczos per diagonal block, by its size
-    (method="auto"), or the dense LAPACK reference (method="dense").
+    unchanged: the closed form when the potential is empty (method="auto"),
+    otherwise the LAPACK SVD of the diagonal blocks.
     """
     return weighted_sigma_min(op, np.ones(len(op.modes)), method)
 
@@ -526,17 +461,14 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
 
     Equivalently the smallest singular value of D W^{-1} (W is the diagonal
     weight, one positive entry per mode, repeated across the M spin
-    components).  Every route takes the minimum over the fiber's diagonal
-    blocks, which W commutes with.  method="auto" uses the exact per-mode
-    factors, min g_minus / weight, when the potential is empty; otherwise it
-    takes one stacked LAPACK SVD per size for the blocks of at most
-    DENSE_BLOCK_ROWS rows, and sparse LU plus Lanczos on each column-scaled
-    block of D W^{-1} for the larger ones, falling back to the dense SVD
-    when that route cannot vouch for its value (see `_lanczos_sigma_min`).
-    method="dense" forces the LAPACK SVD of every block, the reference
-    route.  Dense solves are refused over DENSE_LIMIT, and set numpy's
-    OpenBLAS to one thread for the rest of the process, as the sparse route
-    does scipy's.
+    components).  method="auto" uses the exact per-mode factors,
+    min g_minus / weight, when the potential is empty.  Otherwise, and
+    always for method="dense", the reference, it is the minimum over the
+    fiber's diagonal blocks, which W commutes with: one stacked LAPACK SVD
+    of the column-scaled blocks of D W^{-1} per block size, each value
+    within p(size) eps |block|_2 of the block's exact one (LAPACK Users'
+    Guide, section 4.9).  Dense solves are refused over DENSE_LIMIT, and
+    set numpy's OpenBLAS to one thread for the rest of the process.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -547,21 +479,11 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("method must be 'auto' or 'dense'")
     if method == "auto" and op.pot.is_empty:
         return float(np.min(op.mode_g_factors()[:, 0] / weights))
+    _before_dense_solve(op)
     scale = np.repeat(1.0 / weights, op.pot.rep.M)
-    best = math.inf
-    for rows, stack in op.blocks:
-        if method == "auto" and rows.shape[1] > DENSE_BLOCK_ROWS:
-            sigmas = [_lanczos_sigma_min(block, scale[r])
-                      for r, block in zip(rows, stack)]
-            best = min([best] + [s for s in sigmas if s is not None])
-            failed = [s is None for s in sigmas]
-            rows, stack = rows[failed], stack[failed]
-        if len(stack):
-            _before_dense_solve(op)
-            sigmas = np.linalg.svd(stack * scale[rows][:, None, :],
-                                   compute_uv=False)[:, -1]
-            best = min(best, float(np.min(sigmas)))
-    return best
+    return min(float(np.min(np.linalg.svd(stack * scale[rows][:, None, :],
+                                          compute_uv=False)[:, -1]))
+               for rows, stack in op.blocks)
 
 
 def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import glob
-import importlib
 import math
 import os
 import sys
@@ -188,22 +187,15 @@ def _pmap_chunk(lo: int, hi: int) -> list:
     return [fn(x) for x in items[lo:hi]]
 
 
-def _pmap_worker_init() -> None:
-    for package in ("numpy", "scipy"):
-        if package in sys.modules:  # the sparse route pins scipy's itself
-            blas_single_threaded(package)
-
-
 def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """Order-preserving map, optionally on forked worker processes.
 
     The pool gets at most one worker per item and per usable core, whatever
-    `threads` asks for, and each worker runs numpy's BLAS on one thread, and
-    scipy's where scipy is loaded.  `fn` and the items reach the workers by
-    fork inheritance, in contiguous chunks of indices, so only the results
-    are pickled; `fn` may be a closure.  Results are collected in input
-    order regardless of completion order, so reports stay deterministic for
-    any worker count.
+    `threads` asks for, and each worker runs numpy's BLAS on one thread.
+    `fn` and the items reach the workers by fork inheritance, in contiguous
+    chunks of indices, so only the results are pickled; `fn` may be a
+    closure.  Results are collected in input order regardless of completion
+    order, so reports stay deterministic for any worker count.
     An exception in a worker is raised here, without waiting for the chunks
     not yet started.  Where the platform cannot fork, the map runs serially.
     The workers are joined before returning.
@@ -223,7 +215,7 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
-                initializer=_pmap_worker_init) as pool:
+                initializer=blas_single_threaded) as pool:
             chunks = [pool.submit(_pmap_chunk, lo, lo + size)
                       for lo in range(0, len(items), size)]
             try:
@@ -236,21 +228,18 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
 
 
 @lru_cache(maxsize=None)
-def blas_single_threaded(package: str) -> None:
-    """Run the OpenBLAS bundled with `package` ("numpy" or "scipy") on one thread.
+def blas_single_threaded() -> None:
+    """Run the OpenBLAS bundled with numpy on one thread.
 
-    The two wheels each bundle a library of their own.  ARPACK
-    (`scipy.sparse.linalg.eigsh`) calls scipy's, and with more than one
-    thread its iterates, and so the last bits of the eigenvalues it returns,
-    vary from run to run; `pmap` workers set both, so that workers times
-    BLAS threads stay within the cores.  Runs once per process and package;
-    changes nothing when the package bundles no OpenBLAS (builds against a
-    system BLAS).
+    With more than one thread a LAPACK call's last bits can depend on the
+    thread count; `pmap` workers set it too, so that workers times BLAS
+    threads stay within the cores.  Runs once per process; changes nothing
+    when numpy bundles no OpenBLAS (builds against a system BLAS).
     """
-    base = os.path.dirname(importlib.import_module(package).__file__)
+    base = os.path.dirname(np.__file__)
     for path in sorted(glob.glob(os.path.join(base + ".libs", "*openblas*")) +
                        glob.glob(os.path.join(base, ".dylibs", "*openblas*"))):
-        lib = ctypes.CDLL(path)  # the copy the package has loaded already
+        lib = ctypes.CDLL(path)  # the copy numpy has loaded already
         for name in ("scipy_openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads"):

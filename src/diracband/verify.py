@@ -4,13 +4,11 @@ Everything in this module produces EMPIRICAL certificates: statements about
 truncations of the fiber operators on explicit mode windows and
 quasimomentum grids, never proofs.  Smallest singular values take the
 "auto" route of `fiber.sigma_min`: the closed form for potential-free
-fibers; otherwise, per diagonal block, one stacked LAPACK SVD for the blocks
-of at most DENSE_BLOCK_ROWS rows (every block of the shipped configs) and
-sparse LU plus Lanczos for larger ones.  Dense LAPACK on every block is the
-reference it is tested against.  Every check returns its report as a
-JSON-ready dict, the keys the CLI writes, with an EMPIRICAL verdict, and so
-do the searches and brackets they build on (`lattice.find_gamma`,
-`lattice.check_gamma`, `fields.condition_value`).  Reports carry the
+fibers, otherwise one stacked LAPACK SVD of the diagonal blocks per block
+size.  Every check returns its report as a JSON-ready dict, the keys the
+CLI writes, with an EMPIRICAL verdict, and so do the searches and brackets
+they build on (`lattice.find_gamma`, `lattice.check_gamma`,
+`fields.condition_value`).  Reports carry the
 truncation metadata (cutoff, mode count, grids) and, where asked for, a
 randomized lower-bound probe and a cutoff refinement.
 
@@ -135,11 +133,10 @@ class _Face:
 
         Without `weights` each node gives sigma_min(D); otherwise
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
-        closed-form route; any other the dense or the sparse route per
-        diagonal block, and the sparse route falls back to dense, so its size
-        is checked against the dense limit before the first fiber is
-        assembled.  The window's potential stencil is built
-        here, before the nodes fan out to `pmap`'s workers.
+        closed-form route and any other the dense SVD of its diagonal blocks,
+        so its size is checked against the dense limit before the first
+        fiber is assembled.  The window's potential stencil is built here,
+        before the nodes fan out to `pmap`'s workers.
         """
         modes = ModeSet.from_cutoff(self.pot.lattice, cutoff)
         if not self.pot.is_empty:

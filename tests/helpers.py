@@ -11,8 +11,49 @@ import math
 import numpy as np
 
 from diracband import FourierField, Lattice, MeasureSpec, PotentialSet
+from diracband.clifford import clifford_contraction
+from diracband.fiber import FiberPoint, ModeSet, axial_transverse, g_table
 from diracband.util import gauss_legendre_panels
 from diracband.verify import sobolev_direction_measure
+
+
+def anticommutator(a, b):
+    return a @ b + b @ a
+
+
+def projector(e, et, sign, rep):
+    """Spin projector attached to an orthonormal pair (e, et).
+
+    For sign=+1 returns (I - i a(e) a(et)) / 2 and for sign=-1 the complement,
+    where a(v) is the Clifford contraction of v.  Both are orthogonal
+    projections of rank M/2, and they pinch the free symbol to zero when `et`
+    is the radial direction transverse to `e`.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    e = np.asarray(e, dtype=float)
+    et = np.asarray(et, dtype=float)
+    if abs(np.linalg.norm(e) - 1.0) > 1e-12 or abs(np.linalg.norm(et) - 1.0) > 1e-12:
+        raise ValueError("e and et must be unit vectors")
+    if abs(np.dot(e, et)) > 1e-12:
+        raise ValueError("e and et must be orthogonal")
+    q = 1.0j * clifford_contraction(rep, e) @ clifford_contraction(rep, et)
+    return 0.5 * (rep.identity - sign * q)
+
+
+def free_band_values(lattice, rep, k, cutoff, mass=0.0):
+    """Closed-form fiber spectrum for zero (or constant-mass) potential.
+
+    Per window mode the eigenvalues are +-sqrt(|k + 2 pi N|^2 + mass^2), each
+    with multiplicity M/2; returned ascending for direct comparison with the
+    dense eigensolver.
+    """
+    modes = ModeSet.from_cutoff(lattice, cutoff)
+    # unshifted, g_minus = g_plus = |k + 2 pi N| whatever the direction e
+    fiber = FiberPoint(k=k, e=np.eye(lattice.n)[0])
+    radii = g_table(axial_transverse(modes, fiber), fiber.kappa)[:, 0]
+    roots = np.hypot(radii, mass)
+    return np.sort(np.repeat(np.concatenate([-roots, roots]), rep.M // 2))
 
 
 def block_rows(op):

@@ -15,8 +15,7 @@ import pytest
 
 from diracband import config as cfg
 from diracband.bands import band_sweep
-from diracband.clifford import (anticommutator, build_clifford,
-                                clifford_contraction, projector)
+from diracband.clifford import build_clifford, clifford_contraction
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               averaged_potential, zero_field)
 from diracband.fiber import (FiberPoint, ModeSet, assemble, g_factors,
@@ -28,8 +27,8 @@ from diracband.util import orthonormal_complement
 from diracband.verify import condition_chain_pipeline, verify_thomas_bound, \
     weighted_floor
 from golden import regenerate as golden
-from helpers import (average_by_quadrature, brute_force_gamma,
-                     random_real_vector_field)
+from helpers import (anticommutator, average_by_quadrature, brute_force_gamma,
+                     projector, random_real_vector_field)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")

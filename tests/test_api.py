@@ -50,8 +50,7 @@ def test_traced_names_resolve():
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    # scipy serves only the kernel constant and the sparse route for blocks
-    # over DENSE_BLOCK_ROWS; it loads inside them
+    # scipy serves only the kernel constant, and loads inside it
     code = ("import sys, diracband.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from diracband import Lattice, build_clifford
-from diracband.bands import (BandSheet, band_sweep, free_band_values,
-                             nonconstancy_report)
+from diracband.bands import BandSheet, band_sweep, nonconstancy_report
 from diracband.fiber import FiberPoint, ModeSet, assemble
 from diracband.fields import FourierField, PotentialSet, zero_field
-from helpers import block_rows, chiral_potential
+from helpers import block_rows, chiral_potential, free_band_values
 
 E_X = np.array([1.0, 0.0, 0.0])
 CUTOFF = 2.0 * math.pi * 1.5

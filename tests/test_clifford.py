@@ -3,10 +3,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from diracband import (build_clifford, class_flags, clifford_contraction,
-                       projector)
-from diracband.clifford import anticommutator
+from diracband import build_clifford, class_flags, clifford_contraction
 from diracband.util import complete_orthonormal
+from helpers import anticommutator, projector
 
 TOL = 1e-12
 

@@ -9,18 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from diracband import build_clifford, config, fiber
+from diracband import build_clifford, fiber
 from diracband.clifford import PAULI_X, PAULI_Z
 from diracband.fiber import (FiberPoint, ModeSet, assemble, axial_transverse,
                              eigenvalues, g_factors, sigma_min,
                              sigma_min_probe, symbol, weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
-from diracband.verify import k_face_grid
 from helpers import (block_rows, chiral_potential, fft_apply_oracle,
                      random_real_vector_field)
 
@@ -245,9 +243,8 @@ def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
     assert abs(auto - sigma_min(free, method="dense")) < 1e-10 * max(1.0, auto)
 
     op = assemble(modes, fib, small_potential(lat3, rep3, rng))
-    s_auto = sigma_min(op)  # sparse LU plus Lanczos
-    s_dense = sigma_min(op, method="dense")
-    assert abs(s_auto - s_dense) <= 1e-12 * s_dense
+    # with a potential both routes are the LAPACK SVD of the diagonal blocks
+    assert sigma_min(op) == sigma_min(op, method="dense")
 
     with pytest.raises(ValueError):
         sigma_min(op, method="qr")
@@ -395,12 +392,11 @@ def keyed_potential(lat, rep, rng, keys):
                      dim=rep.M, hermitian=True), rep)
 
 
-@pytest.mark.parametrize("dense_rows", [fiber.DENSE_BLOCK_ROWS, 0])
+@pytest.mark.parametrize("probes", [200])
 @pytest.mark.parametrize("span", ["lattice", "plane", "index2", "mean"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_component_routes_match_whole_fiber(n, span, dense_rows, rng,
+def test_component_routes_match_whole_fiber(n, span, probes, rng,
                                             monkeypatch):
-    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", dense_rows)
     lat, rep = Lattice.cubic(n), build_clifford(n)
     axes = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     keys = {"lattice": axes, "plane": axes[:2],
@@ -478,6 +474,10 @@ def test_component_routes_match_whole_fiber(n, span, dense_rows, rng,
         for method in ("auto", "dense"):
             got = weighted_sigma_min(op, w, method)
             assert abs(got - want) <= 1e-12 * want, method
+    # from the inequality side: no random unit vector of the whole fiber
+    # goes below the blocks' minimum
+    s = sigma_min(op)
+    assert sigma_min_probe(op, count=probes) >= s * (1.0 - 1e-12)
     flat = assemble(modes, FiberPoint(k=k, e=e), pot)
     want = np.linalg.eigvalsh(flat.matrix)
     got = eigenvalues(flat)
@@ -497,118 +497,44 @@ def test_block_over_dense_limit_is_refused(lat3, rep3, rng, monkeypatch):
     assert max(len(rows) for rows in block_rows(free)) == rep3.M
 
 
-def test_sparse_route_falls_back_to_dense(lat3, rep3, rng, monkeypatch):
-    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", 0)  # every block sparse
-    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
-    op = assemble(modes, random_fiber(rng, kappa=3.0),
-                  small_potential(lat3, rep3, rng))
-    w = rng.uniform(0.5, 2.0, size=len(modes))
-    dense = sigma_min(op, method="dense")
-    dense_w = weighted_sigma_min(op, w, method="dense")
-    real_eigsh = scipy.sparse.linalg.eigsh
-    calls = []
-
-    def singular(*args, **kwargs):
-        calls.append("splu")
-        raise RuntimeError("Factor is exactly singular")
-
-    def no_convergence(*args, **kwargs):
-        calls.append("eigsh")
-        raise ArpackNoConvergence("no convergence", np.zeros(0),
-                                  np.zeros((0, 0)))
-
-    def wrong_vector(*args, **kwargs):
-        # the right eigenvalue with a vector that is no singular vector
-        calls.append("residual")
-        lam, vecs = real_eigsh(*args, **kwargs)
-        return lam, np.ones_like(vecs) / math.sqrt(vecs.shape[0])
-
-    for name, fake in (("splu", singular), ("eigsh", no_convergence),
-                       ("eigsh", wrong_vector)):
-        with monkeypatch.context() as m:
-            m.setattr(scipy.sparse.linalg, name, fake)
-            del calls[:]
-            assert sigma_min(op) == dense
-            assert weighted_sigma_min(op, w) == dense_w
-            # one failed sparse attempt per block and call
-            assert len(calls) == 2 * len(block_rows(op))
-            # the fallback is dense, so it keeps the dense limit
-            m.setattr(fiber, "DENSE_LIMIT", 4)
-            with pytest.raises(ValueError, match="exceeds the dense limit"):
-                sigma_min(op)
-
-
-def one_block(rows, cols, dim):
-    """`fiber._components` stand-in that keeps the whole fiber as one block."""
-    return (np.arange(dim),)
-
-
-def test_sparse_route_repeats_its_bits(monkeypatch):
-    # a weighted-floor node of the shipped config whose ARPACK iterates
-    # depended on the thread count of scipy's BLAS: reruns give one value.
-    # Its potential is a mean, so its own blocks are one mode each and go
-    # to the dense SVD; it is solved here as one block, which the auto
-    # route sends to ARPACK
+def test_connected_block_takes_the_lapack_svd():
+    # a thomas_documented.json node solved as one block of 588 rows: both
+    # routes give the bits of the LAPACK SVD of the whole dense fiber, and
+    # no solve loads scipy
     root = Path(__file__).resolve().parents[1]
-    p = config.parse_verify_weighted(
-        config.load_file(str(root / "configs" / "weighted_floor.json")))
-    lat, gc = p["lattice"], p["gamma"]
-    g = lat.point(gc)
-    modes = ModeSet.from_cutoff(lat, p["cutoff"])
-    k = k_face_grid(lat, gc, p["k_points_per_axis"])[1]
-    monkeypatch.setattr(fiber, "_components", one_block)
-    op = assemble(modes,
-                  FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][1]),
-                  p["pot"])
-    assert len(block_rows(op)) == 1 and op.dim > fiber.DENSE_BLOCK_ROWS
-    real_lanczos = fiber._lanczos_sigma_min
-    lanczos = []
-
-    def recording(block, col_scale):
-        lanczos.append(real_lanczos(block, col_scale))
-        return lanczos[-1]
-
-    monkeypatch.setattr(fiber, "_lanczos_sigma_min", recording)
-    w = op.mode_g_factors()[:, 0]
-    assert len({repr(weighted_sigma_min(op, w)) for _ in range(4)}) == 1
-    # every value came from ARPACK, none from the dense fallback
-    assert len(lanczos) == 4 and None not in lanczos
-
-
-def test_sparse_route_caps_arpack_restarts(monkeypatch):
-    # a thomas_documented.json node whose Lanczos run does not settle with
-    # ARPACK's default basis of 20 on the whole fiber: after LANCZOS_MAXITER
-    # restarts the route gives up and returns the dense value.  The fiber's
-    # own blocks each settle, so it is solved here as one block of 588 rows,
-    # which the auto route sends to ARPACK
-    root = Path(__file__).resolve().parents[1]
-    p = config.parse_verify_thomas(
-        config.load_file(str(root / "configs" / "thomas_documented.json")))
-    lat, gc = p["lattice"], p["gamma"]
-    g = lat.point(gc)
-    k = k_face_grid(lat, gc, p["k_points_per_axis"])[6]
-    monkeypatch.setattr(fiber, "_components", one_block)
-    op = assemble(ModeSet.from_cutoff(lat, p["cutoff"]),
-                  FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p["kappas"][2]),
-                  p["pot"])
-    assert len(block_rows(op)) == 1 and op.dim > fiber.DENSE_BLOCK_ROWS
-    real_splu = scipy.sparse.linalg.splu
-    solves = []
-
-    class CountingLU:
-        def __init__(self, D):
-            self.lu = real_splu(D)
-
-        def solve(self, x, trans="N"):
-            solves.append(trans)
-            return self.lu.solve(x, trans=trans)
-
-    monkeypatch.setattr(fiber, "LANCZOS_NCV", 20)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
-    assert sigma_min(op) == sigma_min(op, method="dense")
-    # two solves per matvec, at most 20 matvecs for the start and for each
-    # of the 100 restarts; without the cap this node took 16,426 solves
-    assert 0 < len(solves) <= 2 * 20 * 101
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from diracband import config, fiber",
+        "from diracband.fiber import (FiberPoint, ModeSet, assemble, "
+        "sigma_min, weighted_sigma_min)",
+        "from diracband.verify import k_face_grid",
+        "p = config.parse_verify_thomas(config.load_file(%r))"
+        % str(root / "configs" / "thomas_documented.json"),
+        "lat, gc = p['lattice'], p['gamma']",
+        "g = lat.point(gc)",
+        "k = k_face_grid(lat, gc, p['k_points_per_axis'])[6]",
+        "# the whole fiber as one block",
+        "fiber._components = lambda rows, cols, dim: (np.arange(dim),)",
+        "op = assemble(ModeSet.from_cutoff(lat, p['cutoff']), "
+        "FiberPoint(k=k, e=g / np.linalg.norm(g), kappa=p['kappas'][2]), "
+        "p['pot'])",
+        "assert [rows.shape for rows, _ in op.blocks] == [(1, 588)]",
+        "w = op.mode_g_factors()[:, 0]",
+        "scale = np.repeat(1.0 / w, op.pot.rep.M)",
+        "for got, matrix in ((sigma_min(op), op.matrix),",
+        "                    (weighted_sigma_min(op, w), op.matrix * scale)):",
+        "    want = np.linalg.svd(matrix, compute_uv=False)[-1]",
+        "    assert got == want, (got, want)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] +
+        ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_g_factors_independent_of_blas_kernel():

@@ -33,8 +33,8 @@ def run_cli(args, tmp_path, name, **env_extra):
      "--cutoff", "12", "--seed", "3"],
 ], ids=["weighted_floor", "weighted_floor_cutoff_12", "thomas_cutoff_12"])
 def test_reruns_repeat_under_another_blas_kernel(args, tmp_path):
-    # each of these gave a different report on every run under this kernel
-    # while its fibers went through ARPACK
+    # under this kernel these reports repeat only while every fiber is
+    # solved by the dense SVD with numpy's BLAS on one thread
     runs = [run_cli(args, tmp_path, f"run{i}", OPENBLAS_CORETYPE="Prescott")
             for i in range(2)]
     assert runs[0] == runs[1]

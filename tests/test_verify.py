@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracband import (Lattice, bands, build_clifford, cli, config, fiber,
+from diracband import (Lattice, bands, build_clifford, config, fiber,
                        verify)
 from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
@@ -17,7 +17,7 @@ from diracband.gauge import default_kernel_constant
 from diracband.verify import (condition_chain_pipeline, k_face_grid,
                               sobolev_direction_measure, verify_thomas_bound,
                               verify_weighted_split, weighted_floor)
-from helpers import block_rows, random_real_vector_field
+from helpers import random_real_vector_field
 
 KERNEL_C = 1.7058460118707472
 GAMMA = (1, 0, 0)
@@ -256,47 +256,6 @@ def test_free_scan_allocates_no_dense_fiber():
     assert peak < 50e6
     assert len(out["rows"]) == 16
     assert all(r["ratio"] == 1.0 for r in out["rows"])
-
-
-def test_auto_matches_dense_on_shipped_scans(tmp_path, monkeypatch):
-    # every node of the shipped shifted-fiber configs: the sparse route
-    # against the dense LAPACK reference, with the scans' own weights.
-    # Their blocks are all small enough for the dense SVD, so the row
-    # limit is 0 here and every block of every node goes to ARPACK
-    monkeypatch.setattr(fiber, "DENSE_BLOCK_ROWS", 0)
-    real_lanczos = fiber._lanczos_sigma_min
-    rel, lanczos, block_count = [], [], []
-
-    def recording(block, col_scale):
-        lanczos.append(real_lanczos(block, col_scale))
-        return lanczos[-1]
-
-    def against_dense(route):
-        def solve(op, *args):
-            block_count.append(len(block_rows(op)))
-            got = route(op, *args)
-            want = route(op, *args, method="dense")
-            rel.append(abs(got - want) / want)
-            return got
-        return solve
-
-    monkeypatch.setattr(fiber, "_lanczos_sigma_min", recording)
-
-    monkeypatch.setattr(verify, "sigma_min", against_dense(fiber.sigma_min))
-    monkeypatch.setattr(verify, "weighted_sigma_min",
-                        against_dense(fiber.weighted_sigma_min))
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    for command, name in (("verify-thomas", "thomas_documented"),
-                          ("verify-weighted", "weighted_split"),
-                          ("verify-weighted", "weighted_floor")):
-        cli.main([command, "--config", str(configs / f"{name}.json"),
-                  "--out", str(tmp_path / name)])
-    assert len(rel) == 75 + 18 + 18
-    assert max(rel) <= 1e-12
-    # one ARPACK solve per block, each vouched for, none sent to the
-    # dense fallback
-    assert len(lanczos) == sum(block_count)
-    assert None not in lanczos
 
 
 def test_weighted_split_free_is_exact(lat3, rep3):
