@@ -14,7 +14,12 @@ two workhorse operations are
   the lower-bound machinery downstream.
 
 Sup-norms are always reported as brackets (grid maximum, coefficient sum):
-lo <= true sup <= hi.
+lo <= true sup <= hi.  The grid maxima of `sup_norm` and `condition_value`
+sample the cell grid of the coordinate axes some key uses: a series whose
+keys are all 0 on an axis does not depend on that coordinate, so the full
+grid only repeats the values of the smaller one.  `condition_value` scans
+its directions in blocks whose (directions x grid points) table of complex
+sums stays within DIRECTION_BLOCK_BYTES (128 MiB).
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from .util import (brentq, check_unit, gauss_legendre_panels, golden_max,
                    orthonormal_complement, transverse_blocks, unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
+# Bytes of one block of `condition_value`'s (directions x grid points) table
+# of complex sums: a block holds min(256, budget / (16 B x grid points))
+# directions, and a grid of which one direction does not fit is refused
+# before any table is built
+DIRECTION_BLOCK_BYTES = 2 ** 27
 # Largest plateau h1.  `_plateau_norm` finds the density's sign changes on a
 # grid of spacing 1/64 once h1 >= 2, and the density's shortest period is
 # 1/h1: the grid keeps at least 4 samples per period only up to h1 = 16.
@@ -165,7 +175,7 @@ class FourierField:
         m = int(grid_per_axis)
         if m < 1:
             raise ValueError("grid_per_axis must be positive")
-        return self._synthesise(lambda keys: _grid_phases(keys, n, m), m ** n)
+        return self._synthesise(lambda keys: _grid_phases(keys, m), m ** n)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -412,17 +422,21 @@ def sup_norm(field: FourierField, grid_per_axis: Optional[int] = None
     """Bracket (lo, hi) for the sup of the pointwise norm of the field.
 
     hi is the coefficient-norm sum (a rigorous upper bound); lo is the
-    maximum over a uniform cell grid (a rigorous lower bound).  Pointwise
-    norms: |.| for scalars, Euclidean for vectors, spectral for matrices.
+    maximum over the uniform cell grid, with grid_per_axis points on each
+    coordinate axis some key uses (a rigorous lower bound, equal to the
+    maximum over the full grid of the cell).  Pointwise norms: |.| for
+    scalars, Euclidean for vectors, spectral for matrices.
     """
     if field.is_empty():
         return 0.0, 0.0
     hi = coefficient_sum(field)
+    keys = np.array(list(field.coeffs), dtype=np.int64)
     if grid_per_axis is None:
-        keys = np.array(list(field.coeffs), dtype=np.int64)
         span = int(np.max(np.max(keys, axis=0) - np.min(keys, axis=0)))
         grid_per_axis = int(min(33, max(2 * span + 1, 9)))
-    vals = field.evaluate_cell_grid(grid_per_axis)
+    spanned = _spanned_axes(keys)
+    vals = field._synthesise(lambda _: _grid_phases(spanned, grid_per_axis),
+                             grid_per_axis ** spanned.shape[1])
     if field.kind == "scalar":
         lo = float(np.max(np.abs(vals)))
     elif field.kind == "vector":
@@ -479,18 +493,54 @@ def orthogonal_modes(A: FourierField, gc: np.ndarray) -> list:
             if int(np.dot(np.asarray(k, dtype=np.int64), gc)) == 0 and any(k)]
 
 
-def _grid_phases(karr: np.ndarray, n: int, grid: int) -> np.ndarray:
-    """The (rows, grid^n) table exp(2 pi i (N, xi)) over the cell grid xi.
+def _spanned_axes(karr: np.ndarray) -> np.ndarray:
+    """The key rows without the coordinate axes on which every key is 0.
 
-    Refuses a table of more than GRID_LIMIT entries before building it.
+    A dropped axis adds only exact zeros to each phase (N, xi), so the cell
+    grid of the axes left holds the same values as the full grid, which
+    repeats each of them once per position on the dropped axes.  Keeps the
+    first axis when no key uses any.
     """
+    used = np.any(karr != 0, axis=0)
+    return karr[:, used] if used.any() else karr[:, :1]
+
+
+def _grid_points(karr: np.ndarray, grid: int) -> int:
+    """grid^d, the cell grid of the d axes of the key rows `karr`.
+
+    Refuses a phase table of more than GRID_LIMIT entries.
+    """
+    n = karr.shape[1]
     if karr.shape[0] * grid ** n > GRID_LIMIT:
         raise ValueError(
             f"a cell grid of {grid}^{n} points for {karr.shape[0]} modes needs "
             f"{karr.shape[0] * grid ** n} phase entries, over the limit "
             f"{GRID_LIMIT}; use a smaller grid")
-    table = 2.0j * math.pi * (karr @ unit_grid(grid, n).T)  # (S, G)
+    return grid ** n
+
+
+def _grid_phases(karr: np.ndarray, grid: int) -> np.ndarray:
+    """The (rows, grid^d) table exp(2 pi i (N, xi)) over the cell grid xi of
+    the d axes of the key rows `karr`, refused as `_grid_points` refuses."""
+    _grid_points(karr, grid)
+    # (S, G); the grid is a temporary, freed before the complex table exists
+    table = 2.0j * math.pi * (karr @ unit_grid(grid, karr.shape[1]).T)
     return np.exp(table, out=table)  # in place: one complex table at a time
+
+
+def _block_height(karr: np.ndarray, grid: int) -> int:
+    """Directions per block of `condition_value`'s table on this cell grid.
+
+    Refuses, before any table is built, a grid of which one direction's row
+    exceeds DIRECTION_BLOCK_BYTES, and a phase table over GRID_LIMIT.
+    """
+    row = 16 * _grid_points(karr, grid)
+    if row > DIRECTION_BLOCK_BYTES:
+        raise ValueError(
+            f"a cell grid of {grid}^{karr.shape[1]} points needs {row} bytes "
+            f"per direction, over the budget {DIRECTION_BLOCK_BYTES}; use a "
+            f"smaller grid")
+    return min(256, DIRECTION_BLOCK_BYTES // row)
 
 
 def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
@@ -506,10 +556,13 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     n = 3, seeded random directions otherwise) and takes grid maxima of
     |(avg A, et) + i (avg A, e)|; the best one is evaluated again on the
     finer refine grid, after a golden-section refinement of its angle when
-    n = 3.  Returns the report dict: theta_lo, theta_hi, best_et, the sups
-    f_lo and f_hi (theta = |gamma| f / pi) and the direction count samples,
-    0 when no mode is orthogonal to gamma.  The condition holds when
-    theta_hi < 1.
+    n = 3.  Both grids cover only the axes the orthogonal keys use, and the
+    scan takes its directions in blocks of at most DIRECTION_BLOCK_BYTES
+    (128 MiB) of table; a grid of which one direction does not fit is
+    refused before the scan starts.  Returns the report dict: theta_lo,
+    theta_hi, best_et, the sups f_lo and f_hi (theta = |gamma| f / pi) and
+    the direction count samples, 0 when no mode is orthogonal to gamma.  The
+    condition holds when theta_hi < 1.
     """
     if A.kind != "vector":
         raise ValueError("condition_value applies to vector fields")
@@ -542,7 +595,10 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     karr = np.array(keys, dtype=np.int64)
     vals = np.array([np.asarray(A.coeffs[k]) for k in keys])  # (S, n)
     nvecs = karr @ lattice.reciprocal  # (S, n)
-    phases = _grid_phases(karr, n, scan_grid)
+    spanned = _spanned_axes(karr)
+    _block_height(spanned, refine_grid)  # refuse before the scan
+    height = _block_height(spanned, scan_grid)
+    phases = _grid_phases(spanned, scan_grid)
 
     def sup_for_et(et_batch: np.ndarray, use_phases) -> np.ndarray:
         # coefficients of (avg A, et) + i (avg A, e) per sample
@@ -553,13 +609,21 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
         return np.max(np.abs(g), axis=1)
 
     best_val, best, best_row = -1.0, 0, None
-    for i, ets in transverse_blocks(e, sphere_samples, np.random.default_rng(
+    # directions are built 256 at a time whatever the block height, so that
+    # their bits do not depend on it
+    for i, chunk in transverse_blocks(e, sphere_samples, np.random.default_rng(
             0 if rng is None else rng), 256):
-        sups = sup_for_et(ets, phases)
-        j = int(np.argmax(sups))
-        if sups[j] > best_val:
-            best_val, best, best_row = float(sups[j]), i + j, ets[j]
-    fphases = _grid_phases(karr, n, refine_grid)
+        for lo in range(0, chunk.shape[0], height):
+            ets = chunk[lo:lo + height]
+            # a single row would take BLAS's matrix-vector route, whose bits
+            # differ from the matrix-matrix route of a longer block
+            sups = sup_for_et(ets if ets.shape[0] > 1
+                              else np.repeat(ets, 2, axis=0), phases)
+            j = int(np.argmax(sups[:ets.shape[0]]))
+            if sups[j] > best_val:
+                best_val, best, best_row = float(sups[j]), i + lo + j, ets[j]
+    del phases
+    fphases = _grid_phases(spanned, refine_grid)
 
     def objective(et: np.ndarray) -> float:
         return float(sup_for_et(et[None, :], fphases)[0])

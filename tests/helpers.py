@@ -108,6 +108,51 @@ def random_complex_vector_field(lattice, rng, count=5, span=2, scale=0.05):
     return FourierField(lattice, "vector", coeffs)
 
 
+def full_grid_phases(karr, grid):
+    """exp(2 pi i (N, xi)) on the grid^n points xi of the whole cell, one
+    axis per column of `karr` whether a key uses it or not."""
+    n = karr.shape[1]
+    mesh = np.meshgrid(*([np.arange(grid) / grid] * n), indexing="ij")
+    xi = np.stack([g.ravel() for g in mesh], axis=1)
+    return np.exp(2.0j * math.pi * (karr @ xi.T))
+
+
+def full_grid_sup(field, grid):
+    """Largest pointwise norm of a scalar or vector field on the grid^n
+    points of the whole cell."""
+    keys = np.array(list(field.coeffs), dtype=np.int64)
+    vals = np.array([field.coeffs[tuple(k)] for k in keys], dtype=complex)
+    out = np.tensordot(full_grid_phases(keys, grid).T, vals, axes=(1, 0))
+    out = out.real if field.real else out
+    if field.kind == "scalar":
+        return float(np.max(np.abs(out)))
+    return float(np.max(np.linalg.norm(out, axis=1)))
+
+
+def field_on_axes(n, axes, rng, pairs=3, span=2, scale=0.05):
+    """Zero-mean real vector field orthogonal to gamma = E_1 + E_2 whose keys
+    use exactly `axes` coordinate axes (1 <= axes <= n).
+
+    The keys are integer combinations of (1, -1, 0, ...), which uses the
+    first two axes, and of E_3, ..., E_{axes}; a single axis is E_3 alone.
+    """
+    unit = np.eye(n, dtype=np.int64)
+    if axes == 1:
+        basis = [unit[2]]
+    else:
+        basis = [unit[0] - unit[1]] + [unit[j] for j in range(2, axes)]
+    combos = [c for c in itertools.product(range(-span, span + 1),
+                                           repeat=len(basis))
+              if any(c) and next(x for x in c if x) > 0]
+    coeffs = {}
+    for i in rng.permutation(len(combos))[:pairs]:
+        key = tuple(int(k) for k in np.dot(combos[i], basis))
+        val = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        coeffs[key] = val
+        coeffs[tuple(-c for c in key)] = np.conj(val)
+    return FourierField(Lattice.cubic(n), "vector", coeffs, real=True)
+
+
 def average_by_quadrature(A, gamma_coeffs, measure, et, points, t_span=30.0):
     """Real-space averaging oracle.
 

@@ -1,6 +1,8 @@
-"""The package's public names all resolve, importing the CLI stays light, and
-the README's quickstart runs."""
+"""The package's public names all resolve, importing the CLI stays light, a
+five-dimensional condition check stays small, and the README's quickstart
+runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -82,6 +84,41 @@ def test_commands_other_than_kernel_constant_load_no_scipy(tmp_path):
                           capture_output=True, text=True, check=True,
                           timeout=300)
     assert proc.stdout.strip() == "[]"
+
+
+def test_five_dimensional_condition_check_stays_small(tmp_path):
+    # the keys orthogonal to gamma = E_1 use two of the five axes, so the
+    # scan and refine grids hold 16^2 and 48^2 points, not 16^5 and 48^5;
+    # the wrapper's only child is the command, whose peak RSS it reports
+    modes = []
+    for key, value in (((0, 1, 0, 0, 0), [0.05, 0.0, 0.02, 0.0, 0.01]),
+                       ((0, 0, 0, 2, 0), [0.0, 0.03, 0.0, 0.01, 0.0]),
+                       ((1, 1, 0, 0, 0), [0.01] * 5)):
+        for sign in (1, -1):
+            modes.append({"coeffs": [sign * c for c in key], "value": value})
+    config = tmp_path / "condition5.json"
+    config.write_text(json.dumps({
+        "lattice": {"cubic": 5},
+        "potential": {"A": {"real": True, "modes": modes}},
+        "measure": {"kind": "plateau", "h": 0.5, "h1": 1.5},
+        "condition": {"gamma": [1, 0, 0, 0, 0], "sphere_samples": 4096,
+                      "scan_grid": 16, "refine_grid": 48}}), encoding="utf-8")
+    command = [sys.executable, "-m", "diracband.cli", "check-condition",
+               "--config", str(config), "--out", str(tmp_path / "out")]
+    code = "\n".join([
+        "import resource, subprocess, sys",
+        f"code = subprocess.run({command!r}).returncode",
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    exit_code, peak_kib = (int(v) for v in proc.stdout.split())
+    assert exit_code == 0
+    assert peak_kib < 120 * 1024  # 42 MB measured at 2 cores, numpy 2.4.6
+    report = json.loads(
+        (tmp_path / "out" / "check-condition.json").read_text())
+    assert report["theta_lo"] <= report["theta_hi"] and report["passes"]
 
 
 def test_readme_quickstart_runs():

@@ -443,9 +443,15 @@ def test_cli_runtime_errors_exit_one(tmp_path, capsys):
 
 
 def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
-    # refine_grid 512 is within the config bounds, but its phase table on
-    # this field would take about 8.6 GB
+    # refine_grid 512 is within the config bounds; the keys orthogonal to
+    # gamma = (1, 1, 1) use all three axes, so the phase table on 512^3
+    # points would take about 8.6 GB
     payload = json.loads(open(config_path("condition.json")).read())
+    value = [0.02, -0.01, -0.01]
+    payload["potential"]["A"]["modes"] = [
+        {"coeffs": [s * c for c in key], "value": value}
+        for key in ([1, -1, 0], [0, 1, -1]) for s in (1, -1)]
+    payload["condition"]["gamma"] = [1, 1, 1]
     payload["condition"]["refine_grid"] = 512
     path = write_config(tmp_path, payload)
     tracemalloc.start()
@@ -457,6 +463,17 @@ def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
     assert code == 1
     assert "cell grid of 512^3 points" in capsys.readouterr().err
     assert peak < 50e6
+
+
+def test_cli_fine_grid_on_spanned_axes_runs(tmp_path, capsys):
+    # the keys of configs/condition.json orthogonal to gamma = E_1 use two
+    # axes, so refine_grid 512 samples 512^2 points
+    payload = json.loads(open(config_path("condition.json")).read())
+    payload["condition"]["refine_grid"] = 512
+    assert main(["check-condition", "--config",
+                 write_config(tmp_path, payload)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["theta_lo"] <= report["theta_hi"]
 
 
 def test_cli_oversized_face_grid_exits_one(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Fourier fields, smoothing measures, potentials and direction averaging."""
 
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,9 @@ from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               _grid_phases, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
 from diracband.lattice import Lattice
-from helpers import (average_by_quadrature, random_complex_vector_field,
+from golden import regenerate as golden
+from helpers import (average_by_quadrature, field_on_axes, full_grid_phases,
+                     full_grid_sup, random_complex_vector_field,
                      random_real_vector_field)
 
 
@@ -470,7 +474,7 @@ def test_grid_phases_built_in_place():
                      [0, 0, 1, 1], [-1, -1, 0, 2], [1, 2, 3, -1]])
     tracemalloc.start()
     try:
-        table = _grid_phases(karr, 4, 16)
+        table = _grid_phases(karr, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,3 +500,125 @@ def test_condition_directions_built_per_block(lat3):
         tracemalloc.stop()
     assert peak < 6e6
     assert cv["samples"] == 500000 and cv["theta_lo"] <= cv["theta_hi"]
+
+
+# -- cell grids on the axes the keys use -------------------------------------
+
+def _golden_environment() -> bool:
+    with open(os.path.join(golden.HERE, "ENV.json"), encoding="utf-8") as fh:
+        return json.load(fh) == golden.environment()
+
+
+def _assert_ulps(got: float, want: float, ulps: int = 4) -> None:
+    assert abs(got - want) <= ulps * np.spacing(want), (got, want)
+
+
+def _full_grid_condition(monkeypatch, *args, **kwargs) -> dict:
+    """`condition_value` sampling the grid^n points of the whole cell."""
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_spanned_axes", lambda karr: karr)
+        m.setattr(fields, "_grid_phases", full_grid_phases)
+        return condition_value(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("droppable", [0, 1, 2])
+def test_spanned_grid_sups_equal_full_grid(monkeypatch, n, droppable):
+    # the dropped axes add exact zeros to every phase, so the grid of the
+    # axes the keys use holds the values of the full grid: bit for bit where
+    # the machine matches the goldens' environment, within 4 ulp elsewhere
+    exact = _golden_environment()
+    gamma = (1, 1) + (0,) * (n - 2)
+    for seed in range(3):
+        A = field_on_axes(n, n - droppable, np.random.default_rng([n, seed]))
+        for grid in (9, 16):
+            got, want = sup_norm(A, grid)[0], full_grid_sup(A, grid)
+            if exact:
+                assert got == want
+            else:
+                _assert_ulps(got, want)
+        mu = MeasureSpec.plateau(0.5, 1.5) if seed else MeasureSpec.dirac()
+        kwargs = dict(sphere_samples=300, scan_grid=8, refine_grid=16)
+        got = condition_value(A, gamma, mu, **kwargs)
+        want = _full_grid_condition(monkeypatch, A, gamma, mu, **kwargs)
+        if exact:
+            assert got == want
+        else:
+            for name in ("theta_lo", "f_lo"):
+                _assert_ulps(got[name], want[name])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_spanned_grid_condition_on_odd_grids(monkeypatch, n):
+    # OpenBLAS (0.3.31, SkylakeX) computes the last (points mod 4) columns of
+    # the (directions x grid points) product with another kernel, and so
+    # with other roundings: where those columns hold the maximum, the
+    # spanned grid's sup sits up to 2 ulp from the full grid's, and the
+    # angle search may then settle on another best_et of equal sup
+    gamma = (1, 1) + (0,) * (n - 2)
+    for axes in (1, 2, n - 1):
+        for seed in range(4):
+            A = field_on_axes(n, axes, np.random.default_rng([n, axes, seed]))
+            kwargs = dict(sphere_samples=64, scan_grid=9, refine_grid=15)
+            got = condition_value(A, gamma, MeasureSpec.dirac(), **kwargs)
+            want = _full_grid_condition(monkeypatch, A, gamma,
+                                        MeasureSpec.dirac(), **kwargs)
+            for name in ("theta_lo", "f_lo"):
+                _assert_ulps(got[name], want[name])
+
+
+@pytest.mark.parametrize("height", [1, 7])
+def test_condition_report_independent_of_block_height(monkeypatch, height):
+    # 264 directions leave a last chunk of 8, so blocks of 7 end in one of a
+    # single direction, which must not take another BLAS route than the
+    # rest; the refine grid is coarser than the scan grid, so the scan's
+    # maximum is the reported f_lo.  Circle directions at n = 3, seeded
+    # random ones at n = 4, on 12 keys that use every axis
+    for n in (3, 4):
+        A = field_on_axes(n, n, np.random.default_rng(0), pairs=6)
+        gamma = (1, 1) + (0,) * (n - 2)
+        kwargs = dict(sphere_samples=264, scan_grid=8, refine_grid=4)
+        want = condition_value(A, gamma, MeasureSpec.plateau(0.5, 1.5),
+                               **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(fields, "DIRECTION_BLOCK_BYTES", height * 16 * 8 ** n)
+            assert fields._block_height(np.eye(n, dtype=np.int64), 8) == height
+            got = condition_value(A, gamma, MeasureSpec.plateau(0.5, 1.5),
+                                  **kwargs)
+        assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cell_grid_brackets_hold_in_higher_dimensions(n):
+    lat = Lattice.cubic(n)
+    gamma = (1,) + (0,) * (n - 1)
+    mu = MeasureSpec.plateau(0.5, 1.5)
+    for seed in range(3):
+        rng = np.random.default_rng([n, seed])
+        A = random_real_vector_field(lat, rng, pairs=3, span=1)
+        lo, hi = sup_norm(A, 8)
+        assert 0.0 < lo <= hi * (1.0 + 1e-12)
+        cv = condition_value(A, gamma, mu, sphere_samples=64, scan_grid=8,
+                             refine_grid=12)
+        assert cv["theta_lo"] <= cv["theta_hi"] * (1.0 + 1e-12) + 1e-15
+        # a refine grid whose table is too large is refused before the scan
+        # builds anything
+        tracemalloc.start()
+        try:
+            try:
+                cv = condition_value(A, gamma, mu, sphere_samples=64,
+                                     scan_grid=8, refine_grid=25)
+                refused = False
+            except ValueError as exc:
+                assert "cell grid of 25^" in str(exc)
+                refused = True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        keys = fields.orthogonal_modes(A, np.array(gamma))
+        axes = fields._spanned_axes(np.array(keys)).shape[1] if keys else 0
+        assert refused == (16 * 25 ** axes > fields.DIRECTION_BLOCK_BYTES)
+        if refused:
+            assert peak < 1e6
+        else:
+            assert cv["theta_lo"] <= cv["theta_hi"] * (1.0 + 1e-12) + 1e-15
