@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import (FiberPoint, ModeSet, assemble, check_dense_dim,
-                    eigenvalues, potential_stencil)
+from .fiber import FiberPoint, ModeSet, assemble, eigenvalues, potential_stencil
 from .fields import PotentialSet
 from .util import check_unit, pmap
 
@@ -34,7 +33,8 @@ class BandSheet:
 def band_sweep(pot: PotentialSet, k0: np.ndarray, e: np.ndarray,
                xi_range: tuple[float, float], samples: int, cutoff: float,
                threads: int = 1) -> BandSheet:
-    """Eigenvalues of the unshifted fiber at k0 + xi e over a uniform xi grid."""
+    """Eigenvalues of the unshifted fiber at k0 + xi e over a uniform xi grid;
+    a window whose stencil is refused ends the sweep before the first fiber."""
     if samples < 2:
         raise ValueError("need at least two samples")
     lo, hi = float(xi_range[0]), float(xi_range[1])
@@ -43,7 +43,6 @@ def band_sweep(pot: PotentialSet, k0: np.ndarray, e: np.ndarray,
     k0 = np.asarray(k0, dtype=float)
     e = check_unit(np.asarray(e, dtype=float), "sweep direction", tol=1e-9)
     modes = ModeSet.from_cutoff(pot.lattice, cutoff)
-    check_dense_dim(len(modes) * pot.rep.M)
     potential_stencil(modes, pot)  # once, before pmap's workers fork
     xis = np.linspace(lo, hi, samples)
 

@@ -24,8 +24,9 @@ A fiber is held as those blocks: one dense (count, size, size) stack per
 block size.  The composite coefficients in the stacks depend only on the
 window and the potential, so `potential_stencil` builds them once per pair,
 and per fiber `assemble` adds the symbols of every mode onto their diagonal
-entries.  The whole (dim, dim) matrix is a view built on demand, never over
-DENSE_LIMIT.
+entries.  The stencil alone decides a window's size: it refuses stacks of
+more than DENSE_LIMIT^2 entries in all, so no block passes DENSE_LIMIT rows.
+The whole (dim, dim) matrix is a view built on demand, never over DENSE_LIMIT.
 
 The singular values of a single symbol block are known in closed form: with
 p the axial component of k + 2 pi N and q the transverse radius,
@@ -39,7 +40,7 @@ smallest singular value has two routes: method="auto" takes the closed form
 when the potential is empty and otherwise the LAPACK SVD of the blocks, one
 stacked call per block size; method="dense" is the LAPACK SVD of every
 block also for an empty potential, the reference the closed form is checked
-against.  Dense solves set numpy's OpenBLAS to one thread, for the rest of
+against.  Block solves set numpy's OpenBLAS to one thread, for the rest of
 the process, so their bits do not depend on the thread count.
 """
 
@@ -281,7 +282,9 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
     on the window shares: the coefficient entries and I_m (x) the union of
     the nonzero patterns of alpha_1 .. alpha_n (the symbols); a row with
     neither is a component by itself.  Refused, before the stacks are
-    allocated, when a block is over DENSE_LIMIT.  A scan builds the stencil
+    allocated, when they would hold more than DENSE_LIMIT^2 entries (256
+    MiB), so no block has more than DENSE_LIMIT rows: the one size limit of
+    a fiber's blocks and of every solve on them.  A scan builds the stencil
     before its `pmap`, so that forked workers inherit it.  The window must
     lie on the potential's lattice.  Building warns, naming the cutoff, when
     some coefficients connect no two window modes: they are clipped.
@@ -328,9 +331,10 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
         np.concatenate([rows, diag_rows[np.tile(spins, m)]]),
         np.concatenate([cols, diag_cols[np.tile(spins, m)]]), dim)
     sizes = np.array([len(members) for members in components])
-    if sizes.max() > DENSE_LIMIT:
-        raise ValueError(f"a diagonal block of {sizes.max()} rows exceeds "
-                         f"the dense limit {DENSE_LIMIT}; reduce the cutoff")
+    entries = int(np.sum(sizes * sizes))
+    if entries > DENSE_LIMIT ** 2:
+        raise ValueError(f"the diagonal blocks hold {entries} entries, over "
+                         f"the dense limit {DENSE_LIMIT}^2; reduce the cutoff")
     # stacks by block size, in the order the sizes first occur
     by_size: dict = {}
     for b, size in enumerate(sizes.tolist()):
@@ -403,21 +407,13 @@ def assemble(modes: ModeSet, fiber: FiberPoint, pot: PotentialSet
                                   blocks=stencil.stacks(flat))
 
 
-def _before_dense_solve(op: TruncatedDiracOperator) -> None:
-    """Refuse a dense solve while the whole fiber is over DENSE_LIMIT, and
-    set numpy's BLAS to one thread, for the solve that follows and for the
-    rest of the process."""
-    check_dense_dim(op.dim)
-    blas_single_threaded()
-
-
 def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian fiber (kappa = 0 only).
 
     Raises for shifted or non-Hermitian fibers; those carry spectral
     information through sigma_min instead.  The spectrum is the sorted union
     of the dense eigenvalues of the diagonal blocks, one stacked call per
-    block size, so fibers over DENSE_LIMIT are refused.  The first call sets
+    block size; the stencil has bounded their size.  The first call sets
     numpy's OpenBLAS to one thread for the rest of the process.
     """
     if op.fiber.kappa != 0.0:
@@ -428,16 +424,16 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
     if asym > 1e-12 * scale:
         raise ValueError("fiber matrix is not Hermitian within tolerance; "
                          "use sigma_min")
-    _before_dense_solve(op)
+    blas_single_threaded()
     return np.sort(np.concatenate(
         [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in op.blocks]))
 
 
 def check_dense_dim(dim: int) -> None:
-    """Refuse a dense fiber of dimension `dim` (modes times M) over DENSE_LIMIT.
+    """Refuse a whole dense fiber of dimension `dim` over DENSE_LIMIT.
 
-    The dense view of a fiber checks it before it allocates; callers that
-    know the mode window check it before the first fiber.
+    Only the dense view builds one, and checks before it allocates; a probed
+    Thomas scan checks before its first fiber.  Blocks obey the stencil.
     """
     if dim > DENSE_LIMIT:
         raise ValueError(
@@ -467,8 +463,8 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
     fiber's diagonal blocks, which W commutes with: one stacked LAPACK SVD
     of the column-scaled blocks of D W^{-1} per block size, each value
     within p(size) eps |block|_2 of the block's exact one (LAPACK Users'
-    Guide, section 4.9).  Dense solves are refused over DENSE_LIMIT, and
-    set numpy's OpenBLAS to one thread for the rest of the process.
+    Guide, section 4.9).  Block solves set numpy's OpenBLAS to one thread
+    for the rest of the process.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -479,7 +475,7 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("method must be 'auto' or 'dense'")
     if method == "auto" and op.pot.is_empty:
         return float(np.min(op.mode_g_factors()[:, 0] / weights))
-    _before_dense_solve(op)
+    blas_single_threaded()
     scale = np.repeat(1.0 / weights, op.pot.rep.M)
     return min(float(np.min(np.linalg.svd(stack * scale[rows][:, None, :],
                                           compute_uv=False)[:, -1]))

@@ -19,7 +19,8 @@ sample the cell grid of the coordinate axes some key uses: a series whose
 keys are all 0 on an axis does not depend on that coordinate, so the full
 grid only repeats the values of the smaller one.  `condition_value` scans
 its directions in blocks whose (directions x grid points) table of complex
-sums stays within DIRECTION_BLOCK_BYTES (128 MiB).
+sums stays within DIRECTION_BLOCK_BYTES (128 MiB), and so do its phase
+tables.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .util import (brentq, check_unit, gauss_legendre_panels, golden_max,
 KINDS = ("scalar", "vector", "matrix")
 # Bytes of one block of `condition_value`'s (directions x grid points) table
 # of complex sums: a block holds min(256, budget / (16 B x grid points))
-# directions, and a grid of which one direction does not fit is refused
-# before any table is built
+# directions, and a grid whose (keys x grid points) phase table does not fit
+# is refused before any table is built
 DIRECTION_BLOCK_BYTES = 2 ** 27
 # Largest plateau h1.  `_plateau_norm` finds the density's sign changes on a
 # grid of spacing 1/64 once h1 >= 2, and the density's shortest period is
@@ -531,15 +532,17 @@ def _grid_phases(karr: np.ndarray, grid: int) -> np.ndarray:
 def _block_height(karr: np.ndarray, grid: int) -> int:
     """Directions per block of `condition_value`'s table on this cell grid.
 
-    Refuses, before any table is built, a grid of which one direction's row
-    exceeds DIRECTION_BLOCK_BYTES, and a phase table over GRID_LIMIT.
+    Refuses, before any table is built, a grid whose (keys x grid points)
+    phase table exceeds DIRECTION_BLOCK_BYTES; a direction's row, no longer
+    than that table, then fits too.
     """
     row = 16 * _grid_points(karr, grid)
-    if row > DIRECTION_BLOCK_BYTES:
+    table = karr.shape[0] * row
+    if table > DIRECTION_BLOCK_BYTES:
         raise ValueError(
-            f"a cell grid of {grid}^{karr.shape[1]} points needs {row} bytes "
-            f"per direction, over the budget {DIRECTION_BLOCK_BYTES}; use a "
-            f"smaller grid")
+            f"a cell grid of {grid}^{karr.shape[1]} points for "
+            f"{karr.shape[0]} modes needs {table} bytes of phases, over the "
+            f"budget {DIRECTION_BLOCK_BYTES}; use a smaller grid")
     return min(256, DIRECTION_BLOCK_BYTES // row)
 
 
@@ -558,11 +561,11 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     finer refine grid, after a golden-section refinement of its angle when
     n = 3.  Both grids cover only the axes the orthogonal keys use, and the
     scan takes its directions in blocks of at most DIRECTION_BLOCK_BYTES
-    (128 MiB) of table; a grid of which one direction does not fit is
-    refused before the scan starts.  Returns the report dict: theta_lo,
-    theta_hi, best_et, the sups f_lo and f_hi (theta = |gamma| f / pi) and
-    the direction count samples, 0 when no mode is orthogonal to gamma.  The
-    condition holds when theta_hi < 1.
+    (128 MiB) of table; a scan or refine grid whose phase table exceeds that
+    budget is refused before the scan starts.  Returns the report dict:
+    theta_lo, theta_hi, best_et, the sups f_lo and f_hi (theta = |gamma| f /
+    pi) and the direction count samples, 0 when no mode is orthogonal to
+    gamma.  The condition holds when theta_hi < 1.
     """
     if A.kind != "vector":
         raise ValueError("condition_value applies to vector fields")

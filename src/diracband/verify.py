@@ -133,14 +133,12 @@ class _Face:
 
         Without `weights` each node gives sigma_min(D); otherwise
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
-        closed-form route and any other the dense SVD of its diagonal blocks,
-        so its size is checked against the dense limit before the first
-        fiber is assembled.  The window's potential stencil is built here,
-        before the nodes fan out to `pmap`'s workers.
+        closed-form route and any other the dense SVD of its diagonal blocks.
+        The window's potential stencil is built here, before the first fiber
+        and before the nodes fan out to `pmap`'s workers, so a window whose
+        blocks are too large is refused before anything is solved.
         """
         modes = ModeSet.from_cutoff(self.pot.lattice, cutoff)
-        if not self.pot.is_empty:
-            check_dense_dim(len(modes) * self.pot.rep.M)
         potential_stencil(modes, self.pot)
         shape = (self.ks.shape[0], len(kappas))
 
@@ -198,6 +196,8 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
     if sorted(kappas) != kappas:
         raise ValueError("kappas must be increasing")
     cutoff = face.cutoff(cutoff, kappas)
+    if probe_count > 0:  # the probe reads a whole dense fiber
+        check_dense_dim(len(pot.lattice.mode_window(cutoff)) * pot.rep.M)
 
     modes, sigma = face.scan(kappas, cutoff, threads)
     kappa_star = _kappa_star(sigma, kappas, bound)

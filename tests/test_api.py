@@ -1,8 +1,10 @@
 """The package's public names all resolve, importing the CLI stays light, a
-five-dimensional condition check stays small, and the README's quickstart
+five-dimensional condition check stays small, a four-dimensional Thomas scan
+past the dense limit of a whole fiber runs, and the README's quickstart
 runs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -119,6 +121,43 @@ def test_five_dimensional_condition_check_stays_small(tmp_path):
     report = json.loads(
         (tmp_path / "out" / "check-condition.json").read_text())
     assert report["theta_lo"] <= report["theta_hi"] and report["passes"]
+
+
+def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
+    # the n = 4 analogue of thomas_documented.json at cutoff 25: dim 10,056,
+    # over the dense limit of a whole fiber, in 90 blocks of at most 180
+    # rows, so the scan runs; the wrapper's only child is the command
+    config = tmp_path / "thomas4.json"
+    config.write_text(json.dumps({
+        "lattice": {"cubic": 4},
+        "potential": {
+            "A": {"real": True, "modes": [
+                {"coeffs": [0, 1, 0, 0], "value": [0.0, 0.0, 0.05, 0.0]},
+                {"coeffs": [0, -1, 0, 0], "value": [0.0, 0.0, 0.05, 0.0]}]},
+            "V0": {"hermitian": True, "modes": [
+                {"coeffs": [1, 0, 0, 0], "scalar": 0.2},
+                {"coeffs": [-1, 0, 0, 0], "scalar": 0.2}]},
+            "V1": {"hermitian": True, "modes": [
+                {"coeffs": [0, 0, 0, 0], "scalar": 0.2}]}},
+        "measure": {"kind": "dirac"},
+        "thomas": {"gamma": [1, 0, 0, 0], "theta": 0.5, "kappas": [math.pi],
+                   "k_points_per_axis": 1, "cutoff": 25.0}}), encoding="utf-8")
+    command = [sys.executable, "-m", "diracband.cli", "verify-thomas",
+               "--config", str(config), "--out", str(tmp_path / "out")]
+    code = "\n".join([
+        "import resource, subprocess, sys",
+        f"code = subprocess.run({command!r}).returncode",
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    exit_code, peak_kib = (int(v) for v in proc.stdout.split())
+    assert exit_code in (0, 2)
+    assert peak_kib < 200 * 1024  # 93 MB measured at 2 cores, numpy 2.4.6
+    report = json.loads(
+        (tmp_path / "out" / "verify-thomas.json").read_text())
+    assert report["dim"] == 10056
 
 
 def test_readme_quickstart_runs():

@@ -248,9 +248,13 @@ def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
 
     with pytest.raises(ValueError):
         sigma_min(op, method="qr")
+    # the size limit belongs to the window's stencil: a fiber already
+    # assembled is solved whatever the limit, and a new window is refused
+    want = sigma_min(op, method="dense")
     monkeypatch.setattr(fiber, "DENSE_LIMIT", 4)
-    with pytest.raises(ValueError):
-        sigma_min(op, method="dense")
+    assert sigma_min(op, method="dense") == want
+    with pytest.raises(ValueError, match="over the dense limit 4"):
+        assemble(ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4), fib, op.pot)
 
 
 def test_weighted_sigma_min(lat3, rep3, rng):
@@ -485,14 +489,14 @@ def test_component_routes_match_whole_fiber(n, span, probes, rng,
 
 
 def test_block_over_dense_limit_is_refused(lat3, rep3, rng, monkeypatch):
-    # the stacks are dense, so a block over DENSE_LIMIT is refused when the
-    # window's stencil is built, before its stacks are allocated
+    # the stacks are dense, so stacks of more than DENSE_LIMIT^2 entries are
+    # refused when the window's stencil is built, before they are allocated
     monkeypatch.setattr(fiber, "DENSE_LIMIT", 16)
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
-    with pytest.raises(ValueError, match="a diagonal block of [0-9]+ rows "
-                       "exceeds the dense limit 16"):
+    with pytest.raises(ValueError, match="the diagonal blocks hold [0-9]+ "
+                       r"entries, over the dense limit 16\^2"):
         assemble(modes, random_fiber(rng), small_potential(lat3, rep3, rng))
-    # without a potential every block is one mode
+    # without a potential every block is one mode: 7 blocks of 16 entries
     free = assemble(modes, random_fiber(rng), PotentialSet.zero(lat3, rep3))
     assert max(len(rows) for rows in block_rows(free)) == rep3.M
 

@@ -567,13 +567,15 @@ def test_spanned_grid_condition_on_odd_grids(monkeypatch, n):
                 _assert_ulps(got[name], want[name])
 
 
-@pytest.mark.parametrize("height", [1, 7])
+@pytest.mark.parametrize("height", [15, 85])
 def test_condition_report_independent_of_block_height(monkeypatch, height):
-    # 264 directions leave a last chunk of 8, so blocks of 7 end in one of a
-    # single direction, which must not take another BLAS route than the
-    # rest; the refine grid is coarser than the scan grid, so the scan's
-    # maximum is the reported f_lo.  Circle directions at n = 3, seeded
-    # random ones at n = 4, on 12 keys that use every axis
+    # the budget holds the 12 keys' phase table, so a block holds at least
+    # 12 directions; blocks of 15 or 85 end the first 256 directions with
+    # one of a single direction, which must not take another BLAS route
+    # than the rest, and the last 8 of the 264 make a shorter block.  The
+    # refine grid is coarser than the scan grid, so the scan's maximum is
+    # the reported f_lo.  Circle directions at n = 3, seeded random ones at
+    # n = 4, on 12 keys that use every axis
     for n in (3, 4):
         A = field_on_axes(n, n, np.random.default_rng(0), pairs=6)
         gamma = (1, 1) + (0,) * (n - 2)
@@ -617,8 +619,34 @@ def test_cell_grid_brackets_hold_in_higher_dimensions(n):
             tracemalloc.stop()
         keys = fields.orthogonal_modes(A, np.array(gamma))
         axes = fields._spanned_axes(np.array(keys)).shape[1] if keys else 0
-        assert refused == (16 * 25 ** axes > fields.DIRECTION_BLOCK_BYTES)
+        assert refused == (len(keys) * 16 * 25 ** axes
+                           > fields.DIRECTION_BLOCK_BYTES)
         if refused:
             assert peak < 1e6
         else:
             assert cv["theta_lo"] <= cv["theta_hi"] * (1.0 + 1e-12) + 1e-15
+
+
+def test_refine_phase_table_over_budget_is_refused():
+    # keys +-E_2 .. +-E_5 use four axes: the 48^4 refine grid's phase table
+    # holds 8 x 48^4 complex entries, 680 MB, which GRID_LIMIT admits; the
+    # direction budget refuses it before the scan builds anything
+    n = 5
+    coeffs = {}
+    for j in range(1, n):
+        key = tuple(int(i == j) for i in range(n))
+        val = np.full(n, 0.01)
+        coeffs[key] = val
+        coeffs[tuple(-c for c in key)] = val
+    A = FourierField(Lattice.cubic(n), "vector", coeffs, real=True)
+    gamma = (1,) + (0,) * (n - 1)
+    assert 8 * 48 ** 4 <= fields.GRID_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"cell grid of 48\^4"):
+            condition_value(A, gamma, MeasureSpec.plateau(0.5, 1.5),
+                            sphere_samples=64, refine_grid=48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracband import (Lattice, bands, build_clifford, config, fiber,
+from diracband import (Lattice, bands, build_clifford, cli, config, fiber,
                        verify)
 from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
@@ -200,43 +200,81 @@ def test_thomas_scan_preconditions(lat3, rep3, rng):
                             cutoff=SMALL_CUTOFF, sphere_samples=128)
 
 
-def test_dense_limit_checked_before_assembly(monkeypatch):
-    # n = 4 at cutoff 20: 569 modes, dim 4,552, over the dense limit; a
-    # small constant mass keeps the fibers off the closed-form route
+def mass_potential4():
+    """n = 4, a small constant mass: it keeps the fibers off the closed-form
+    route, and every diagonal block is one mode of M = 4 rows."""
     lat4 = Lattice.cubic(4)
     rep4 = build_clifford(4)
     mass = FourierField(lat4, "matrix", {(0, 0, 0, 0): 0.1 * rep4.alphas[4]},
                         dim=rep4.M, hermitian=True)
-    pot = PotentialSet(zero_field(lat4, "vector"),
-                       zero_field(lat4, "matrix", dim=rep4.M), mass, rep4)
+    return PotentialSet(zero_field(lat4, "vector"),
+                        zero_field(lat4, "matrix", dim=rep4.M), mass, rep4)
 
-    # the fiber's blocks assemble in little memory; its dense view refuses
+
+def no_assembly(*args, **kwargs):
+    raise AssertionError("assemble ran before the size check")
+
+
+def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
+    # n = 4 at cutoff 20: 569 modes, dim 4,552, over the dense limit of a
+    # whole fiber, in 1,138 blocks of 4 rows, 18,208 stack entries
+    pot = mass_potential4()
     fib = FiberPoint(k=np.full(4, 0.1), e=np.array([1.0, 0.0, 0.0, 0.0]))
     tracemalloc.start()
     try:
-        op = assemble(ModeSet.from_cutoff(lat4, 20.0), fib, pot)
+        op = assemble(ModeSet.from_cutoff(pot.lattice, 20.0), fib, pot)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert op.dim == 4552
     assert peak < 50e6
+    # the dense view refuses; the solvers and the sweep read the blocks
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
         op.matrix
-    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
-        fiber.eigenvalues(op)
+    assert fiber.eigenvalues(op).shape == (4552,)
+    e = np.array([1.0, 0.0, 0.0, 0.0])
+    sheet = bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
+    assert sheet.energies.shape == (2, 4552)
 
-    def no_assembly(*args, **kwargs):
-        raise AssertionError("assemble ran before the size check")
-
+    # stacks over the square of the limit are refused before the first fiber
+    monkeypatch.setattr(fiber, "DENSE_LIMIT", 128)
     monkeypatch.setattr(verify, "assemble", no_assembly)
     monkeypatch.setattr(bands, "assemble", no_assembly)
-    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+    refusal = (r"the diagonal blocks hold 18208 entries, over the dense "
+               r"limit 128\^2")
+    with pytest.raises(ValueError, match=refusal):
         verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
                             theta=0.5, kappas=[4.0], k_points_per_axis=1,
                             cutoff=20.0)
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+    with pytest.raises(ValueError, match=refusal):
         bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
+    path = tmp_path / "mass4.json"
+    path.write_text(config.canonical_dumps({
+        "lattice": {"cubic": 4},
+        "potential": {"V1": {"hermitian": True, "modes": [
+            {"coeffs": [0, 0, 0, 0], "scalar": 0.1}]}},
+        "measure": {"kind": "dirac"},
+        "thomas": {"gamma": [1, 0, 0, 0], "theta": 0.5, "kappas": [4.0],
+                   "k_points_per_axis": 1, "cutoff": 20.0}}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify-thomas", "--config", str(path)]) == 1
+    assert "the diagonal blocks hold 18208 entries" in capsys.readouterr().err
+
+
+def test_probe_checks_the_dense_view_before_the_scan(monkeypatch):
+    # the probe reads the whole dense fiber, so a probed scan of the dim-4,552
+    # window is refused before its first fiber; unprobed, the scan runs
+    pot = mass_potential4()
+    kwargs = dict(theta=0.5, kappas=[4.0], k_points_per_axis=1, cutoff=20.0)
+    with monkeypatch.context() as m:
+        m.setattr(verify, "assemble", no_assembly)
+        with pytest.raises(ValueError,
+                           match="dimension 4552 exceeds the dense limit"):
+            verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
+                                probe_count=1, **kwargs)
+    report = verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
+                                 probe_count=0, **kwargs)
+    assert report["dim"] == 4552 and "probe" not in report
 
 
 def test_free_scan_allocates_no_dense_fiber():
