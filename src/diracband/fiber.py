@@ -26,7 +26,8 @@ window and the potential, so `potential_stencil` builds them once per pair,
 and per fiber `assemble` adds the symbols of every mode onto their diagonal
 entries.  The stencil alone decides a window's size: it refuses stacks of
 more than DENSE_LIMIT^2 entries in all, so no block passes DENSE_LIMIT rows.
-The whole (dim, dim) matrix is a view built on demand, never over DENSE_LIMIT.
+No solver builds the whole (dim, dim) matrix; the probe multiplies block by
+block.
 
 The singular values of a single symbol block are known in closed form: with
 p the axial component of k + 2 pi N and q the transverse radius,
@@ -37,11 +38,17 @@ each with multiplicity M/2.  These factors also drive the weighted
 lower-bound checks.  Every solver works on the blocks: the eigenvalues are
 the sorted union of theirs and sigma_min the smallest of theirs.  The
 smallest singular value has two routes: method="auto" takes the closed form
-when the potential is empty and otherwise the LAPACK SVD of the blocks, one
-stacked call per block size; method="dense" is the LAPACK SVD of every
-block also for an empty potential, the reference the closed form is checked
-against.  Block solves set numpy's OpenBLAS to one thread, for the rest of
-the process, so their bits do not depend on the thread count.
+when the potential is empty and otherwise the LAPACK SVD of the blocks;
+method="dense" takes the LAPACK SVD also for an empty potential, the
+reference the closed form is checked against.  The SVD route solves only
+the blocks that can hold the minimum: the closed form and the stencil's
+`coupling_norm` bound each block's sigma_min from below (Weyl's
+inequality), and a Cholesky test rules out most of the rest, stack by
+stack.  With LAPACK's SVD error taken as at most 2 size eps |B|_2, the
+result is the float the SVD of every block would give
+(`weighted_sigma_min`).  Block solves set numpy's OpenBLAS to one thread,
+for the rest of the process, so their bits do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -54,13 +61,17 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .clifford import CliffordRep, clifford_contraction
-from .fields import PotentialSet
+from .fields import PotentialSet, coefficient_sum
 from .lattice import Lattice
 from .util import blas_single_threaded, check_unit
 
 DENSE_LIMIT = 4096
+# bytes of one column chunk of probe vectors (`sigma_min_probe`)
+PROBE_CHUNK_BYTES = 2 ** 25
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -216,12 +227,16 @@ class Stencil:
     `stack_index` are the positions in `flat` of the modes' diagonal spin
     entries that lie inside a block, and `symbol_index` the matching
     positions in the flattened (m, M, M) symbols.
+    `coupling_norm` is the sum of the spectral norms of the composite
+    coefficients, the mean included: it bounds the norm of the potential
+    part of every diagonal block.
     """
 
     layout: tuple
     flat: np.ndarray
     stack_index: np.ndarray
     symbol_index: np.ndarray
+    coupling_norm: float
 
     def stacks(self, flat: np.ndarray) -> tuple:
         """(rows, stack) pairs over `flat`, laid out like `self.flat`."""
@@ -250,25 +265,21 @@ class TruncatedDiracOperator:
         return len(self.modes) * self.pot.rep.M
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense view of the fiber, built on first use.
-
-        Refused over DENSE_LIMIT before anything is allocated.
-        """
-        check_dense_dim(self.dim)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for rows, stack in self.blocks:
-            out[rows[:, :, None], rows[:, None, :]] = stack
-        return out
-
-    @cached_property
     def axial_transverse(self) -> np.ndarray:
         """(m, 2) table of (p, q) per window mode (`axial_transverse`)."""
         return axial_transverse(self.modes, self.fiber)
 
+    @cached_property
+    def _g(self) -> np.ndarray:
+        # the closed-form table, read-only: `mode_g_factors` hands out copies
+        out = g_table(self.axial_transverse, self.fiber.kappa)
+        out.flags.writeable = False
+        return out
+
     def mode_g_factors(self) -> np.ndarray:
-        """(m, 2) array of closed-form (g_minus, g_plus) per window mode."""
-        return g_table(self.axial_transverse, self.fiber.kappa)
+        """(m, 2) array of closed-form (g_minus, g_plus) per window mode, a
+        copy the caller may write into."""
+        return self._g.copy()
 
 
 def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
@@ -299,7 +310,8 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
     # nonzero coefficient entries, at fiber rows and columns
     rows, cols, vals = [], [], []
     clipped = 0
-    for key, block in pot.composite().coeffs.items():
+    composite = pot.composite()
+    for key, block in composite.coeffs.items():
         targets = modes.coords + np.asarray(key, dtype=np.int64)
         placed = []
         for j, target in enumerate(targets.tolist()):
@@ -359,7 +371,8 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
     built = modes._stencils[pot] = Stencil(
         layout=tuple(layout), flat=flat,
         stack_index=row_start[diag_rows[inside]] + local[diag_cols[inside]],
-        symbol_index=np.flatnonzero(inside))
+        symbol_index=np.flatnonzero(inside),
+        coupling_norm=coefficient_sum(composite))
     return built
 
 
@@ -429,24 +442,13 @@ def eigenvalues(op: TruncatedDiracOperator) -> np.ndarray:
         [np.linalg.eigvalsh(stack).reshape(-1) for _, stack in op.blocks]))
 
 
-def check_dense_dim(dim: int) -> None:
-    """Refuse a whole dense fiber of dimension `dim` over DENSE_LIMIT.
-
-    Only the dense view builds one, and checks before it allocates; a probed
-    Thomas scan checks before its first fiber.  Blocks obey the stencil.
-    """
-    if dim > DENSE_LIMIT:
-        raise ValueError(
-            f"fiber dimension {dim} exceeds the dense limit {DENSE_LIMIT}; "
-            "reduce the cutoff")
-
-
 def sigma_min(op: TruncatedDiracOperator, method: str = "auto") -> float:
     """Smallest singular value of the truncated fiber.
 
     `weighted_sigma_min` with unit weights, which leave every route's bits
     unchanged: the closed form when the potential is empty (method="auto"),
-    otherwise the LAPACK SVD of the diagonal blocks.
+    otherwise the LAPACK SVD of the diagonal blocks that can hold the
+    minimum.
     """
     return weighted_sigma_min(op, np.ones(len(op.modes)), method)
 
@@ -459,12 +461,42 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
     weight, one positive entry per mode, repeated across the M spin
     components).  method="auto" uses the exact per-mode factors,
     min g_minus / weight, when the potential is empty.  Otherwise, and
-    always for method="dense", the reference, it is the minimum over the
-    fiber's diagonal blocks, which W commutes with: one stacked LAPACK SVD
-    of the column-scaled blocks of D W^{-1} per block size, each value
-    within p(size) eps |block|_2 of the block's exact one (LAPACK Users'
-    Guide, section 4.9).  Block solves set numpy's OpenBLAS to one thread
-    for the rest of the process.
+    always for method="dense", the reference, it is the least LAPACK SVD
+    value over the fiber's diagonal blocks of D W^{-1} (the blocks with
+    their columns scaled by 1/w), which W commutes with, and only the
+    blocks that can hold the minimum are solved.
+
+    A block B = (S + P) W^{-1} is its modes' symbols S plus its potential
+    part P, and |P| <= c, the stencil's `coupling_norm`.  Per mode, S has
+    singular values among g_minus and g_plus, so by Weyl's inequality for
+    singular values (Horn and Johnson, Topics in Matrix Analysis, 3.3)
+
+        sigma_min(B) >= lo = min(g_minus / w) - c / min w,
+        |B|_2        <= hi = max(g_plus / w) + c / min w,
+
+    over the block's modes.  The LAPACK value is within p(size) eps |B|_2
+    of the exact one, with p a modestly growing function the LAPACK Users'
+    Guide (4.9) gives no value for; tau = 2 size eps hi is taken to bound
+    that error together with the rounding of the block's entries and of lo,
+    an assumption the tests against the SVD of every block check but that is
+    not proved.  The block of least upper bound min(g_minus / w) + c / min w,
+    by the same inequality, is solved first.  Then, stack by stack in
+    ascending order of their least lo - tau, a lower bound on the LAPACK
+    values, the blocks with lo - tau < best, the least value so far, are the
+    candidates, picked by one mask; the others cannot go below best, and no
+    later stack can once its least lo - tau reaches best.  A Cholesky
+    factorisation of fl(B^H B) - (t^2 + eta) I at t = best + tau tests each
+    candidate for sigma_min(B) >= t, and so for a LAPACK value of at least
+    best; a candidate whose factorisation runs to completion is skipped, and
+    the stack's other candidates are solved by one stacked SVD.
+    eta = 4 (size + 3) eps (trace fl(B^H B) + t^2) covers the rounding of
+    the Gram product, |fl(B^H B) - B^H B|_2 <= gamma_size |B|_F^2, of the
+    shift, and the backward error of a Cholesky factorisation that runs to
+    completion, gamma_(size+1) |R^H| |R| with |R|_F^2 about the trace
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).  So,
+    with tau as above, the result is the float the SVD of every block would
+    give, whatever the order.  Block solves set numpy's OpenBLAS to one
+    thread, for the rest of the process, before the first product.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
@@ -473,13 +505,65 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
         raise ValueError("weights must be positive")
     if method not in ("auto", "dense"):
         raise ValueError("method must be 'auto' or 'dense'")
+    g = op._g
     if method == "auto" and op.pot.is_empty:
-        return float(np.min(op.mode_g_factors()[:, 0] / weights))
+        return float(np.min(g[:, 0] / weights))
     blas_single_threaded()
-    scale = np.repeat(1.0 / weights, op.pot.rep.M)
-    return min(float(np.min(np.linalg.svd(stack * scale[rows][:, None, :],
-                                          compute_uv=False)[:, -1]))
-               for rows, stack in op.blocks)
+    M = op.pot.rep.M
+    coupling = potential_stencil(op.modes, op.pot).coupling_norm
+    low, high = g[:, 0] / weights, g[:, 1] / weights
+    scale = np.repeat(1.0 / weights, M)
+    queue = []
+    for rows, stack in op.blocks:
+        modes = rows // M
+        reach = coupling / np.min(weights[modes], axis=1)
+        tau = 2.0 * rows.shape[1] * _EPS * (np.max(high[modes], axis=1)
+                                            + reach)
+        centre = np.min(low[modes], axis=1)
+        floor = centre - reach - tau
+        queue.append((float(np.min(floor)), floor, centre + reach, tau, rows,
+                      stack))
+    queue.sort(key=lambda item: item[0])
+    _, floor, ceiling, _, rows, stack = min(
+        queue, key=lambda item: float(np.min(item[2])))
+    first = int(np.argmin(ceiling))
+    best = _least_sigma(stack[first:first + 1] * scale[rows[first]])
+    floor[first] = math.inf
+    for least, floor, _, tau, rows, stack in queue:
+        if least >= best:
+            break
+        kept = np.flatnonzero(floor < best)
+        if kept.size == 0:
+            continue
+        blocks = stack[kept] * scale[rows[kept]][:, None, :]
+        blocks = blocks[~_certified_above(blocks, best + tau[kept])]
+        if len(blocks):
+            best = min(best, _least_sigma(blocks))
+    return best
+
+
+def _least_sigma(blocks: np.ndarray) -> float:
+    """The least LAPACK singular value of a (count, size, size) stack."""
+    return float(np.min(np.linalg.svd(blocks, compute_uv=False)[:, -1]))
+
+
+def _certified_above(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which blocks of a stack a Cholesky factorisation of the shifted Gram
+    matrix shows to have sigma_min(blocks[i]) >= t[i] (`weighted_sigma_min`
+    gives the shift).
+
+    numpy.linalg.cholesky raises for the whole stack when one factorisation
+    fails; its gufunc, called here, fills that one with NaN instead.
+    """
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    size = blocks.shape[1]
+    diagonal = np.arange(size)
+    shift = t * t + 4.0 * (size + 3) * _EPS * (
+        np.trace(gram, axis1=1, axis2=2).real + t * t)
+    gram[:, diagonal, diagonal] -= shift[:, None]
+    with np.errstate(all="ignore"):
+        factor = _umath_linalg.cholesky_lo(gram, signature="D->D")
+    return ~np.any(np.isnan(factor[:, diagonal, diagonal]), axis=1)
 
 
 def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
@@ -487,19 +571,28 @@ def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
     """Randomized lower-bound companion: min |D phi| over random unit phi.
 
     Always at least sigma_min; used to cross-check reported minima from the
-    inequality side.  Needs at least one probe vector.
+    inequality side.  Needs at least one probe vector.  The vectors are
+    drawn in column chunks of min(count, 4096, PROBE_CHUNK_BYTES / (16 dim))
+    and multiplied block by block, prod[rows] = stack @ phi[rows], so no
+    dense fiber is built: the probe holds four chunk-sized arrays (vectors,
+    product and the two of one stack), each at most PROBE_CHUNK_BYTES
+    (32 MiB), whatever the fiber's dimension.
     """
     if count < 1:
         raise ValueError("the probe needs count >= 1")
     rng = np.random.default_rng(seed)
-    block = min(count, 4096)
+    chunk = max(1, min(count, 4096, PROBE_CHUNK_BYTES // (16 * op.dim)))
     best = math.inf
     done = 0
     while done < count:
-        b = min(block, count - done)
-        phi = rng.standard_normal((op.dim, b)) + 1.0j * rng.standard_normal((op.dim, b))
+        b = min(chunk, count - done)
+        phi = np.empty((op.dim, b), dtype=complex)
+        phi.real = rng.standard_normal((op.dim, b))
+        phi.imag = rng.standard_normal((op.dim, b))
         phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-        norms = np.linalg.norm(op.matrix @ phi, axis=0)
-        best = min(best, float(np.min(norms)))
+        prod = np.empty_like(phi)
+        for rows, stack in op.blocks:
+            prod[rows] = stack @ phi[rows]
+        best = min(best, float(np.min(np.linalg.norm(prod, axis=0))))
         done += b
     return best

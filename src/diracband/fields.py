@@ -151,33 +151,6 @@ class FourierField:
         out = np.tensordot(phase_table(keys).T, vals, axes=(1, 0))
         return out.real if self.real else out
 
-    def evaluate(self, points: np.ndarray):
-        """Synthesise the series at one point (n,) or a batch (P, n).
-
-        Real-flagged fields return real arrays (the imaginary residue is a
-        roundoff quantity and is dropped).
-        """
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = points[None, :] if single else points
-        reciprocal = self.lattice.reciprocal
-        out = self._synthesise(
-            lambda keys: np.exp(2.0j * math.pi * ((keys @ reciprocal) @ pts.T)),
-            pts.shape[0])
-        return out[0] if single else out
-
-    def evaluate_cell_grid(self, grid_per_axis: int):
-        """Values on the uniform fractional grid of the period cell.
-
-        Only the integer coefficients enter: x = sum xi_j E_j gives
-        (N, x) = sum m_j xi_j.
-        """
-        n = self.lattice.n
-        m = int(grid_per_axis)
-        if m < 1:
-            raise ValueError("grid_per_axis must be positive")
-        return self._synthesise(lambda keys: _grid_phases(keys, m), m ** n)
-
     # -- arithmetic --------------------------------------------------------
 
     def __sub__(self, other: "FourierField") -> "FourierField":

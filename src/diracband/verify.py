@@ -4,8 +4,8 @@ Everything in this module produces EMPIRICAL certificates: statements about
 truncations of the fiber operators on explicit mode windows and
 quasimomentum grids, never proofs.  Smallest singular values take the
 "auto" route of `fiber.sigma_min`: the closed form for potential-free
-fibers, otherwise one stacked LAPACK SVD of the diagonal blocks per block
-size.  Every check returns its report as a JSON-ready dict, the keys the
+fibers, otherwise the LAPACK SVD of the diagonal blocks that can hold the
+minimum.  Every check returns its report as a JSON-ready dict, the keys the
 CLI writes, with an EMPIRICAL verdict, and so do the searches and brackets
 they build on (`lattice.find_gamma`, `lattice.check_gamma`,
 `fields.condition_value`).  Reports carry the
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
-                    axial_transverse, check_dense_dim, potential_stencil,
+                    axial_transverse, potential_stencil,
                     sigma_min, sigma_min_probe, weighted_sigma_min)
 from .fields import (GRID_LIMIT, FourierField, MeasureSpec,
                      PotentialSet, averaged_potential, condition_value,
@@ -133,7 +133,8 @@ class _Face:
 
         Without `weights` each node gives sigma_min(D); otherwise
         weighted_sigma_min(D, weights(D)).  A potential-free fiber takes the
-        closed-form route and any other the dense SVD of its diagonal blocks.
+        closed-form route and any other the dense SVD of the diagonal blocks
+        that can hold its minimum.
         The window's potential stencil is built here, before the first fiber
         and before the nodes fan out to `pmap`'s workers, so a window whose
         blocks are too large is refused before anything is solved.
@@ -196,8 +197,6 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
     if sorted(kappas) != kappas:
         raise ValueError("kappas must be increasing")
     cutoff = face.cutoff(cutoff, kappas)
-    if probe_count > 0:  # the probe reads a whole dense fiber
-        check_dense_dim(len(pot.lattice.mode_window(cutoff)) * pot.rep.M)
 
     modes, sigma = face.scan(kappas, cutoff, threads)
     kappa_star = _kappa_star(sigma, kappas, bound)

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 
-from diracband import FourierField, Lattice, MeasureSpec, PotentialSet
+from diracband import FourierField, Lattice, MeasureSpec, PotentialSet, fiber
 from diracband.clifford import clifford_contraction
 from diracband.fiber import FiberPoint, ModeSet, axial_transverse, g_table
-from diracband.util import gauss_legendre_panels
+from diracband.util import blas_single_threaded, gauss_legendre_panels
 from diracband.verify import sobolev_direction_measure
 
 
@@ -56,10 +56,60 @@ def free_band_values(lattice, rep, k, cutoff, mass=0.0):
     return np.sort(np.repeat(np.concatenate([-roots, roots]), rep.M // 2))
 
 
+def check_dense_dim(dim):
+    """Refuse a whole dense fiber of dimension `dim` over DENSE_LIMIT rows."""
+    if dim > fiber.DENSE_LIMIT:
+        raise ValueError(
+            f"fiber dimension {dim} exceeds the dense limit "
+            f"{fiber.DENSE_LIMIT}; reduce the cutoff")
+
+
+def dense_matrix(op):
+    """The whole (dim, dim) fiber, its diagonal blocks placed at their rows;
+    refused over DENSE_LIMIT before anything is allocated."""
+    check_dense_dim(op.dim)
+    out = np.zeros((op.dim, op.dim), dtype=complex)
+    for rows, stack in op.blocks:
+        out[rows[:, :, None], rows[:, None, :]] = stack
+    return out
+
+
+def all_blocks_sigma_min(op, weights=None):
+    """The least LAPACK SVD value over every diagonal block of D W^{-1}
+    (unit weights by default), one stacked call per block size: the result
+    `weighted_sigma_min` must reproduce bit for bit without solving every
+    block."""
+    w = np.ones(len(op.modes)) if weights is None else np.asarray(weights)
+    blas_single_threaded()
+    scale = np.repeat(1.0 / w, op.pot.rep.M)
+    return min(float(np.min(np.linalg.svd(stack * scale[rows][:, None, :],
+                                          compute_uv=False)[:, -1]))
+               for rows, stack in op.blocks)
+
+
 def block_rows(op):
     """The row sets of a fiber's diagonal blocks, ordered by their first row."""
     return sorted((r for rows, _ in op.blocks for r in rows),
                   key=lambda r: int(r[0]))
+
+
+def evaluate(field, points):
+    """Synthesise the series at one point (n,) or a batch (P, n); real-flagged
+    fields give real arrays (the imaginary residue is dropped)."""
+    points = np.asarray(points, dtype=float)
+    single = points.ndim == 1
+    pts = points[None, :] if single else points
+    reciprocal = field.lattice.reciprocal
+    out = field._synthesise(
+        lambda keys: np.exp(2.0j * math.pi * ((keys @ reciprocal) @ pts.T)),
+        pts.shape[0])
+    return out[0] if single else out
+
+
+def evaluate_cell_grid(field, grid):
+    """Values on the grid^n points j / grid of the period cell, in C order."""
+    return field._synthesise(lambda keys: full_grid_phases(keys, grid),
+                             grid ** field.lattice.n)
 
 
 def random_real_vector_field(lattice, rng, pairs=4, span=2, scale=0.05):
@@ -181,7 +231,7 @@ def average_by_quadrature(A, gamma_coeffs, measure, et, points, t_span=30.0):
 
     out = np.zeros((points.shape[0], lattice.n), dtype=complex)
     for i, x in enumerate(points):
-        vals = A.evaluate(x[None, :] + offsets)
+        vals = evaluate(A, x[None, :] + offsets)
         out[i] = weights @ vals
     return out
 

@@ -1,7 +1,7 @@
 """The package's public names all resolve, importing the CLI stays light, a
 five-dimensional condition check stays small, a four-dimensional Thomas scan
-past the dense limit of a whole fiber runs, and the README's quickstart
-runs."""
+past the dense limit of a whole fiber runs and probes, and the README's
+quickstart runs."""
 
 import json
 import math
@@ -123,10 +123,10 @@ def test_five_dimensional_condition_check_stays_small(tmp_path):
     assert report["theta_lo"] <= report["theta_hi"] and report["passes"]
 
 
-def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
-    # the n = 4 analogue of thomas_documented.json at cutoff 25: dim 10,056,
-    # over the dense limit of a whole fiber, in 90 blocks of at most 180
-    # rows, so the scan runs; the wrapper's only child is the command
+def run_thomas4(tmp_path, probe_count):
+    """Exit code, peak RSS in KiB and report of the n = 4 analogue of
+    thomas_documented.json at cutoff 25 (one node, kappa = pi), run as a
+    subprocess under a wrapper whose only child is the command."""
     config = tmp_path / "thomas4.json"
     config.write_text(json.dumps({
         "lattice": {"cubic": 4},
@@ -141,7 +141,8 @@ def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
                 {"coeffs": [0, 0, 0, 0], "scalar": 0.2}]}},
         "measure": {"kind": "dirac"},
         "thomas": {"gamma": [1, 0, 0, 0], "theta": 0.5, "kappas": [math.pi],
-                   "k_points_per_axis": 1, "cutoff": 25.0}}), encoding="utf-8")
+                   "k_points_per_axis": 1, "cutoff": 25.0,
+                   "probe_count": probe_count}}), encoding="utf-8")
     command = [sys.executable, "-m", "diracband.cli", "verify-thomas",
                "--config", str(config), "--out", str(tmp_path / "out")]
     code = "\n".join([
@@ -153,11 +154,28 @@ def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
                           capture_output=True, text=True, check=True,
                           timeout=120)
     exit_code, peak_kib = (int(v) for v in proc.stdout.split())
-    assert exit_code in (0, 2)
-    assert peak_kib < 200 * 1024  # 93 MB measured at 2 cores, numpy 2.4.6
     report = json.loads(
         (tmp_path / "out" / "verify-thomas.json").read_text())
+    return exit_code, peak_kib, report
+
+
+def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
+    # dim 10,056, over the dense limit of a whole fiber, in 90 blocks of at
+    # most 180 rows, so the scan runs
+    exit_code, peak_kib, report = run_thomas4(tmp_path, 0)
+    assert exit_code in (0, 2)
+    assert peak_kib < 200 * 1024  # 93 MB measured at 2 cores, numpy 2.4.6
     assert report["dim"] == 10056
+
+
+def test_four_dimensional_thomas_scan_probes_blockwise(tmp_path):
+    # the probe multiplies block by block in column chunks of at most
+    # PROBE_CHUNK_BYTES, so 2,000 probe vectors of the dim-10,056 fiber run
+    # without its dense view
+    exit_code, peak_kib, report = run_thomas4(tmp_path, 2000)
+    assert exit_code in (0, 2)
+    assert peak_kib < 250 * 1024  # 181 MB measured at 2 cores, numpy 2.4.6
+    assert report["probe"]["count"] == 2000 and report["probe"]["consistent"]
 
 
 def test_readme_quickstart_runs():

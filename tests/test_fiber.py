@@ -12,15 +12,18 @@ import pytest
 import scipy.sparse
 from scipy.sparse import csgraph
 
-from diracband import build_clifford, fiber
+from diracband import build_clifford, cli, config, fiber, verify
 from diracband.clifford import PAULI_X, PAULI_Z
-from diracband.fiber import (FiberPoint, ModeSet, assemble, axial_transverse,
-                             eigenvalues, g_factors, sigma_min,
-                             sigma_min_probe, symbol, weighted_sigma_min)
+from diracband.fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
+                             axial_transverse, eigenvalues, g_factors,
+                             g_table, sigma_min, sigma_min_probe, symbol,
+                             weighted_sigma_min)
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
-from helpers import (block_rows, chiral_potential, fft_apply_oracle,
-                     random_real_vector_field)
+from helpers import (all_blocks_sigma_min, block_rows, chiral_potential,
+                     dense_matrix, fft_apply_oracle, random_real_vector_field)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_fiber(rng, kappa=None):
@@ -138,7 +141,7 @@ def test_assemble_matches_fft_collocation(lat3, rep3, rng):
     op = assemble(modes, fib, pot)
     m, M = len(modes), rep3.M
     phi = rng.standard_normal((m, M)) + 1.0j * rng.standard_normal((m, M))
-    got = (op.matrix @ phi.ravel()).reshape(m, M)
+    got = (dense_matrix(op) @ phi.ravel()).reshape(m, M)
     want = fft_apply_oracle(lat3, rep3, modes, fib, pot, phi)
     scale = float(np.max(np.abs(want)))
     assert np.max(np.abs(got - want)) < 1e-12 * scale
@@ -273,7 +276,8 @@ def test_weighted_sigma_min(lat3, rep3, rng):
     op = assemble(modes, fib, small_potential(lat3, rep3, rng))
     got = weighted_sigma_min(op, w)
     scale = np.repeat(1.0 / w, rep3.M)
-    want = float(np.linalg.svd(op.matrix * scale[None, :], compute_uv=False)[-1])
+    want = float(np.linalg.svd(dense_matrix(op) * scale[None, :],
+                               compute_uv=False)[-1])
     assert weighted_sigma_min(op, w, method="dense") == want
     assert abs(got - want) <= 1e-12 * want
 
@@ -285,7 +289,7 @@ def test_weighted_sigma_min(lat3, rep3, rng):
 
 def blocks(op):
     """The diagonal blocks of `op`'s dense view, one per component."""
-    return [op.matrix[np.ix_(rows, rows)] for rows in block_rows(op)]
+    return [dense_matrix(op)[np.ix_(rows, rows)] for rows in block_rows(op)]
 
 
 def block_parities(op):
@@ -309,7 +313,7 @@ def test_split_weighted_sigma_min_matches_whole_fiber(rng):
     assert all(len(p) == 1 for p in block_parities(op))
     for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
         scale = np.repeat(1.0 / w, rep4.M)
-        want = float(np.linalg.svd(op.matrix * scale[None, :],
+        want = float(np.linalg.svd(dense_matrix(op) * scale[None, :],
                                    compute_uv=False)[-1])
         for method in ("auto", "dense"):
             got = weighted_sigma_min(op, w, method)
@@ -336,14 +340,14 @@ def test_even_n_potential_off_the_chirality_couples_parities(rng):
     # the dense route is one LAPACK call per block, stacked or not
     assert sigma_min(op, method="dense") == min(
         float(np.linalg.svd(b, compute_uv=False)[-1]) for b in blocks(op))
-    want = float(np.linalg.svd(op.matrix, compute_uv=False)[-1])
+    want = float(np.linalg.svd(dense_matrix(op), compute_uv=False)[-1])
     for method in ("auto", "dense"):
         assert abs(sigma_min(op, method) - want) <= 1e-12 * want
     flat = assemble(modes, FiberPoint(k=fib.k, e=fib.e), pot)
     got = eigenvalues(flat)
     assert np.array_equal(got, np.sort(np.concatenate(
         [np.linalg.eigvalsh(b) for b in blocks(flat)])))
-    want = np.linalg.eigvalsh(flat.matrix)
+    want = np.linalg.eigvalsh(dense_matrix(flat))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -425,10 +429,11 @@ def test_component_routes_match_whole_fiber(n, span, probes, rng,
     # the blocks partition the rows and hold every entry of the fiber;
     # each lies in one chiral half for even n
     parities = block_parities(op)
-    outside = op.matrix.copy()
+    matrix = dense_matrix(op)
+    outside = matrix.copy()
     for rows, stack in op.blocks:
         for r, block in zip(rows, stack):
-            assert np.array_equal(block, op.matrix[np.ix_(r, r)])
+            assert np.array_equal(block, matrix[np.ix_(r, r)])
             outside[np.ix_(r, r)] = 0.0
     assert not np.any(outside)
     # the dense view is a dense assembly, entry for entry: each mode's
@@ -441,13 +446,13 @@ def test_component_routes_match_whole_fiber(n, span, probes, rng,
             key = tuple((Ni - Nj).tolist())
             if key in coeffs:
                 want[i * M:(i + 1) * M, j * M:(j + 1) * M] += coeffs[key]
-    assert np.array_equal(op.matrix, want)
+    assert np.array_equal(matrix, want)
     # the blocks' row sets, in ascending rows, are the components scipy
     # finds on the same pattern, which holds every entry of the fiber
     (rows, cols, dim), = patterns
     pattern = scipy.sparse.coo_array((np.ones(len(rows)), (rows, cols)),
                                      shape=(dim, dim)).toarray()
-    assert not np.any((op.matrix != 0) & (pattern == 0))
+    assert not np.any((matrix != 0) & (pattern == 0))
     count, labels = csgraph.connected_components(pattern, directed=False)
     comps = block_rows(op)
     assert len(comps) == count
@@ -471,19 +476,26 @@ def test_component_routes_match_whole_fiber(n, span, probes, rng,
         assert all(len(c) == 1 for c in block_modes)
         assert len(comps) == halves * len(modes)
 
-    for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes))):
+    # unit, random and annulus weights (verify_weighted_split's rule: g_minus,
+    # and a floor on the annulus); the pruned solve gives the float of the
+    # oracle that solves every block
+    annulus = g_table(op.axial_transverse, fib.kappa)[:, 0]
+    annulus[annulus_mask(op.axial_transverse, fib.kappa, 3.5)] = 1.5
+    for w in (np.ones(len(modes)), rng.uniform(0.5, 2.0, size=len(modes)),
+              annulus):
         scale = np.repeat(1.0 / w, rep.M)
-        want = float(np.linalg.svd(op.matrix * scale[None, :],
+        want = float(np.linalg.svd(matrix * scale[None, :],
                                    compute_uv=False)[-1])
         for method in ("auto", "dense"):
             got = weighted_sigma_min(op, w, method)
             assert abs(got - want) <= 1e-12 * want, method
+            assert got == all_blocks_sigma_min(op, w), method
     # from the inequality side: no random unit vector of the whole fiber
     # goes below the blocks' minimum
     s = sigma_min(op)
     assert sigma_min_probe(op, count=probes) >= s * (1.0 - 1e-12)
     flat = assemble(modes, FiberPoint(k=k, e=e), pot)
-    want = np.linalg.eigvalsh(flat.matrix)
+    want = np.linalg.eigvalsh(dense_matrix(flat))
     got = eigenvalues(flat)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -526,8 +538,9 @@ def test_connected_block_takes_the_lapack_svd():
         "assert [rows.shape for rows, _ in op.blocks] == [(1, 588)]",
         "w = op.mode_g_factors()[:, 0]",
         "scale = np.repeat(1.0 / w, op.pot.rep.M)",
-        "for got, matrix in ((sigma_min(op), op.matrix),",
-        "                    (weighted_sigma_min(op, w), op.matrix * scale)):",
+        "block = op.blocks[0][1][0]",
+        "for got, matrix in ((sigma_min(op), block),",
+        "                    (weighted_sigma_min(op, w), block * scale)):",
         "    want = np.linalg.svd(matrix, compute_uv=False)[-1]",
         "    assert got == want, (got, want)",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
@@ -591,3 +604,100 @@ def test_probe_stays_above_sigma_min(lat3, rep3, rng):
     for count in (0, -3):
         with pytest.raises(ValueError, match="count >= 1"):
             sigma_min_probe(op, count=count)
+
+
+# the pruned block solve of weighted_sigma_min against the oracle that
+# solves every block (tests/helpers.py): the same float, compared with ==
+
+def test_pruned_solve_is_the_all_blocks_minimum_on_shipped_scans(
+        tmp_path, monkeypatch):
+    # every node of the shipped Thomas and weighted scans, in process
+    pairs = []
+
+    def unit(op):
+        got = sigma_min(op)
+        pairs.append((got, all_blocks_sigma_min(op)))
+        return got
+
+    def weighted(op, w):
+        got = weighted_sigma_min(op, w)
+        pairs.append((got, all_blocks_sigma_min(op, w)))
+        return got
+
+    monkeypatch.setattr(verify, "sigma_min", unit)
+    monkeypatch.setattr(verify, "weighted_sigma_min", weighted)
+    for command, name in (("verify-thomas", "thomas_documented"),
+                          ("verify-weighted", "weighted_split"),
+                          ("verify-weighted", "weighted_floor")):
+        path = ROOT / "configs" / f"{name}.json"
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / name)]) in (0, 2)
+    assert len(pairs) == 75 + 18 + 18
+    assert [got for got, _ in pairs] == [want for _, want in pairs]
+
+
+def test_pruned_solve_finds_a_minimum_past_the_lowest_free_factor(lat3,
+                                                                  rep3):
+    # a strong coupling pulls the block whose least g_minus is 0.13 above
+    # the lowest one 0.17 below that block's sigma_min: ordering by g_minus
+    # alone would stop before it
+    eye = np.eye(rep3.M, dtype=complex)
+    c = 0.23 - 0.047j
+    a = np.array([-0.255 + 0.135j, -0.014 + 0.065j, 0.101 + 0.150j])
+    pot = PotentialSet(
+        FourierField(lat3, "vector", {(0, 1, 0): a, (0, -1, 0): np.conj(a)},
+                     real=True),
+        FourierField(lat3, "matrix", {(1, 0, 0): c * eye,
+                                      (-1, 0, 0): np.conj(c) * eye},
+                     dim=rep3.M, hermitian=True),
+        FourierField(lat3, "matrix", {(0, 0, 0): 0.2 * rep3.alphas[3]},
+                     dim=rep3.M, hermitian=True), rep3)
+    modes = ModeSet.from_cutoff(lat3, 3.0 * math.pi)
+    op = assemble(modes, FiberPoint(k=np.array([math.pi, 0.3, 1.3]),
+                                    e=np.array([1.0, 0.0, 0.0]), kappa=8.65),
+                  pot)
+    gm = g_table(op.axial_transverse, op.fiber.kappa)[:, 0]
+    per_block = sorted(
+        (float(np.min(gm[r // rep3.M])),
+         float(np.linalg.svd(b, compute_uv=False)[-1]))
+        for rows, stack in op.blocks for r, b in zip(rows, stack))
+    lowest, argmin = per_block[0], min(per_block, key=lambda gs: gs[1])
+    assert argmin[0] > lowest[0] + 0.1 and argmin[1] < lowest[1] - 0.1
+    assert sigma_min(op) == all_blocks_sigma_min(op) == argmin[1]
+
+
+def test_thomas_scan_solves_few_blocks_per_node(monkeypatch):
+    # thomas_documented.json: 7 blocks in 4 stacks per node, yet at most
+    # 1.5 SVD calls
+    p = config.parse_verify_thomas(config.load_file(
+        str(ROOT / "configs" / "thomas_documented.json")))
+    lat, gc = p["lattice"], p["gamma"]
+    g = lat.point(gc)
+    modes = ModeSet.from_cutoff(lat, p["cutoff"])
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    nodes = 0
+    for k in verify.k_face_grid(lat, gc, p["k_points_per_axis"]):
+        for kappa in p["kappas"]:
+            op = assemble(modes, FiberPoint(k=k, e=g / np.linalg.norm(g),
+                                            kappa=kappa), p["pot"])
+            assert sum(rows.shape[0] for rows, _ in op.blocks) == 7
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", counted)
+                sigma_min(op)
+            nodes += 1
+    assert nodes == 75
+    assert len(calls) <= 1.5 * nodes
+
+
+def test_cholesky_test_answers_each_block_of_a_stack():
+    # sigma_min 2, 0.5, 1 and 3 against t = 1: a block at t is not shown
+    # above it, and a failing block does not sink the others
+    blocks = np.stack([np.diag([s, 4.0, 5.0, 6.0])
+                       for s in (2.0, 0.5, 1.0, 3.0)]).astype(complex)
+    got = fiber._certified_above(blocks, np.ones(4))
+    assert got.tolist() == [True, False, False, True]

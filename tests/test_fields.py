@@ -17,9 +17,9 @@ from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               condition_value, sup_norm, w_norm, zero_field)
 from diracband.lattice import Lattice
 from golden import regenerate as golden
-from helpers import (average_by_quadrature, field_on_axes, full_grid_phases,
-                     full_grid_sup, random_complex_vector_field,
-                     random_real_vector_field)
+from helpers import (average_by_quadrature, evaluate, evaluate_cell_grid,
+                     field_on_axes, full_grid_phases, full_grid_sup,
+                     random_complex_vector_field, random_real_vector_field)
 
 
 def direct_eval(field, x):
@@ -66,18 +66,18 @@ def test_support_sorted_and_defaults(lat3):
 def test_evaluate_matches_direct_sum(lat3, rng):
     f = random_complex_vector_field(lat3, rng, count=6)
     pts = rng.uniform(-2.0, 2.0, size=(7, 3))
-    got = f.evaluate(pts)
+    got = evaluate(f, pts)
     want = np.array([direct_eval(f, x) for x in pts])
     assert np.max(np.abs(got - want)) < 1e-13
     # single-point call agrees with the batch row
-    one = f.evaluate(pts[0])
+    one = evaluate(f, pts[0])
     assert np.allclose(one, got[0], rtol=0, atol=1e-15)
 
 
 def test_real_field_evaluates_real(lat3, rng):
     f = random_real_vector_field(lat3, rng, pairs=3)
     pts = rng.uniform(-1.0, 1.0, size=(5, 3))
-    vals = f.evaluate(pts)
+    vals = evaluate(f, pts)
     assert vals.dtype == np.float64
     want = np.array([direct_eval(f, x) for x in pts])
     assert np.max(np.abs(vals - want.real)) < 1e-13
@@ -87,11 +87,11 @@ def test_real_field_evaluates_real(lat3, rng):
 def test_cell_grid_matches_pointwise(lat3, rng):
     f = random_complex_vector_field(lat3, rng, count=4)
     m = 5
-    grid = f.evaluate_cell_grid(m)
+    grid = evaluate_cell_grid(f, m)
     mesh = np.meshgrid(*([np.arange(m) / m] * 3), indexing="ij")
     xi = np.stack([g.ravel() for g in mesh], axis=1)
     pts = xi @ lat3.basis
-    assert np.max(np.abs(grid - f.evaluate(pts))) < 1e-13
+    assert np.max(np.abs(grid - evaluate(f, pts))) < 1e-13
 
 
 def test_field_arithmetic(lat3):
@@ -353,7 +353,7 @@ def test_averaging_matches_quadrature(lat3, rng, kind):
     et = np.array([0.0, 1.0, 0.0])
     gamma = (1, 0, 0)
     pts = rng.uniform(-1.5, 1.5, size=(12, 3))
-    got = averaged_potential(A, gamma, mu, et).evaluate(pts)
+    got = evaluate(averaged_potential(A, gamma, mu, et), pts)
     want = average_by_quadrature(A, gamma, mu, et, pts)
     assert np.max(np.abs(got - want)) < tol
 

@@ -17,7 +17,7 @@ from diracband.gauge import default_kernel_constant
 from diracband.verify import (condition_chain_pipeline, k_face_grid,
                               sobolev_direction_measure, verify_thomas_bound,
                               verify_weighted_split, weighted_floor)
-from helpers import random_real_vector_field
+from helpers import dense_matrix, random_real_vector_field
 
 KERNEL_C = 1.7058460118707472
 GAMMA = (1, 0, 0)
@@ -230,7 +230,7 @@ def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
     assert peak < 50e6
     # the dense view refuses; the solvers and the sweep read the blocks
     with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
-        op.matrix
+        dense_matrix(op)
     assert fiber.eigenvalues(op).shape == (4552,)
     e = np.array([1.0, 0.0, 0.0, 0.0])
     sheet = bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
@@ -261,20 +261,28 @@ def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
     assert "the diagonal blocks hold 18208 entries" in capsys.readouterr().err
 
 
-def test_probe_checks_the_dense_view_before_the_scan(monkeypatch):
-    # the probe reads the whole dense fiber, so a probed scan of the dim-4,552
-    # window is refused before its first fiber; unprobed, the scan runs
+def test_probe_runs_blockwise_past_the_dense_view():
+    # the probe multiplies block by block, in column chunks of at most
+    # PROBE_CHUNK_BYTES, so a probed scan of the dim-4,552 window runs
+    # without the dense view, which would take 331 MB and is refused
     pot = mass_potential4()
-    kwargs = dict(theta=0.5, kappas=[4.0], k_points_per_axis=1, cutoff=20.0)
-    with monkeypatch.context() as m:
-        m.setattr(verify, "assemble", no_assembly)
-        with pytest.raises(ValueError,
-                           match="dimension 4552 exceeds the dense limit"):
-            verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
-                                probe_count=1, **kwargs)
-    report = verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
-                                 probe_count=0, **kwargs)
-    assert report["dim"] == 4552 and "probe" not in report
+    tracemalloc.start()
+    try:
+        report = verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
+                                     theta=0.5, kappas=[4.0],
+                                     k_points_per_axis=1, cutoff=20.0,
+                                     probe_count=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["dim"] == 4552
+    assert report["probe"]["count"] == 1000 and report["probe"]["consistent"]
+    assert peak < 200e6  # 136 MB measured: four chunk-sized arrays
+    fib = FiberPoint(k=np.array(report["k_points"][0]),
+                     e=np.array([1.0, 0.0, 0.0, 0.0]), kappa=4.0)
+    op = assemble(ModeSet.from_cutoff(pot.lattice, 20.0), fib, pot)
+    with pytest.raises(ValueError, match="dimension 4552 exceeds the dense limit"):
+        dense_matrix(op)
 
 
 def test_free_scan_allocates_no_dense_fiber():
