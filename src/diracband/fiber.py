@@ -46,13 +46,15 @@ the blocks that can hold the minimum: the closed form and the stencil's
 inequality), and a Cholesky test rules out most of the rest, stack by
 stack.  With LAPACK's SVD error taken as at most 2 size eps |B|_2, the
 result is the float the SVD of every block would give
-(`weighted_sigma_min`).  Block solves set numpy's OpenBLAS to one thread,
-for the rest of the process, so their bits do not depend on the thread
-count.
+(`weighted_sigma_min`).  Block solves and the probe set numpy's OpenBLAS
+to one thread, for the rest of the process, so their bits do not depend on
+the thread count; the probe's parallelism is its own threads, over column
+chunks of vectors drawn from per-chunk seeds.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import warnings
 import weakref
@@ -66,11 +68,11 @@ from numpy.linalg import _umath_linalg
 from .clifford import CliffordRep, clifford_contraction
 from .fields import PotentialSet, coefficient_sum
 from .lattice import Lattice
-from .util import blas_single_threaded, check_unit
+from .util import _usable_cores, blas_single_threaded, check_unit
 
 DENSE_LIMIT = 4096
 # bytes of one column chunk of probe vectors (`sigma_min_probe`)
-PROBE_CHUNK_BYTES = 2 ** 25
+PROBE_CHUNK_BYTES = 2 ** 21
 _EPS = float(np.finfo(float).eps)
 
 
@@ -567,25 +569,32 @@ def _certified_above(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
-                    seed: int = 0) -> float:
+                    seed: int = 0, threads: int = 1) -> float:
     """Randomized lower-bound companion: min |D phi| over random unit phi.
 
     Always at least sigma_min; used to cross-check reported minima from the
     inequality side.  Needs at least one probe vector.  The vectors are
-    drawn in column chunks of min(count, 4096, PROBE_CHUNK_BYTES / (16 dim))
-    and multiplied block by block, prod[rows] = stack @ phi[rows], so no
-    dense fiber is built: the probe holds four chunk-sized arrays (vectors,
-    product and the two of one stack), each at most PROBE_CHUNK_BYTES
-    (32 MiB), whatever the fiber's dimension.
+    drawn in column chunks of width max(1, min(count, PROBE_CHUNK_BYTES /
+    (16 dim))), chunk c from its own generator, the c-th child of
+    SeedSequence(seed), and the result is the least over the chunks: it
+    depends on seed, count and dim, never on `threads`.  Each chunk is
+    multiplied block by block, prod[rows] = stack @ phi[rows], so no dense
+    fiber is built: a chunk holds four arrays (vectors, product and the two
+    of one stack), each at most PROBE_CHUNK_BYTES (2 MiB), whatever the
+    fiber's dimension.  With `threads` > 1 the chunks run on that many
+    threads (at most one per chunk and per usable core), after numpy's BLAS
+    is set to one thread; the RNG fills, ufuncs and products release the
+    GIL, and the threads are joined before returning.
     """
     if count < 1:
         raise ValueError("the probe needs count >= 1")
-    rng = np.random.default_rng(seed)
-    chunk = max(1, min(count, 4096, PROBE_CHUNK_BYTES // (16 * op.dim)))
-    best = math.inf
-    done = 0
-    while done < count:
-        b = min(chunk, count - done)
+    width = max(1, min(count, PROBE_CHUNK_BYTES // (16 * op.dim)))
+    starts = range(0, count, width)
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def chunk_min(c: int) -> float:
+        rng = np.random.default_rng(seeds[c])
+        b = min(width, count - starts[c])
         phi = np.empty((op.dim, b), dtype=complex)
         phi.real = rng.standard_normal((op.dim, b))
         phi.imag = rng.standard_normal((op.dim, b))
@@ -593,6 +602,11 @@ def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
         prod = np.empty_like(phi)
         for rows, stack in op.blocks:
             prod[rows] = stack @ phi[rows]
-        best = min(best, float(np.min(np.linalg.norm(prod, axis=0))))
-        done += b
-    return best
+        return float(np.min(np.linalg.norm(prod, axis=0)))
+
+    blas_single_threaded()
+    workers = min(threads, len(seeds), _usable_cores())
+    if workers <= 1:
+        return min(map(chunk_min, range(len(seeds))))
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        return min(pool.map(chunk_min, range(len(seeds))))

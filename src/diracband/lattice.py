@@ -282,11 +282,29 @@ def _candidate_keys(lattice: Lattice, coeffs: np.ndarray,
         step = max(1, _BLOCK // pts.shape[0])
         for lo in range(0, coeffs.shape[0], step):
             mask = np.abs(_dot(gvecs[lo:lo + step, None, :], pts)) <= h
-            _, first, which = np.unique(np.packbits(mask, axis=1), axis=0,
-                                        return_index=True, return_inverse=True)
+            first, which = _distinct_rows(mask)
             masses = np.array([np.sum(measure.weights[mask[i]]) for i in first])
-            slab[lo:lo + step] = masses[which.reshape(-1)]
+            slab[lo:lo + step] = masses[which]
     return gvecs, gnorm, slab
+
+
+def _distinct_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct rows of a boolean matrix, in the
+    order of np.unique(np.packbits(mask, axis=1), axis=0): each row packed
+    into zero-padded big-endian 64-bit words (one word up to 64 columns),
+    sorted by one stable np.lexsort, so `first` holds each group's first row.
+    """
+    packed = np.packbits(mask, axis=1)
+    padded = np.zeros((mask.shape[0], -(-packed.shape[1] // 8) * 8), np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    words = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    start = np.ones(order.size, dtype=bool)
+    start[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(start) - 1
+    return order[start], inverse
 
 
 def _min_orth_raw(gcs: np.ndarray, dual: tuple[np.ndarray, np.ndarray]

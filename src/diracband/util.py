@@ -191,11 +191,13 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
     """Order-preserving map, optionally on forked worker processes.
 
     The pool gets at most one worker per item and per usable core, whatever
-    `threads` asks for, and each worker runs numpy's BLAS on one thread.
-    `fn` and the items reach the workers by fork inheritance, in contiguous
-    chunks of indices, so only the results are pickled; `fn` may be a
-    closure.  Results are collected in input order regardless of completion
-    order, so reports stay deterministic for any worker count.
+    `threads` asks for.  Before it forks, the caller sets numpy's BLAS to one
+    thread (`blas_single_threaded`), for the rest of its life; the workers
+    inherit that setting, so workers times BLAS threads stay within the
+    cores.  `fn` and the items reach the workers by fork inheritance, in
+    contiguous chunks of indices, so only the results are pickled; `fn` may
+    be a closure.  Results are collected in input order regardless of
+    completion order, so reports stay deterministic for any worker count.
     An exception in a worker is raised here, without waiting for the chunks
     not yet started.  Where the platform cannot fork, the map runs serially.
     The workers are joined before returning.
@@ -209,13 +211,13 @@ def pmap(fn: Callable, items: Iterable, threads: int = 1) -> list:
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
+    blas_single_threaded()
     size = -(-len(items) // (_PMAP_CHUNKS_PER_WORKER * workers))
     _PMAP_TASK = (fn, items)
     try:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=blas_single_threaded) as pool:
+                mp_context=multiprocessing.get_context("fork")) as pool:
             chunks = [pool.submit(_pmap_chunk, lo, lo + size)
                       for lo in range(0, len(items), size)]
             try:
@@ -232,8 +234,9 @@ def blas_single_threaded() -> None:
     """Run the OpenBLAS bundled with numpy on one thread.
 
     With more than one thread a LAPACK call's last bits can depend on the
-    thread count; `pmap` workers set it too, so that workers times BLAS
-    threads stay within the cores.  Runs once per process; changes nothing
+    thread count.  Block solves, `pmap` before it forks and the checks'
+    `_Face` call it, and the setting holds for the rest of the process;
+    forked children inherit it.  Runs once per process; changes nothing
     when numpy bundles no OpenBLAS (builds against a system BLAS).
     """
     base = os.path.dirname(np.__file__)

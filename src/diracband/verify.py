@@ -45,7 +45,7 @@ from .fields import (GRID_LIMIT, FourierField, MeasureSpec,
                      orthogonal_modes, sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
 from .lattice import Lattice, SphereMeasure, find_gamma
-from .util import pmap, transverse_blocks, unit_grid
+from .util import blas_single_threaded, pmap, transverse_blocks, unit_grid
 
 
 def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
@@ -95,11 +95,15 @@ class _Face:
     """The face (k, gamma) = pi that all three checks scan, and its fibers.
 
     Holds gamma, |gamma|, e = gamma / |gamma| and the k grid; `scan` solves
-    every (k, kappa) node of the grid on one mode window.
+    every (k, kappa) node of the grid on one mode window.  Building one sets
+    numpy's BLAS to one thread for the rest of the process, before the
+    check's condition scan, so a process has run no threaded BLAS call by
+    the time `pmap` forks its workers.
     """
 
     def __init__(self, pot: PotentialSet, gamma_coeffs,
                  k_points_per_axis: int) -> None:
+        blas_single_threaded()
         self.pot = pot
         self.gc, _, self.gnorm, self.e = pot.lattice.direction(gamma_coeffs)
         self.ks = k_face_grid(pot.lattice, self.gc, k_points_per_axis)
@@ -223,7 +227,8 @@ def verify_thomas_bound(pot: PotentialSet, gamma_coeffs, measure: MeasureSpec,
         i, j = np.unravel_index(int(np.argmin(sigma)), sigma.shape)
         fiber = FiberPoint(k=face.ks[i], e=face.e, kappa=kappas[j])
         op = assemble(modes, fiber, pot)
-        probe_val = sigma_min_probe(op, count=probe_count, seed=seed)
+        probe_val = sigma_min_probe(op, count=probe_count, seed=seed,
+                                    threads=threads)
         report["probe"] = {"k_index": int(i), "kappa": float(kappas[j]),
                            "count": probe_count, "seed": seed,
                            "probe_min": probe_val,

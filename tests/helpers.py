@@ -5,8 +5,14 @@ The oracles here recompute library quantities through a different route
 tests compare two genuinely independent computations.
 """
 
+import ctypes
+import glob
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +91,66 @@ def all_blocks_sigma_min(op, weights=None):
     return min(float(np.min(np.linalg.svd(stack * scale[rows][:, None, :],
                                           compute_uv=False)[:, -1]))
                for rows, stack in op.blocks)
+
+
+def probe_oracle(op, count, seed):
+    """`fiber.sigma_min_probe` serially through the dense view: the least
+    |D phi| over the columns of each chunk of PROBE_CHUNK_BYTES / (16 dim)
+    vectors, chunk c drawn from the c-th child of SeedSequence(seed)."""
+    width = max(1, min(count, fiber.PROBE_CHUNK_BYTES // (16 * op.dim)))
+    starts = range(0, count, width)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    dense = dense_matrix(op)
+    best = math.inf
+    for start, child in zip(starts, children):
+        rng = np.random.default_rng(child)
+        shape = (op.dim, min(width, count - start))
+        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        phi /= np.linalg.norm(phi, axis=0)
+        best = min(best, float(np.min(np.linalg.norm(dense @ phi, axis=0))))
+    return best
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS bundled with numpy, read through the
+    getters named like the setters `util.blas_single_threaded` tries; None
+    when numpy bundles no OpenBLAS."""
+    base = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(base + ".libs", "*openblas*")) +
+                       glob.glob(os.path.join(base, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return int(getter())
+    return None
+
+
+def run_blas_script(code, cwd=None):
+    """Standard output of `code` in a fresh interpreter, run in `cwd`, that
+    imports diracband and these helpers and starts numpy's OpenBLAS on two
+    threads."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def distinct_rows_oracle(mask):
+    """(first, inverse) of the distinct rows of a boolean matrix by
+    np.unique over the packed rows as structured voids."""
+    _, first, inverse = np.unique(np.packbits(mask, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def block_rows(op):

@@ -1,9 +1,11 @@
 """Truncated fiber assembly, closed-form factors, and singular-value routes."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
 import sys
+import threading
 from functools import reduce
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from diracband.fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
 from diracband.fields import FourierField, PotentialSet, zero_field
 from diracband.lattice import Lattice
 from helpers import (all_blocks_sigma_min, block_rows, chiral_potential,
-                     dense_matrix, fft_apply_oracle, random_real_vector_field)
+                     dense_matrix, fft_apply_oracle, probe_oracle,
+                     random_real_vector_field)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -604,6 +607,44 @@ def test_probe_stays_above_sigma_min(lat3, rep3, rng):
     for count in (0, -3):
         with pytest.raises(ValueError, match="count >= 1"):
             sigma_min_probe(op, count=count)
+
+
+@pytest.mark.parametrize("count", [1, 5, 23])
+def test_probe_is_the_same_at_any_thread_count(count, lat3, rep3, rng,
+                                               monkeypatch):
+    # chunks of 7 vectors, each from its own child of the seed: one vector,
+    # less than a chunk, and four chunks with a short last one
+    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.2)
+    op = assemble(modes, random_fiber(rng, kappa=4.0),
+                  small_potential(lat3, rep3, rng))
+    monkeypatch.setattr(fiber, "PROBE_CHUNK_BYTES", 16 * op.dim * 7)
+    monkeypatch.setattr(fiber, "_usable_cores", lambda: 3)
+    values = [sigma_min_probe(op, count=count, seed=11, threads=t)
+              for t in (1, 2, 3)]
+    assert values[0] == values[1] == values[2]
+    assert values[0] == pytest.approx(probe_oracle(op, count, 11), rel=1e-12)
+
+
+def test_probe_threads_are_joined(lat3, rep3, rng, monkeypatch):
+    modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.2)
+    op = assemble(modes, random_fiber(rng, kappa=4.0),
+                  small_potential(lat3, rep3, rng))
+    monkeypatch.setattr(fiber, "PROBE_CHUNK_BYTES", 16 * op.dim * 50)
+    monkeypatch.setattr(fiber, "_usable_cores", lambda: 2)
+    pools = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        RecordingPool)
+    before = threading.active_count()
+    value = sigma_min_probe(op, count=200, seed=3, threads=2)
+    assert pools == [2]
+    assert threading.active_count() == before
+    assert value == sigma_min_probe(op, count=200, seed=3)
 
 
 # the pruned block solve of weighted_sigma_min against the oracle that

@@ -10,7 +10,7 @@ from diracband import lattice as lattice_module
 from diracband import (Lattice, SphereMeasure, check_gamma, enumerate_points,
                        find_gamma, reciprocal_basis)
 from diracband.fiber import FiberPoint, ModeSet, annulus_mask, axial_transverse
-from helpers import brute_force_gamma, pipeline_measure
+from helpers import brute_force_gamma, distinct_rows_oracle, pipeline_measure
 
 
 def test_reciprocal_pairing_is_kronecker(rng):
@@ -286,3 +286,17 @@ def test_k_beta_membership(lat3):
     # with k on the face pi*e the axial part lives in pi + 2 pi Z, so no
     # mode can enter while beta < pi
     assert selected(np.array([math.pi, 0.0, 0.0])) == set()
+
+
+def test_distinct_rows_match_unique_over_packed_rows():
+    # slab masks of 1-200 atoms, rows repeated so that groups form: the same
+    # groups, first rows and inverse as np.unique over the packed rows
+    rng = np.random.default_rng(5)
+    for atoms in [1, 7, 8, 9, 63, 64, 65, 128, 200] + list(
+            rng.integers(1, 201, 20)):
+        base = rng.random((int(rng.integers(1, 12)), int(atoms))) < 0.4
+        mask = base[rng.integers(0, base.shape[0], int(rng.integers(1, 300)))]
+        first, inverse = lattice_module._distinct_rows(mask)
+        want_first, want_inverse = distinct_rows_oracle(mask)
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse)

@@ -16,6 +16,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 from diracband import fields, util
 from golden import regenerate as golden
+from helpers import run_blas_script
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -107,6 +108,29 @@ def test_pmap_forks_after_threaded_blas_without_hanging():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+@needs_fork
+def test_pmap_pins_blas_in_the_caller_before_it_forks():
+    # after a threaded product the caller sets numpy's BLAS to one thread
+    # before the pool forks: every worker inherits it, and the caller keeps it
+    out = run_blas_script(
+        "import os\n"
+        "import numpy as np\n"
+        "import helpers\n"
+        "from diracband import util\n"
+        "if helpers.blas_threads() is None:\n"
+        "    raise SystemExit\n"
+        "util._usable_cores = lambda: 2\n"
+        "a = np.random.default_rng(0).standard_normal((400, 400))\n"
+        "a @ a\n"
+        "seen = util.pmap(lambda i: (os.getpid(), helpers.blas_threads()),\n"
+        "                 range(8), 2)\n"
+        "assert os.getpid() not in {pid for pid, _ in seen}, seen\n"
+        "print([t for _, t in seen], helpers.blas_threads())\n")
+    if out == "":
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert out == str([1] * 8) + " 1"
 
 
 def _seeded_brackets(count: int, seed: int = 11) -> list:

@@ -17,7 +17,7 @@ from diracband.gauge import default_kernel_constant
 from diracband.verify import (condition_chain_pipeline, k_face_grid,
                               sobolev_direction_measure, verify_thomas_bound,
                               verify_weighted_split, weighted_floor)
-from helpers import dense_matrix, random_real_vector_field
+from helpers import dense_matrix, random_real_vector_field, run_blas_script
 
 KERNEL_C = 1.7058460118707472
 GAMMA = (1, 0, 0)
@@ -277,7 +277,7 @@ def test_probe_runs_blockwise_past_the_dense_view():
         tracemalloc.stop()
     assert report["dim"] == 4552
     assert report["probe"]["count"] == 1000 and report["probe"]["consistent"]
-    assert peak < 200e6  # 136 MB measured: four chunk-sized arrays
+    assert peak < 50e6  # 9.9 MB measured: four arrays of a 2 MiB chunk
     fib = FiberPoint(k=np.array(report["k_points"][0]),
                      e=np.array([1.0, 0.0, 0.0, 0.0]), kappa=4.0)
     op = assemble(ModeSet.from_cutoff(pot.lattice, 20.0), fib, pot)
@@ -433,3 +433,29 @@ def test_chain_pipeline_preconditions(lat3, rng):
                           {(0, 0, 0): np.array([0.1, 0.0, 0.0])}, real=True)
     with pytest.raises(ValueError):
         condition_chain_pipeline(biased, q=1.0, h=0.1, h1=1.0, R0_list=[2.0])
+
+
+def test_checks_scan_the_condition_on_one_blas_thread():
+    # a fresh process that starts OpenBLAS on two threads runs the condition
+    # scan of verify_thomas_bound on one: the face pins it first, so at any
+    # --threads no threaded BLAS call runs before the scan's workers fork
+    out = run_blas_script(
+        "import helpers\n"
+        "from diracband import config, verify\n"
+        "if helpers.blas_threads() is None:\n"
+        "    raise SystemExit\n"
+        "seen = []\n"
+        "scan = verify.condition_value\n"
+        "def spy(*args, **kwargs):\n"
+        "    seen.append(helpers.blas_threads())\n"
+        "    return scan(*args, **kwargs)\n"
+        "verify.condition_value = spy\n"
+        "p = config.parse_verify_thomas(\n"
+        "    config.load_file('configs/thomas_documented.json'))\n"
+        "verify.verify_thomas_bound(p['pot'], p['gamma'], p['measure'],\n"
+        "                           p['theta'], k_points_per_axis=1,\n"
+        "                           cutoff=8.0, sphere_samples=256)\n"
+        "print(seen)\n", cwd=Path(__file__).resolve().parents[1])
+    if out == "":
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert out == "[1]"
