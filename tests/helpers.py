@@ -145,6 +145,24 @@ def run_blas_script(code, cwd=None):
     return proc.stdout.strip()
 
 
+def outputs_under_blas_kernels(code):
+    """Standard output of `code` in two fresh interpreters that import
+    diracband: one at OpenBLAS's own kernel choice, one under
+    OPENBLAS_CORETYPE=Prescott (builds that ignore the variable run both
+    identically)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(extra)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        outs.append(proc.stdout.strip())
+    return outs
+
+
 def distinct_rows_oracle(mask):
     """(first, inverse) of the distinct rows of a boolean matrix by
     np.unique over the packed rows as structured voids."""

@@ -19,6 +19,7 @@ from diracband.lattice import Lattice
 from golden import regenerate as golden
 from helpers import (average_by_quadrature, evaluate, evaluate_cell_grid,
                      field_on_axes, full_grid_phases, full_grid_sup,
+                     outputs_under_blas_kernels,
                      random_complex_vector_field, random_real_vector_field)
 
 
@@ -124,8 +125,8 @@ def test_measure_validation():
 
 
 def test_plateau_h1_is_bounded_before_the_norm_is_computed(monkeypatch):
-    # past h1 = 16 the norm's sign grid samples the density too coarsely
-    # (1.00013 against 1.16668 at h1 = 256), and at 1e300 its linspace fails
+    # past h1 = 16 the norm is not checked against an oracle, and its time
+    # and memory grow as h1^2: at 1e300 no window can be allocated
     calls = []
     monkeypatch.setattr(fields, "_plateau_norm",
                         lambda h, h1: calls.append(h1) or 1.0)
@@ -192,15 +193,15 @@ def _density_oracle(h, h1, t_max):
     return dens
 
 
-def test_plateau_norm_frozen_and_quadrature():
-    mu = MeasureSpec.plateau(0.5, 1.5)
-    assert abs(mu.norm_bound - 1.4478712034561607) < 1e-9
+def _oracle_norm(h, h1, t_max):
+    """2 x integral of |density| over [0, t_max], apart from `_plateau_norm`.
 
-    # |density| is only piecewise smooth, so blind adaptive quadrature is
-    # untrustworthy here: integrate sign-definite pieces between scanned
-    # zeros and sum their absolute masses
-    dens = _density_oracle(0.5, 1.5, t_max=60.0)
-    grid = np.linspace(0.0, 60.0, 60_001)
+    |density| is only piecewise smooth, so blind adaptive quadrature is
+    untrustworthy here: integrate sign-definite pieces between zeros scanned
+    on a 1/1000 grid and sum their absolute masses.
+    """
+    dens = _density_oracle(h, h1, t_max=t_max)
+    grid = np.linspace(0.0, t_max, int(round(1000 * t_max)) + 1)
     vals = np.concatenate([dens(grid[i:i + 4096]) for i in range(0, grid.size, 4096)])
     eps = 1e-14
     cuts = [0.0]
@@ -209,32 +210,55 @@ def test_plateau_norm_frozen_and_quadrature():
         cuts.append(brentq(lambda t: float(dens(t)[0]), grid[i], grid[i + 1],
                            xtol=1e-14))
     cuts += [float(g) for g in grid[1:-1][np.abs(vals[1:-1]) <= eps]]
-    cuts = sorted(cuts) + [60.0]
+    cuts = sorted(cuts) + [t_max]
     x24, w24 = np.polynomial.legendre.leggauss(24)
     total_abs = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * x24
         total_abs += abs(float((0.5 * (b - a) * w24) @ dens(nodes)))
-    assert abs(2.0 * total_abs - mu.norm_bound) < 5e-7
+    return 2.0 * total_abs
+
+
+def test_plateau_norm_frozen_and_quadrature():
+    mu = MeasureSpec.plateau(0.5, 1.5)
+    assert abs(mu.norm_bound - 1.4478712603736383) < 1e-9
+    assert abs(_oracle_norm(0.5, 1.5, 60.0) - mu.norm_bound) < 1e-9
 
     # signed mass recovers the transform at zero (plain quadrature is fine
     # for the smooth signed density)
+    dens = _density_oracle(0.5, 1.5, t_max=60.0)
     total_signed = sum(quad(lambda t: float(dens(t)[0]), a, a + 2.0,
                             epsabs=1e-12, limit=400)[0]
                        for a in np.arange(0.0, 60.0, 2.0))
     assert abs(2.0 * total_signed - 1.0) < 1e-7
 
 
-def test_plateau_rule_cache_is_bounded_and_read_only():
-    # density calls with one panel count share the cached rule's arrays
-    assert fields._plateau_rule.cache_info().maxsize is not None
-    mu = MeasureSpec.plateau(0.5, 1.5)
-    t = np.array([0.3, 7.0])  # ceil(1.5 * h1 * 7) + 8 = 24 panels
-    before = mu.density(t)
-    for arr in fields._plateau_rule(0.5, 1.5, 24):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0.0
-    assert np.array_equal(mu.density(t), before)
+def test_plateau_norm_matches_oracle_at_wide_ramp():
+    # h1 = 8 takes the 2-wide windows of every h1 >= 2; past t = 8 the
+    # density holds under 1e-11 of the norm
+    assert abs(_oracle_norm(1.0, 8.0, 8.0)
+               - MeasureSpec.plateau(1.0, 8.0).norm_bound) < 1e-9
+
+
+def test_plateau_window_keeps_zeros_next_to_exact_ones():
+    # at (0.5, 1.5) the density vanishes at every half-integer, which falls
+    # on the window's sign grid, and another zero lies 0.02 before 5 and
+    # 0.0011 before 10: both zeros of each pair must be cuts
+    for t0, t1, near, exact in [(8 / 3, 16 / 3, 4.979846394, 5.0),
+                                (8.0, 32 / 3, 9.998853766, 10.0)]:
+        zeros, _ = fields._plateau_window(0.5, 1.5, t0, t1)
+        assert np.min(np.abs(zeros - near)) < 1e-9
+        assert np.min(np.abs(zeros - exact)) < 1e-12
+
+
+def test_plateau_norm_independent_of_blas_kernel():
+    # OpenBLAS picks its kernels from OPENBLAS_CORETYPE; the norm sums in
+    # numpy's fixed order and must keep its bits either way
+    outs = outputs_under_blas_kernels(
+        "from diracband.fields import MeasureSpec; print(repr(["
+        "MeasureSpec.plateau(0.5, 1.5).norm_bound, "
+        "MeasureSpec.plateau(0.4, 0.9).norm_bound]))")
+    assert outs[0] == outs[1]
 
 
 def test_density_transform_pair():

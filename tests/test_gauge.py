@@ -1,11 +1,7 @@
 """Gauge pairs, the radial cutoff kernel, and the sup-norm bound check."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,8 @@ from diracband.gauge import (DEFAULT_KERNEL_CONSTANT, EtaSpec, _quadrant_norm,
                              bessel_kernel_constant, build_phi, damping_factor,
                              default_kernel_constant, gauge_bound_check,
                              radial_kernel)
-from helpers import evaluate, random_real_vector_field
+from helpers import (evaluate, outputs_under_blas_kernels,
+                     random_real_vector_field)
 
 GAMMA = (1, 0, 0)
 E = np.array([1.0, 0.0, 0.0])  # GAMMA / |GAMMA| on the cubic lattice
@@ -169,20 +166,10 @@ def test_quadrant_rule_matches_the_radial_integral():
 
 def test_kernel_constant_independent_of_blas_kernel():
     # OpenBLAS picks its gemv kernel from OPENBLAS_CORETYPE; the constant must
-    # come out with the same bits either way (builds that ignore the variable
-    # run both processes identically)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("from diracband.gauge import bessel_kernel_constant; "
-            "print(repr(bessel_kernel_constant(cross_check=False)['constant']))")
-    outs = []
-    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-        env.update(extra)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, check=True)
-        outs.append(proc.stdout.strip())
+    # come out with the same bits either way
+    outs = outputs_under_blas_kernels(
+        "from diracband.gauge import bessel_kernel_constant; "
+        "print(repr(bessel_kernel_constant(cross_check=False)['constant']))")
     assert outs[0] == outs[1]
     assert abs(float(outs[0]) - 1.7058460118707472) < 1e-10
 
