@@ -26,8 +26,8 @@ window and the potential, so `potential_stencil` builds them once per pair,
 and per fiber `assemble` adds the symbols of every mode onto their diagonal
 entries.  The stencil alone decides a window's size: it refuses stacks of
 more than DENSE_LIMIT^2 entries in all, so no block passes DENSE_LIMIT rows.
-No solver builds the whole (dim, dim) matrix; the probe multiplies block by
-block.
+No solver builds the whole (dim, dim) matrix; the probe draws its vectors
+block by block and multiplies each block's where they are drawn.
 
 The singular values of a single symbol block are known in closed form: with
 p the axial component of k + 2 pi N and q the transverse radius,
@@ -570,21 +570,24 @@ def _certified_above(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
                     seed: int = 0, threads: int = 1) -> float:
-    """Randomized lower-bound companion: min |D phi| over random unit phi.
+    """Randomized lower-bound companion: min |D phi| / |phi| over random phi.
 
     Always at least sigma_min; used to cross-check reported minima from the
     inequality side.  Needs at least one probe vector.  The vectors are
     drawn in column chunks of width max(1, min(count, PROBE_CHUNK_BYTES /
     (16 dim))), chunk c from its own generator, the c-th child of
-    SeedSequence(seed), and the result is the least over the chunks: it
-    depends on seed, count and dim, never on `threads`.  Each chunk is
-    multiplied block by block, prod[rows] = stack @ phi[rows], so no dense
-    fiber is built: a chunk holds four arrays (vectors, product and the two
-    of one stack), each at most PROBE_CHUNK_BYTES (2 MiB), whatever the
-    fiber's dimension.  With `threads` > 1 the chunks run on that many
-    threads (at most one per chunk and per usable core), after numpy's BLAS
-    is set to one thread; the RNG fills, ufuncs and products release the
-    GIL, and the threads are joined before returning.
+    SeedSequence(seed), and the result is the least over the chunks.  A
+    chunk draws block by block in `op.blocks` order, each stack's vectors
+    where they are multiplied: 2 b normals per row for b columns, read as
+    complex with real and imaginary parts interleaved, so phi / |phi| is
+    uniform on the sphere.  It sums |D phi|^2 and |phi|^2 per column in a
+    fixed order with no BLAS call, and holds no (dim, b) array, only the
+    vectors and image of one stack, each at most PROBE_CHUNK_BYTES (2 MiB).
+    The result depends on seed, count, dim and the block layout, never on
+    `threads`.  With `threads` > 1 the chunks run on that many threads (at
+    most one per chunk and per usable core), after numpy's BLAS is set to
+    one thread; the RNG fills, sums and products release the GIL, and the
+    threads are joined before returning.
     """
     if count < 1:
         raise ValueError("the probe needs count >= 1")
@@ -595,14 +598,15 @@ def sigma_min_probe(op: TruncatedDiracOperator, count: int = 10000,
     def chunk_min(c: int) -> float:
         rng = np.random.default_rng(seeds[c])
         b = min(width, count - starts[c])
-        phi = np.empty((op.dim, b), dtype=complex)
-        phi.real = rng.standard_normal((op.dim, b))
-        phi.imag = rng.standard_normal((op.dim, b))
-        phi /= np.linalg.norm(phi, axis=0, keepdims=True)
-        prod = np.empty_like(phi)
+        # |D phi|^2 and |phi|^2 per column, real and imaginary parts apart
+        sums = np.zeros((2, 2 * b))
         for rows, stack in op.blocks:
-            prod[rows] = stack @ phi[rows]
-        return float(np.min(np.linalg.norm(prod, axis=0)))
+            draws = rng.standard_normal(rows.shape + (2 * b,))
+            image = (stack @ draws.view(complex)).view(float)
+            sums[0] += np.einsum("ijk,ijk->k", image, image)
+            sums[1] += np.einsum("ijk,ijk->k", draws, draws)
+        squares = sums[:, 0::2] + sums[:, 1::2]
+        return math.sqrt(float(np.min(squares[0] / squares[1])))
 
     blas_single_threaded()
     workers = min(threads, len(seeds), _usable_cores())

@@ -95,8 +95,10 @@ def all_blocks_sigma_min(op, weights=None):
 
 def probe_oracle(op, count, seed):
     """`fiber.sigma_min_probe` serially through the dense view: the least
-    |D phi| over the columns of each chunk of PROBE_CHUNK_BYTES / (16 dim)
-    vectors, chunk c drawn from the c-th child of SeedSequence(seed)."""
+    |D phi| / |phi| over the columns of each chunk of PROBE_CHUNK_BYTES /
+    (16 dim) vectors, chunk c drawn from the c-th child of SeedSequence(seed)
+    block by block in `op.blocks` order, real and imaginary parts of each
+    entry interleaved in the draws, and placed at the blocks' rows."""
     width = max(1, min(count, fiber.PROBE_CHUNK_BYTES // (16 * op.dim)))
     starts = range(0, count, width)
     children = np.random.SeedSequence(seed).spawn(len(starts))
@@ -104,10 +106,14 @@ def probe_oracle(op, count, seed):
     best = math.inf
     for start, child in zip(starts, children):
         rng = np.random.default_rng(child)
-        shape = (op.dim, min(width, count - start))
-        phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        phi /= np.linalg.norm(phi, axis=0)
-        best = min(best, float(np.min(np.linalg.norm(dense @ phi, axis=0))))
+        b = min(width, count - start)
+        phi = np.full((op.dim, b), np.nan, dtype=complex)  # rows no block sets
+        for rows, _ in op.blocks:
+            draws = rng.standard_normal(rows.shape + (b, 2))
+            phi[rows] = draws[..., 0] + 1j * draws[..., 1]
+        ratio = (np.linalg.norm(dense @ phi, axis=0)
+                 / np.linalg.norm(phi, axis=0))
+        best = min(best, float(np.min(ratio)))
     return best
 
 

@@ -171,12 +171,13 @@ def test_four_dimensional_thomas_scan_runs_blockwise(tmp_path):
 
 
 def test_four_dimensional_thomas_scan_probes_blockwise(tmp_path):
-    # the probe multiplies block by block in column chunks of at most
-    # PROBE_CHUNK_BYTES, so 2,000 probe vectors of the dim-10,056 fiber run
-    # without its dense view
+    # the probe draws and multiplies block by block in column chunks of at
+    # most PROBE_CHUNK_BYTES, so 2,000 probe vectors of the dim-10,056 fiber
+    # run without its dense view
     exit_code, peak_kib, report = run_thomas4(tmp_path, 2000)
     assert exit_code in (0, 2)
-    assert peak_kib < 150 * 1024  # 98 MB measured at 2 cores, numpy 2.4.6
+    # 98 MB measured at 2 cores, numpy 2.4.6, as without the probe
+    assert peak_kib < 150 * 1024
     assert report["probe"]["count"] == 2000 and report["probe"]["consistent"]
 
 

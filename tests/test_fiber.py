@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -645,6 +646,26 @@ def test_probe_threads_are_joined(lat3, rep3, rng, monkeypatch):
     assert pools == [2]
     assert threading.active_count() == before
     assert value == sigma_min_probe(op, count=200, seed=3)
+
+
+def test_probe_draws_each_block_where_it_is_multiplied():
+    # a chunk holds the vectors and image of one stack at a time, never a
+    # dim-wide array: the dim-588 fiber of thomas_documented has stacks of
+    # 148, 116, 84 and 20 rows (1.08 PROBE_CHUNK_BYTES measured)
+    raw = config.load_file(str(ROOT / "configs" / "thomas_documented.json"))
+    pot = config.parse_verify_thomas(raw)["pot"]
+    fib = FiberPoint(k=np.array([math.pi, 0.3, -0.2]),
+                     e=np.array([1.0, 0.0, 0.0]), kappa=math.pi)
+    op = assemble(ModeSet.from_cutoff(pot.lattice, 20.0), fib, pot)
+    assert op.dim == 588 and len(op.blocks) == 4
+    sigma_min_probe(op, count=2000)
+    tracemalloc.start()
+    try:
+        sigma_min_probe(op, count=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * fiber.PROBE_CHUNK_BYTES
 
 
 # the pruned block solve of weighted_sigma_min against the oracle that

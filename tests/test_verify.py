@@ -262,8 +262,8 @@ def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
 
 
 def test_probe_runs_blockwise_past_the_dense_view():
-    # the probe multiplies block by block, in column chunks of at most
-    # PROBE_CHUNK_BYTES, so a probed scan of the dim-4,552 window runs
+    # the probe draws and multiplies block by block, in column chunks of at
+    # most PROBE_CHUNK_BYTES, so a probed scan of the dim-4,552 window runs
     # without the dense view, which would take 331 MB and is refused
     pot = mass_potential4()
     tracemalloc.start()
@@ -277,7 +277,7 @@ def test_probe_runs_blockwise_past_the_dense_view():
         tracemalloc.stop()
     assert report["dim"] == 4552
     assert report["probe"]["count"] == 1000 and report["probe"]["consistent"]
-    assert peak < 50e6  # 9.9 MB measured: four arrays of a 2 MiB chunk
+    assert peak < 50e6  # 5.8 MB measured: vectors and image of a chunk
     fib = FiberPoint(k=np.array(report["k_points"][0]),
                      e=np.array([1.0, 0.0, 0.0, 0.0]), kappa=4.0)
     op = assemble(ModeSet.from_cutoff(pot.lattice, 20.0), fib, pot)
