@@ -24,8 +24,8 @@ A fiber is held as those blocks: one dense (count, size, size) stack per
 block size.  The composite coefficients in the stacks depend only on the
 window and the potential, so `potential_stencil` builds them once per pair,
 and per fiber `assemble` adds the symbols of every mode onto their diagonal
-entries.  The stencil alone decides a window's size: it refuses stacks of
-more than DENSE_LIMIT^2 entries in all, so no block passes DENSE_LIMIT rows.
+entries.  The stencil alone decides a window's size: it refuses stacks
+over the memory budget (`util.check_memory`), so no block passes 4,096 rows.
 No solver builds the whole (dim, dim) matrix; the probe draws its vectors
 block by block and multiplies each block's where they are drawn.
 
@@ -68,9 +68,9 @@ from numpy.linalg import _umath_linalg
 from .clifford import CliffordRep, clifford_contraction
 from .fields import PotentialSet, coefficient_sum
 from .lattice import Lattice
-from .util import _usable_cores, blas_single_threaded, check_unit
+from .util import (_usable_cores, blas_single_threaded, check_memory,
+                   check_unit)
 
-DENSE_LIMIT = 4096
 # bytes of one column chunk of probe vectors (`sigma_min_probe`)
 PROBE_CHUNK_BYTES = 2 ** 21
 _EPS = float(np.finfo(float).eps)
@@ -90,7 +90,7 @@ class FiberPoint:
         if k.ndim != 1 or e.shape != k.shape:
             raise ValueError("k and e must be vectors of one length")
         e = check_unit(e, "direction e", tol=1e-12)
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:  # NaN fails too
             raise ValueError("kappa must be nonnegative")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "e", e)
@@ -295,12 +295,12 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
     on the window shares: the coefficient entries and I_m (x) the union of
     the nonzero patterns of alpha_1 .. alpha_n (the symbols); a row with
     neither is a component by itself.  Refused, before the stacks are
-    allocated, when they would hold more than DENSE_LIMIT^2 entries (256
-    MiB), so no block has more than DENSE_LIMIT rows: the one size limit of
-    a fiber's blocks and of every solve on them.  A scan builds the stencil
-    before its `pmap`, so that forked workers inherit it.  The window must
-    lie on the potential's lattice.  Building warns, naming the cutoff, when
-    some coefficients connect no two window modes: they are clipped.
+    allocated, when their complex entries exceed the memory budget
+    (`util.check_memory`): the one size limit of a fiber's blocks and of
+    every solve on them.  A scan builds the stencil before its `pmap`, so
+    that forked workers inherit it.  The window must lie on the potential's
+    lattice.  Building warns, naming the cutoff, when some coefficients
+    connect no two window modes: they are clipped.
     """
     built = modes._stencils.get(pot)
     if built is not None:
@@ -346,9 +346,8 @@ def potential_stencil(modes: ModeSet, pot: PotentialSet) -> Stencil:
         np.concatenate([cols, diag_cols[np.tile(spins, m)]]), dim)
     sizes = np.array([len(members) for members in components])
     entries = int(np.sum(sizes * sizes))
-    if entries > DENSE_LIMIT ** 2:
-        raise ValueError(f"the diagonal blocks hold {entries} entries, over "
-                         f"the dense limit {DENSE_LIMIT}^2; reduce the cutoff")
+    check_memory(16 * entries, f"a window whose diagonal blocks hold "
+                 f"{entries} entries", "reduce the cutoff")
     # stacks by block size, in the order the sizes first occur
     by_size: dict = {}
     for b, size in enumerate(sizes.tolist()):
@@ -503,7 +502,7 @@ def weighted_sigma_min(op: TruncatedDiracOperator, weights: np.ndarray,
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(op.modes),):
         raise ValueError("need one weight per window mode")
-    if np.any(weights <= 0.0):
+    if not np.all(weights > 0.0):  # NaN fails too
         raise ValueError("weights must be positive")
     if method not in ("auto", "dense"):
         raise ValueError("method must be 'auto' or 'dense'")

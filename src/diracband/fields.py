@@ -17,10 +17,8 @@ Sup-norms are always reported as brackets (grid maximum, coefficient sum):
 lo <= true sup <= hi.  The grid maxima of `sup_norm` and `condition_value`
 sample the cell grid of the coordinate axes some key uses: a series whose
 keys are all 0 on an axis does not depend on that coordinate, so the full
-grid only repeats the values of the smaller one.  `condition_value` scans
-its directions in blocks whose (directions x grid points) table of complex
-sums stays within DIRECTION_BLOCK_BYTES (128 MiB), and so do its phase
-tables.
+grid only repeats the values of the smaller one.  Cell grids are checked
+against the memory budget (`util.check_memory`) before they are built.
 """
 
 from __future__ import annotations
@@ -33,16 +31,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .clifford import CliffordRep, class_flags
-from .lattice import GRID_LIMIT, Lattice
-from .util import (brentq, check_unit, gauss_legendre_panels, golden_max,
-                   orthonormal_complement, transverse_blocks, unit_grid)
+from .lattice import Lattice
+from .util import (brentq, check_memory, check_unit, gauss_legendre_panels,
+                   golden_max, orthonormal_complement, transverse_blocks,
+                   unit_grid)
 
 KINDS = ("scalar", "vector", "matrix")
-# Bytes of one block of `condition_value`'s (directions x grid points) table
-# of complex sums: a block holds min(256, budget / (16 B x grid points))
-# directions, and a grid whose (keys x grid points) phase table does not fit
-# is refused before any table is built
-DIRECTION_BLOCK_BYTES = 2 ** 27
 # Largest plateau h1.  `_plateau_window`'s interpolant and sign grid grow
 # with h1, so no resolution runs out; but `_plateau_norm` is checked against
 # an independent quadrature only up to h1 = 16, and its cost grows as h1^2.
@@ -428,8 +422,9 @@ def sup_norm(field: FourierField, grid_per_axis: Optional[int] = None
         span = int(np.max(np.max(keys, axis=0) - np.min(keys, axis=0)))
         grid_per_axis = int(min(33, max(2 * span + 1, 9)))
     spanned = _spanned_axes(keys)
-    vals = field._synthesise(lambda _: _grid_phases(spanned, grid_per_axis),
-                             grid_per_axis ** spanned.shape[1])
+    vals = field._synthesise(lambda _: _grid_phases(  # values, 2 temporaries
+        spanned, grid_per_axis, 48 * np.size(field._zero_value())),
+        grid_per_axis ** spanned.shape[1])
     if field.kind == "scalar":
         lo = float(np.max(np.abs(vals)))
     elif field.kind == "vector":
@@ -498,44 +493,31 @@ def _spanned_axes(karr: np.ndarray) -> np.ndarray:
     return karr[:, used] if used.any() else karr[:, :1]
 
 
-def _grid_points(karr: np.ndarray, grid: int) -> int:
-    """grid^d, the cell grid of the d axes of the key rows `karr`.
-
-    Refuses a phase table of more than GRID_LIMIT entries.
-    """
-    n = karr.shape[1]
-    if karr.shape[0] * grid ** n > GRID_LIMIT:
-        raise ValueError(
-            f"a cell grid of {grid}^{n} points for {karr.shape[0]} modes needs "
-            f"{karr.shape[0] * grid ** n} phase entries, over the limit "
-            f"{GRID_LIMIT}; use a smaller grid")
-    return grid ** n
+def _check_cell_grid(karr: np.ndarray, grid: int, held: int) -> int:
+    """Budget bytes left by `_grid_phases` on the cell grid of the key rows'
+    d axes (the complex table, its float phases, the grid twice) and `held`
+    bytes a point that the caller holds beside them; refused over budget."""
+    rows, d = karr.shape
+    return check_memory(grid ** d * (24 * rows + 16 * d + held),
+                        f"a cell grid of {grid}^{d} points for {rows} modes",
+                        "use a smaller grid")
 
 
-def _grid_phases(karr: np.ndarray, grid: int) -> np.ndarray:
+def _grid_phases(karr: np.ndarray, grid: int, held: int = 0) -> np.ndarray:
     """The (rows, grid^d) table exp(2 pi i (N, xi)) over the cell grid xi of
-    the d axes of the key rows `karr`, refused as `_grid_points` refuses."""
-    _grid_points(karr, grid)
+    the d axes of the key rows `karr`, refused as `_check_cell_grid` refuses."""
+    _check_cell_grid(karr, grid, held)
     # (S, G); the grid is a temporary, freed before the complex table exists
     table = 2.0j * math.pi * (karr @ unit_grid(grid, karr.shape[1]).T)
     return np.exp(table, out=table)  # in place: one complex table at a time
 
 
 def _block_height(karr: np.ndarray, grid: int) -> int:
-    """Directions per block of `condition_value`'s table on this cell grid.
-
-    Refuses, before any table is built, a grid whose (keys x grid points)
-    phase table exceeds DIRECTION_BLOCK_BYTES; a direction's row, no longer
-    than that table, then fits too.
-    """
-    row = 16 * _grid_points(karr, grid)
-    table = karr.shape[0] * row
-    if table > DIRECTION_BLOCK_BYTES:
-        raise ValueError(
-            f"a cell grid of {grid}^{karr.shape[1]} points for "
-            f"{karr.shape[0]} modes needs {table} bytes of phases, over the "
-            f"budget {DIRECTION_BLOCK_BYTES}; use a smaller grid")
-    return min(256, DIRECTION_BLOCK_BYTES // row)
+    """Directions per block of `condition_value`'s table on this cell grid:
+    as many as fit the budget beside the phase table at 24 bytes a direction
+    and grid point (sums, moduli), at most 256; refused when 2 do not fit."""
+    spare = _check_cell_grid(karr, grid, 2 * 24)
+    return min(256, 2 + spare // (24 * grid ** karr.shape[1]))
 
 
 def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
@@ -551,10 +533,9 @@ def condition_value(A: FourierField, gamma_coeffs, measure: MeasureSpec,
     n = 3, seeded random directions otherwise) and takes grid maxima of
     |(avg A, et) + i (avg A, e)|; the best one is evaluated again on the
     finer refine grid, after a golden-section refinement of its angle when
-    n = 3.  Both grids cover only the axes the orthogonal keys use, and the
-    scan takes its directions in blocks of at most DIRECTION_BLOCK_BYTES
-    (128 MiB) of table; a scan or refine grid whose phase table exceeds that
-    budget is refused before the scan starts.  Returns the report dict:
+    n = 3.  Both grids cover only the axes the orthogonal keys use; the scan
+    takes its directions in blocks of `_block_height`, and a grid refused
+    there is refused before the scan starts.  Returns the report dict:
     theta_lo, theta_hi, best_et, the sups f_lo and f_hi (theta = |gamma| f /
     pi) and the direction count samples, 0 when no mode is orthogonal to
     gamma.  The condition holds when theta_hi < 1.

@@ -25,10 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-# Largest table a cell grid (phase entries), a face grid or a lattice
-# enumeration (coordinates) may build: 2^27 entries, 2 GiB as complex.
-# Checked before allocating.
-GRID_LIMIT = 2 ** 27
+from .util import check_memory
+
 # Entries per block of the candidate scoring temporaries (512 KiB of float64).
 _BLOCK = 2 ** 16
 
@@ -98,10 +96,8 @@ class Lattice:
 
     def mode_window(self, cutoff: float) -> np.ndarray:
         """Integer rows N with |2 pi N| <= cutoff: the origin, then by (norm, lex)."""
-        rows = [np.zeros(self.n, dtype=np.int64)]
-        if cutoff > 0:
-            rows.extend(self.points_in_ball(cutoff / (2.0 * math.pi), dual=True)[0])
-        return np.array(rows, dtype=np.int64)
+        coeffs = self.points_in_ball(cutoff / (2.0 * math.pi), dual=True)[0]
+        return np.concatenate([np.zeros((1, self.n), dtype=np.int64), coeffs])
 
 
 def enumerate_points(basis: np.ndarray, radius: float
@@ -110,31 +106,32 @@ def enumerate_points(basis: np.ndarray, radius: float
 
     Returns (coeffs, vectors) sorted by (|v|, lexicographic coefficients).
     Completeness comes from the coefficient bound |m_j| <= radius * |E*_j|.
-    Refuses a coefficient box of more than GRID_LIMIT coordinates before
-    building it.
+    The box is checked against the memory budget before it is built.
     """
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     dual = reciprocal_basis(basis)
-    bounds = [int(math.floor(radius * float(np.linalg.norm(dual[j])) + 1e-9))
-              for j in range(n)]
-    size = math.prod(2 * b + 1 for b in bounds) * n
-    if size > GRID_LIMIT:
-        raise ValueError(
-            f"lattice points within radius {radius:g} need a coefficient box "
-            f"of {' x '.join(str(2 * b + 1) for b in bounds)} points, "
-            f"{size} coordinates, over the limit {GRID_LIMIT}; use a smaller "
-            f"R0, window or cutoff")
-    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    nonzero = np.any(coeffs != 0, axis=1)
-    coeffs = coeffs[nonzero]
+    reach = [radius * float(np.linalg.norm(row)) for row in dual]
+    if not all(0.0 <= r < math.inf for r in reach):  # NaN fails too
+        raise ValueError("radius must be nonnegative and its box finite")
+    bounds = [int(math.floor(r + 1e-9)) for r in reach]
+    points = math.prod(2 * b + 1 for b in bounds)
+    # 3 (n + 1) words a point at most: the box's coefficients, vectors and
+    # norms, and the float coefficients, the squares or the points kept
+    check_memory(24 * (n + 1) * points, f"the coefficient box of "
+                 f"{' x '.join(str(2 * b + 1) for b in bounds)} points for "
+                 f"lattice points within radius {radius:g}",
+                 "use a smaller R0, window or cutoff")
+    coeffs = np.stack(np.meshgrid(
+        *[np.arange(-b, b + 1, dtype=np.int64) for b in bounds],
+        indexing="ij"), axis=-1).reshape(-1, n)
+    coeffs = np.delete(coeffs, points // 2, axis=0)  # the origin, at the centre
     vectors = coeffs @ basis
-    norms = np.linalg.norm(vectors, axis=1)
-    keep = norms <= radius
-    coeffs, vectors, norms = coeffs[keep], vectors[keep], norms[keep]
+    # the arithmetic of np.linalg.norm(vectors, axis=1), one temporary fewer
+    norms = np.sqrt(np.sum(vectors * vectors, axis=1))
+    coeffs = coeffs[norms <= radius]  # one copy at a time
+    vectors = vectors[norms <= radius]
+    norms = norms[norms <= radius]
     # lexicographic tie-break on coefficients, primary key |v|
     order = np.lexsort(tuple(coeffs[:, j] for j in range(n - 1, -1, -1)) + (norms,))
     return coeffs[order], vectors[order]

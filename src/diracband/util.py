@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic frames and grids, 1-d search, pmap."""
+"""Small shared helpers: frames and grids, 1-d search, pmap, memory budget."""
 
 from __future__ import annotations
 
@@ -14,11 +14,21 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Bytes a table may hold at its peak, checked before it is allocated
+MEMORY_BUDGET = 2 ** 28
+
+
+def check_memory(nbytes: int, what: str, remedy: str) -> int:
+    """Refuse `what` over MEMORY_BUDGET; returns the bytes left."""
+    if nbytes > MEMORY_BUDGET:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the memory "
+                         f"budget of {MEMORY_BUDGET} bytes; {remedy}")
+    return MEMORY_BUDGET - nbytes
 
 
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = 1e-9) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if not abs(np.linalg.norm(v) - 1.0) <= tol:  # NaN fails too
         raise ValueError(f"{name} must have unit length")
     return v
 

@@ -40,12 +40,13 @@ import numpy as np
 from .fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
                     axial_transverse, potential_stencil,
                     sigma_min, sigma_min_probe, weighted_sigma_min)
-from .fields import (GRID_LIMIT, FourierField, MeasureSpec,
-                     PotentialSet, averaged_potential, condition_value,
-                     orthogonal_modes, sup_norm, w_norm)
+from .fields import (FourierField, MeasureSpec, PotentialSet,
+                     averaged_potential, condition_value, orthogonal_modes,
+                     sup_norm, w_norm)
 from .gauge import damping_factor, default_kernel_constant
 from .lattice import Lattice, SphereMeasure, find_gamma
-from .util import blas_single_threaded, pmap, transverse_blocks, unit_grid
+from .util import (blas_single_threaded, check_memory, pmap,
+                   transverse_blocks, unit_grid)
 
 
 def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
@@ -55,17 +56,15 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     Anchored at pi gamma / |gamma|^2 and spanned by the projections of the
     scaled reciprocal basis vectors onto the orthogonal complement of gamma
     (a greedy deterministic choice of n-1 independent projections).
-    Refuses a grid of more than GRID_LIMIT coordinates before building it.
+    Checked against the memory budget before it is built.
     """
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be positive")
     n = lattice.n
-    size = points_per_axis ** (n - 1) * n
-    if size > GRID_LIMIT:
-        raise ValueError(
-            f"a face grid of {points_per_axis}^{n - 1} points in {n} "
-            f"dimensions needs {size} coordinates, over the limit "
-            f"{GRID_LIMIT}; use a smaller k_points_per_axis")
+    # the points twice (product and sum), or the fractions twice (`unit_grid`)
+    check_memory(16 * n * points_per_axis ** (n - 1),
+                 f"a face grid of {points_per_axis}^{n - 1} points in {n} "
+                 f"dimensions", "use a smaller k_points_per_axis")
     _, gvec, gnorm, e = lattice.direction(gamma_coeffs)
     base = math.pi * gvec / gnorm ** 2
 
@@ -87,8 +86,7 @@ def k_face_grid(lattice: Lattice, gamma_coeffs, points_per_axis: int = 5
     if len(spans) != n - 1:
         raise ValueError("could not span the transverse section")
 
-    fracs = unit_grid(points_per_axis, n - 1)  # (m^(n-1), n-1)
-    return base[None, :] + fracs @ np.array(spans)
+    return base + unit_grid(points_per_axis, n - 1) @ np.array(spans)
 
 
 class _Face:

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from diracband import FourierField, Lattice, MeasureSpec, PotentialSet, fiber
+from diracband import (FourierField, Lattice, MeasureSpec, PotentialSet, fiber,
+                       util)
 from diracband.clifford import clifford_contraction
 from diracband.fiber import FiberPoint, ModeSet, axial_transverse, g_table
 from diracband.util import blas_single_threaded, gauss_legendre_panels
@@ -63,16 +64,17 @@ def free_band_values(lattice, rep, k, cutoff, mass=0.0):
 
 
 def check_dense_dim(dim):
-    """Refuse a whole dense fiber of dimension `dim` over DENSE_LIMIT rows."""
-    if dim > fiber.DENSE_LIMIT:
+    """Refuse a whole dense fiber of dimension `dim` whose complex entries
+    exceed the memory budget: over 4,096 rows at 2^28 bytes."""
+    if 16 * dim ** 2 > util.MEMORY_BUDGET:
         raise ValueError(
-            f"fiber dimension {dim} exceeds the dense limit "
-            f"{fiber.DENSE_LIMIT}; reduce the cutoff")
+            f"fiber dimension {dim} exceeds the dense limit of "
+            f"{util.MEMORY_BUDGET} bytes; reduce the cutoff")
 
 
 def dense_matrix(op):
     """The whole (dim, dim) fiber, its diagonal blocks placed at their rows;
-    refused over DENSE_LIMIT before anything is allocated."""
+    refused over the memory budget before anything is allocated."""
     check_dense_dim(op.dim)
     out = np.zeros((op.dim, op.dim), dtype=complex)
     for rows, stack in op.blocks:

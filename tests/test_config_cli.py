@@ -465,6 +465,26 @@ def test_cli_oversized_cell_grid_exits_one(tmp_path, capsys):
     assert peak < 50e6
 
 
+def test_cli_oversized_gauge_grid_exits_one(tmp_path, capsys):
+    # grid_per_axis 257 is within the config bounds; A's 6 keys +-E_j use
+    # all three axes, so sup|A| on 257^3 points would peak at about 2.4 GB
+    payload = json.loads(open(config_path("gauge_bound.json")).read())
+    payload["potential"]["A"]["modes"] = [
+        {"coeffs": [s * int(i == j) for i in range(3)], "value": [0.01] * 3}
+        for j in range(3) for s in (1, -1)]
+    payload["gauge"]["grid_per_axis"] = 257
+    path = write_config(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        code = main(["gauge-bound", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "cell grid of 257^3 points for 6 modes" in capsys.readouterr().err
+    assert peak < 50e6
+
+
 def test_cli_fine_grid_on_spanned_axes_runs(tmp_path, capsys):
     # the keys of configs/condition.json orthogonal to gamma = E_1 use two
     # axes, so refine_grid 512 samples 512^2 points
@@ -506,8 +526,8 @@ def test_cli_oversized_face_grid_exits_one(tmp_path, capsys):
 ])
 def test_cli_oversized_enumeration_exits_one(tmp_path, capsys, command, name,
                                              pointer, value, flags, radius):
-    # the coefficient boxes would take from 1.6 GiB (R0 300: 601^3 int64)
-    # to 60 GiB (window 1000) before any point is kept
+    # the coefficient boxes would charge from 21 GB (R0 300: 601^3 points of
+    # 96 B) to 770 GB (window 1000) before any point is kept
     raw = cfg.load_file(config_path(name))
     if pointer is not None:
         _set(raw, pointer, value)
@@ -520,8 +540,8 @@ def test_cli_oversized_enumeration_exits_one(tmp_path, capsys, command, name,
         tracemalloc.stop()
     assert code == 1
     err = capsys.readouterr().err
-    assert f"lattice points within radius {radius} need a coefficient box" in err
-    assert "over the limit" in err
+    assert f"points for lattice points within radius {radius} needs" in err
+    assert "coefficient box" in err and "over the memory budget" in err
     assert peak < 50e6
 
 

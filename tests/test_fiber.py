@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse
 from scipy.sparse import csgraph
 
-from diracband import build_clifford, cli, config, fiber, verify
+from diracband import build_clifford, cli, config, fiber, util, verify
 from diracband.clifford import PAULI_X, PAULI_Z
 from diracband.fiber import (FiberPoint, ModeSet, annulus_mask, assemble,
                              axial_transverse, eigenvalues, g_factors,
@@ -258,10 +258,12 @@ def test_sigma_min_routes_agree(lat3, rep3, rng, monkeypatch):
     # the size limit belongs to the window's stencil: a fiber already
     # assembled is solved whatever the limit, and a new window is refused
     want = sigma_min(op, method="dense")
-    monkeypatch.setattr(fiber, "DENSE_LIMIT", 4)
+    window = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
+    monkeypatch.setattr(util, "MEMORY_BUDGET", 16 * 4 ** 2)
     assert sigma_min(op, method="dense") == want
-    with pytest.raises(ValueError, match="over the dense limit 4"):
-        assemble(ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4), fib, op.pot)
+    with pytest.raises(ValueError, match="diagonal blocks hold [0-9]+ entries "
+                       "needs [0-9]+ bytes, over the memory budget of 256 "):
+        assemble(window, fib, op.pot)
 
 
 def test_weighted_sigma_min(lat3, rep3, rng):
@@ -505,12 +507,14 @@ def test_component_routes_match_whole_fiber(n, span, probes, rng,
 
 
 def test_block_over_dense_limit_is_refused(lat3, rep3, rng, monkeypatch):
-    # the stacks are dense, so stacks of more than DENSE_LIMIT^2 entries are
-    # refused when the window's stencil is built, before they are allocated
-    monkeypatch.setattr(fiber, "DENSE_LIMIT", 16)
+    # the stacks are dense, so stacks of more complex entries than the memory
+    # budget holds are refused when the window's stencil is built, before
+    # they are allocated
     modes = ModeSet.from_cutoff(lat3, 2.0 * math.pi * 1.4)
-    with pytest.raises(ValueError, match="the diagonal blocks hold [0-9]+ "
-                       r"entries, over the dense limit 16\^2"):
+    monkeypatch.setattr(util, "MEMORY_BUDGET", 16 * 16 ** 2)
+    with pytest.raises(ValueError, match="window whose diagonal blocks hold "
+                       "[0-9]+ entries needs [0-9]+ bytes, over the memory "
+                       "budget of 4096 bytes"):
         assemble(modes, random_fiber(rng), small_potential(lat3, rep3, rng))
     # without a potential every block is one mode: 7 blocks of 16 entries
     free = assemble(modes, random_fiber(rng), PotentialSet.zero(lat3, rep3))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from diracband import fields
+from diracband import fields, util
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               _grid_phases, averaged_potential,
                               condition_value, sup_norm, w_norm, zero_field)
@@ -593,22 +593,25 @@ def test_spanned_grid_condition_on_odd_grids(monkeypatch, n):
 
 @pytest.mark.parametrize("height", [15, 85])
 def test_condition_report_independent_of_block_height(monkeypatch, height):
-    # the budget holds the 12 keys' phase table, so a block holds at least
-    # 12 directions; blocks of 15 or 85 end the first 256 directions with
-    # one of a single direction, which must not take another BLAS route
-    # than the rest, and the last 8 of the 264 make a shorter block.  The
-    # refine grid is coarser than the scan grid, so the scan's maximum is
-    # the reported f_lo.  Circle directions at n = 3, seeded random ones at
-    # n = 4, on 12 keys that use every axis
+    # the budget holds the 12 keys' phase table as it is built and `height`
+    # directions of 24 B a grid point; blocks of 15 or 85 end the first 256
+    # directions with one of a single direction, which must not take another
+    # BLAS route than the rest, and the last 8 of the 264 make a shorter
+    # block.  The refine grid is coarser than the scan grid, so the scan's
+    # maximum is the reported f_lo.  Circle directions at n = 3, seeded
+    # random ones at n = 4, on 12 keys that use every axis
     for n in (3, 4):
         A = field_on_axes(n, n, np.random.default_rng(0), pairs=6)
         gamma = (1, 1) + (0,) * (n - 2)
         kwargs = dict(sphere_samples=264, scan_grid=8, refine_grid=4)
         want = condition_value(A, gamma, MeasureSpec.plateau(0.5, 1.5),
                                **kwargs)
+        keys = np.array(fields.orthogonal_modes(A, np.array(gamma)))
+        assert keys.shape == (12, n) and np.all(np.any(keys != 0, axis=0))
+        table = 8 ** n * (24 * 12 + 16 * n)
         with monkeypatch.context() as m:
-            m.setattr(fields, "DIRECTION_BLOCK_BYTES", height * 16 * 8 ** n)
-            assert fields._block_height(np.eye(n, dtype=np.int64), 8) == height
+            m.setattr(util, "MEMORY_BUDGET", table + height * 24 * 8 ** n)
+            assert fields._block_height(keys, 8) == height
             got = condition_value(A, gamma, MeasureSpec.plateau(0.5, 1.5),
                                   **kwargs)
         assert got == want
@@ -643,8 +646,9 @@ def test_cell_grid_brackets_hold_in_higher_dimensions(n):
             tracemalloc.stop()
         keys = fields.orthogonal_modes(A, np.array(gamma))
         axes = fields._spanned_axes(np.array(keys)).shape[1] if keys else 0
-        assert refused == (len(keys) * 16 * 25 ** axes
-                           > fields.DIRECTION_BLOCK_BYTES)
+        # the phase table as it is built and two directions' sums
+        assert refused == (25 ** axes * (24 * len(keys) + 16 * axes + 48)
+                           > util.MEMORY_BUDGET)
         if refused:
             assert peak < 1e6
         else:
@@ -653,8 +657,8 @@ def test_cell_grid_brackets_hold_in_higher_dimensions(n):
 
 def test_refine_phase_table_over_budget_is_refused():
     # keys +-E_2 .. +-E_5 use four axes: the 48^4 refine grid's phase table
-    # holds 8 x 48^4 complex entries, 680 MB, which GRID_LIMIT admits; the
-    # direction budget refuses it before the scan builds anything
+    # holds 8 x 48^4 complex entries, 680 MB; the memory budget refuses it
+    # before the scan builds anything
     n = 5
     coeffs = {}
     for j in range(1, n):
@@ -664,7 +668,6 @@ def test_refine_phase_table_over_budget_is_refused():
         coeffs[tuple(-c for c in key)] = val
     A = FourierField(Lattice.cubic(n), "vector", coeffs, real=True)
     gamma = (1,) + (0,) * (n - 1)
-    assert 8 * 48 ** 4 <= fields.GRID_LIMIT
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"cell grid of 48\^4"):

@@ -1,5 +1,6 @@
 """Shared helpers: the worker cap, errors and clean exit of the parallel map,
-and Brent's root finder against scipy's."""
+Brent's root finder against scipy's, the memory budget at every site it
+guards, and the refusal of non-finite input."""
 
 import concurrent.futures
 import json
@@ -8,13 +9,19 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq as scipy_brentq
 
-from diracband import fields, util
+from diracband import (FiberPoint, FourierField, Lattice, MeasureSpec, ModeSet,
+                       PotentialSet, assemble, build_clifford, condition_value,
+                       enumerate_points, fields, k_face_grid, sup_norm, util,
+                       weighted_sigma_min)
+from diracband.fiber import potential_stencil
+from diracband.fields import zero_field
 from golden import regenerate as golden
 from helpers import run_blas_script
 
@@ -199,3 +206,118 @@ def test_brentq_refuses_what_scipys_refuses():
             scipy_brentq(f, a, b, xtol=1e-12, maxiter=maxiter)
         with pytest.raises(error):
             util.brentq(f, a, b, 1e-12, maxiter=maxiter)
+
+
+# -- the memory budget --------------------------------------------------------
+
+def _traced(call, *args):
+    """(result or the ValueError raised, tracemalloc peak) of call(*args)."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call(*args)
+        except ValueError as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _axis_field(axes):
+    """Real vector field with the keys +-E_j of the given axes of Z^3."""
+    coeffs = {}
+    for j in axes:
+        key = tuple(int(i == j) for i in range(3))
+        coeffs[key] = coeffs[tuple(-c for c in key)] = np.full(3, 0.01 * (j + 1))
+    return FourierField(Lattice.cubic(3), "vector", coeffs, real=True)
+
+
+# (call, size just under an 8 MiB budget, size just over), with the bytes
+# each site charges
+_BUDGET_SITES = {
+    # 24 (n + 1) B a box point: 43^3 points fit, 45^3 do not
+    "enumerate_points": (lambda r: enumerate_points(np.eye(3), r), 21, 22),
+    # 16 n B a face point: 418^2 points fit, 419^2 do not
+    "k_face_grid": (lambda m: k_face_grid(Lattice.cubic(3), (1, 0, 0), m),
+                    418, 419),
+    # 6 keys on 3 axes: 24 x 6 + 16 x 3 + 48 x 3 = 336 B a grid point
+    "sup_norm": (lambda g: sup_norm(_axis_field(range(3)), g), 29, 30),
+    # 4 keys orthogonal to E_1 on 2 axes: 24 x 4 + 16 x 2 + 2 x 24 = 176 B
+    # a grid point; the refine grid is checked before the scan
+    "condition_value": (lambda g: condition_value(
+        _axis_field((1, 2)), (1, 0, 0), MeasureSpec.dirac(),
+        sphere_samples=16, scan_grid=g, refine_grid=g), 218, 219),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BUDGET_SITES))
+def test_memory_budget_bounds_every_site(monkeypatch, site):
+    # an input that fits the budget peaks near it at most; the next size up
+    # is refused before anything is allocated
+    call, under, over = _BUDGET_SITES[site]
+    monkeypatch.setattr(util, "MEMORY_BUDGET", 2 ** 23)
+    out, peak = _traced(call, under)
+    assert not isinstance(out, ValueError), out
+    assert peak <= 1.25 * 2 ** 23
+    out, peak = _traced(call, over)
+    assert isinstance(out, ValueError)
+    assert "over the memory budget of 8388608 bytes" in str(out)
+    assert peak < 1e6
+
+
+def test_memory_budget_refuses_the_stencil(monkeypatch):
+    # at the default budget the stacks' rule is the old one of 4,096^2
+    # entries.  V0 couples every mode to its six neighbours, so the window
+    # at cutoff 23 is one block of 812 rows: refused one byte short of its
+    # 16 B an entry, before the stacks are allocated
+    assert 16 * 4096 ** 2 == util.MEMORY_BUDGET
+    lat, rep = Lattice.cubic(3), build_clifford(3)
+    coeffs = {key: 0.1 * np.eye(rep.M) for key in
+              [tuple(s * int(i == j) for i in range(3))
+               for j in range(3) for s in (1, -1)]}
+    pot = PotentialSet(zero_field(lat, "vector"),
+                       FourierField(lat, "matrix", coeffs, dim=rep.M,
+                                    hermitian=True),
+                       zero_field(lat, "matrix", dim=rep.M), rep)
+    window = ModeSet.from_cutoff(lat, 23.0)
+    monkeypatch.setattr(util, "MEMORY_BUDGET", 16 * 812 ** 2 - 1)
+    out, peak = _traced(potential_stencil, window, pot)
+    assert isinstance(out, ValueError)
+    assert "diagonal blocks hold 659344 entries needs 10549504 bytes" in str(out)
+    assert peak < 1e6
+
+
+def test_sup_norm_refuses_a_grid_the_entry_limit_admitted():
+    # 6 keys on 257^3 points hold 101.8 M phase entries, under the former
+    # limit of 2^27 entries, but about 2.4 GB at the peak
+    out, peak = _traced(sup_norm, _axis_field(range(3)), 257)
+    assert isinstance(out, ValueError)
+    assert "a cell grid of 257^3 points for 6 modes needs" in str(out)
+    assert peak < 1e6
+
+
+def _nan_weight():
+    lat = Lattice.cubic(3)
+    op = assemble(ModeSet.from_cutoff(lat, 2.0 * math.pi * 1.4),
+                  FiberPoint(k=np.zeros(3), e=np.array([1.0, 0.0, 0.0])),
+                  PotentialSet.zero(lat, build_clifford(3)))
+    weights = np.ones(len(op.modes))
+    weights[3] = math.nan
+    return weighted_sigma_min(op, weights)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: util.check_unit(np.array([math.nan, 0.0, 0.0])),
+    lambda: FiberPoint(k=np.zeros(3), e=np.array([1.0, 0.0, 0.0]),
+                       kappa=math.nan),
+    _nan_weight,
+    lambda: enumerate_points(np.eye(3), math.inf),
+    lambda: enumerate_points(np.eye(3), math.nan),
+    # finite, but radius x |E*_j| overflows
+    lambda: enumerate_points(0.5 * np.eye(3), 1e308),
+], ids=["check_unit", "kappa", "weights", "radius_inf", "radius_nan",
+        "box_inf"])
+def test_non_finite_input_is_refused(call):
+    # each comparison is written so that NaN fails it
+    with pytest.raises(ValueError):
+        call()

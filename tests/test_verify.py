@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diracband import (Lattice, bands, build_clifford, cli, config, fiber,
-                       verify)
+                       util, verify)
 from diracband.fiber import FiberPoint, ModeSet, assemble, sigma_min
 from diracband.fields import (FourierField, MeasureSpec, PotentialSet,
                               zero_field, w_norm)
@@ -236,12 +236,13 @@ def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
     sheet = bands.band_sweep(pot, np.zeros(4), e, (0.0, 1.0), 2, 20.0)
     assert sheet.energies.shape == (2, 4552)
 
-    # stacks over the square of the limit are refused before the first fiber
-    monkeypatch.setattr(fiber, "DENSE_LIMIT", 128)
+    # stacks one entry over the memory budget are refused before the first
+    # fiber; the window's coefficient box (7^4 points) still fits
+    monkeypatch.setattr(util, "MEMORY_BUDGET", 16 * 18207)
     monkeypatch.setattr(verify, "assemble", no_assembly)
     monkeypatch.setattr(bands, "assemble", no_assembly)
-    refusal = (r"the diagonal blocks hold 18208 entries, over the dense "
-               r"limit 128\^2")
+    refusal = ("window whose diagonal blocks hold 18208 entries needs 291328 "
+               "bytes, over the memory budget of 291312 bytes")
     with pytest.raises(ValueError, match=refusal):
         verify_thomas_bound(pot, (1, 0, 0, 0), MeasureSpec.dirac(),
                             theta=0.5, kappas=[4.0], k_points_per_axis=1,
@@ -258,7 +259,7 @@ def test_dense_limit_checked_before_assembly(monkeypatch, tmp_path, capsys):
                    "k_points_per_axis": 1, "cutoff": 20.0}}), encoding="utf-8")
     capsys.readouterr()
     assert cli.main(["verify-thomas", "--config", str(path)]) == 1
-    assert "the diagonal blocks hold 18208 entries" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
 
 
 def test_probe_runs_blockwise_past_the_dense_view():
